@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 from .costs import CostDistribution, TruncatedGaussianCosts, UniformCosts
@@ -122,9 +125,51 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+_INTEGER_FIELDS = ("clients", "payment_grid", "train.rounds", "train.per_round",
+                   "train.similarity", "task.feature_dim", "task.classes",
+                   "task.samples_per_client", "task.test_size")
+_REAL_FIELDS = ("costs.lower", "costs.upper", "costs.mean", "costs.std",
+                "server.eta", "server.smoothness", "server.grid_delta",
+                "train.clip", "train.learning_rate", "train.delta", "train.c2",
+                "task.center_spread", "task.noise")
+# list field -> (element type, plural noun, may be null)
+_LIST_FIELDS = {"seeds": (numbers.Integral, "integers", False),
+                "mechanisms": (str, "strings", False),
+                "eta_grid": (numbers.Real, "finite numbers", True),
+                "sensitivities": (numbers.Real, "finite numbers", True)}
+
+
+def _is(value, kind) -> bool:
+    # JSON true/false parse to bool, which Python counts as an integer, and
+    # JSON 1e999 parses to inf
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return False
+    return not isinstance(value, numbers.Real) or math.isfinite(value)
+
+
+def _check_types(cfg: ExperimentConfig) -> None:
+    """Each field holds the JSON type it needs, so later checks cannot raise TypeError."""
+    for names, kind, noun in ((_INTEGER_FIELDS, numbers.Integral, "an integer"),
+                              (_REAL_FIELDS, numbers.Real, "a finite number")):
+        for name in names:
+            value = functools.reduce(getattr, name.split("."), cfg)
+            _require(_is(value, kind), f"{name} must be {noun}, got {value!r}")
+    q = cfg.server.q_coefficient
+    _require(q is None or _is(q, numbers.Real),
+             f"server.q_coefficient must be a finite number or null, got {q!r}")
+    for name, (kind, noun, nullable) in _LIST_FIELDS.items():
+        value = getattr(cfg, name)
+        _require((value is None and nullable)
+                 or (isinstance(value, list) and all(_is(x, kind) for x in value)),
+                 f"{name} must be a list of {noun}, got {value!r}")
+    _require(isinstance(cfg.train.noiseless, bool),
+             "train.noiseless must be true or false")
+    _require(cfg.out is None or isinstance(cfg.out, str), "out must be a path string")
+
+
 def validate(cfg: ExperimentConfig) -> None:
-    _require(isinstance(cfg.clients, int) and cfg.clients >= 1,
-             "clients must be an integer >= 1")
+    _check_types(cfg)
+    _require(cfg.clients >= 1, "clients must be an integer >= 1")
     _require(cfg.costs.lower >= 0, "costs.lower must be >= 0")
     _require(cfg.costs.upper > cfg.costs.lower,
              "costs.upper must exceed costs.lower")
@@ -166,7 +211,7 @@ def validate(cfg: ExperimentConfig) -> None:
 
     _require(bool(cfg.seeds), "seeds must be nonempty")
     for s in cfg.seeds:
-        _require(isinstance(s, int) and s >= 0, "seeds must be integers >= 0")
+        _require(s >= 0, "seeds must be integers >= 0")
 
     if cfg.eta_grid is not None:
         _require(bool(cfg.eta_grid), "eta_grid must be nonempty when given")

@@ -244,28 +244,41 @@ def initial_local_losses(task: SyntheticTask, shards, w) -> np.ndarray:
                      for s in shards])
 
 
-def _jsam_eps_of_report(costs, dist, cfg, use_true_costs=False):
-    costs = np.asarray(costs, dtype=float)
+def _report_virtuals(costs, dist):
+    """(k, z) -> the (z.size, N) virtual-cost profiles with client k reporting z.
+
+    The rivals' virtual costs are computed once; only column k changes.
+    """
+    base = dist.virtual(costs)
+
+    def virtuals_of(k, z):
+        profiles = np.tile(base, (z.size, 1))
+        profiles[:, k] = dist.virtual(z)
+        return profiles
+
+    return virtuals_of
+
+
+def _jsam_eps_of_report(costs, dist, cfg):
+    virtuals_of = _report_virtuals(np.asarray(costs, dtype=float), dist)
 
     def eps_fn(k, z):
-        profiles = np.tile(costs, (z.size, 1))
-        profiles[:, k] = z
-        virtuals = profiles if use_true_costs else dist.virtual(profiles)
-        return solve_profiles(virtuals, cfg).privacy_budgets[:, k]
+        return solve_profiles(virtuals_of(k, z), cfg).privacy_budgets[:, k]
 
     return eps_fn
 
 
 def _fixed_p_eps_of_report(costs, dist, cfg, probabilities_of=None, p_fixed=None):
     costs = np.asarray(costs, dtype=float)
+    virtuals_of = _report_virtuals(costs, dist)
 
     def eps_fn(k, z):
-        profiles = np.tile(costs, (z.size, 1))
-        profiles[:, k] = z
-        virtuals = dist.virtual(profiles)
+        virtuals = virtuals_of(k, z)
         if p_fixed is not None:
-            p = np.broadcast_to(p_fixed, profiles.shape)
+            p = np.broadcast_to(p_fixed, virtuals.shape)
         else:
+            profiles = np.tile(costs, (z.size, 1))
+            profiles[:, k] = z
             p = probabilities_of(profiles)
         eps, _, _ = fixed_probability_solve(p, virtuals, cfg)
         return eps[:, k]
@@ -341,7 +354,7 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
         payments = np.zeros(n)
         errors = np.zeros(n)
     else:
-        payments, errors = expost_payments(costs, dist.upper, eps_fn,
+        payments, errors = expost_payments(costs, eps, dist.upper, eps_fn,
                                            grid_size=payment_grid)
     return SelectionPlan(kind=name, eta=cfg.eta, probabilities=p, epsilons=eps,
                          total_budget=budget, payments=payments,

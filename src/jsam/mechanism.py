@@ -31,6 +31,8 @@ import numpy as np
 from .costs import ClientType, sort_by_virtual_cost
 
 _TWO_THIRDS = 2.0 / 3.0
+_TWO_OVER_ROOT3 = 2.0 / math.sqrt(3.0)
+_HALF_THREE_ROOT3 = 1.5 * math.sqrt(3.0)
 
 OBJECTIVE_FORMS = ("exact_l1", "paper_literal")
 
@@ -262,21 +264,26 @@ def solve_inner_budget(h, p_h, v_sorted, cfg: ServerConfig) -> float:
 def _budget_root_sq(dev2, a, eta):
     """Vectorized B*^2: the positive root of dev2*x^3 + a*x^2 - eta^2*a^2.
 
-    Newton from x0 = eta*sqrt(a), which is exact when dev2 = 0 and an upper
-    bound otherwise, so the iteration descends monotonically on the convex
-    cubic.
+    Substituting x = eta*sqrt(a)/u turns the cubic into u^3 - u - k = 0 with
+    k = dev2*eta/sqrt(a) >= 0, whose single real root u >= 1 has the closed
+    form u = (2/sqrt(3))*cos(arccos(t)/3) for t <= 1 and
+    u = (2/sqrt(3))*cosh(arccosh(t)/3) for t > 1, t = (3*sqrt(3)/2)*k. One
+    Newton step on u, whose derivative 3u^2 - 1 is at least 2, removes the
+    rounding of the trigonometric form. Requires a > 0 and eta > 0.
     """
-    x = eta * np.sqrt(a)
-    for _ in range(80):
-        phi = dev2 * x ** 3 + a * x ** 2 - (eta * a) ** 2
-        dphi = 3.0 * dev2 * x ** 2 + 2.0 * a * x
-        step = phi / dphi
-        # freeze converged elements so results do not depend on chunking
-        step = np.where(np.abs(step) > 1e-14 * np.abs(x), step, 0.0)
-        x = x - step
-        if not np.any(step):
-            break
-    return x
+    root_a = np.sqrt(a)
+    k = dev2 * eta / root_a
+    t = _HALF_THREE_ROOT3 * k
+    # each branch only where its inverse function is defined
+    trig = t <= 1.0
+    hyper = ~trig
+    u = np.empty_like(t)
+    u[trig] = np.cos(np.arccos(t[trig]) / 3.0)
+    u[hyper] = np.cosh(np.arccosh(t[hyper]) / 3.0)
+    u *= _TWO_OVER_ROOT3
+    u2 = u * u
+    u -= (u2 * u - u - k) / (3.0 * u2 - 1.0)
+    return eta * root_a / u
 
 
 @dataclass
@@ -297,28 +304,29 @@ def _candidate_grid(n, cfg: ServerConfig):
 
     h = 1 admits only p_1 = 1 (stored with the p_h = 1/n placeholder, which
     also makes both deviation forms agree there). For h >= 2 the grid walks
-    p_1 = i/n + m*delta, p_h = 1/n - m*delta with i = n + 1 - h.
+    p_1 = i/n + m*delta, p_h = 1/n - m*delta with i = n + 1 - h, for every m
+    with p_h > 0: a p_h = 0 candidate repeats the distribution of (h - 1,
+    m = 0), or of h = 1 when h = 2, so keeping it would let rounding decide
+    which threshold a plan reports. The m range counts the steps strictly
+    below 1/n, with 1/(n*delta) read as an integer when it is one up to
+    rounding.
     """
     share = 1.0 / n
-    hs = [np.array([1])]
-    p1s = [np.array([1.0])]
-    phs = [np.array([share])]
-    if n >= 2:
-        m = np.arange(int(1.0 / (n * cfg.grid_delta)) + 1)
-        for h in range(2, n + 1):
-            i = n + 1 - h
-            hs.append(np.full(m.size, h))
-            p1s.append(i * share + m * cfg.grid_delta)
-            phs.append(share - m * cfg.grid_delta)
-    return np.concatenate(hs), np.concatenate(p1s), np.concatenate(phs)
+    steps = math.ceil((1.0 - 1e-12) / (n * cfg.grid_delta)) if n >= 2 else 0
+    h = np.repeat(np.arange(2, n + 1), steps)
+    m = np.tile(np.arange(steps), n - 1)
+    return (np.concatenate([[1], h]),
+            np.concatenate([[1.0], (n + 1 - h) * share + m * cfg.grid_delta]),
+            np.concatenate([[share], share - m * cfg.grid_delta]))
 
 
 def solve_profiles(virtual_costs, cfg: ServerConfig,
-                   max_elements: int = 4_000_000) -> BatchSolution:
+                   max_elements: int = 262_144) -> BatchSolution:
     """Run the grid solver on a (B, N) batch of positive virtual costs.
 
     Work proceeds in row chunks sized so no intermediate exceeds
-    `max_elements` floats.
+    `max_elements` floats (2 MB), which keeps each chunk's arrays near the
+    cache instead of streaming them through memory.
     """
     v = np.atleast_2d(np.asarray(virtual_costs, dtype=float))
     batch, n = v.shape
@@ -326,10 +334,10 @@ def solve_profiles(virtual_costs, cfg: ServerConfig,
         raise ValueError("empty client profile")
     if np.any(v <= 0):
         raise ValueError("virtual costs must be positive")
-    candidates = _candidate_grid(n, cfg)[0].size
-    rows_per_chunk = max(1, max_elements // candidates)
+    grid = _candidate_grid(n, cfg)
+    rows_per_chunk = max(1, max_elements // grid[0].size)
     if batch > rows_per_chunk:
-        parts = [_solve_block(v[i:i + rows_per_chunk], cfg)
+        parts = [_solve_block(v[i:i + rows_per_chunk], cfg, grid)
                  for i in range(0, batch, rows_per_chunk)]
         return BatchSolution(
             np.concatenate([s.probabilities for s in parts]),
@@ -340,15 +348,15 @@ def solve_profiles(virtual_costs, cfg: ServerConfig,
             np.concatenate([s.order for s in parts]),
             degenerate=parts[0].degenerate,
         )
-    return _solve_block(v, cfg)
+    return _solve_block(v, cfg, grid)
 
 
-def _solve_block(v, cfg: ServerConfig) -> BatchSolution:
+def _solve_block(v, cfg: ServerConfig, grid) -> BatchSolution:
     batch, n = v.shape
     order = np.argsort(v, axis=1, kind="stable")
     vs = np.take_along_axis(v, order, axis=1)
 
-    h, p1, ph = _candidate_grid(n, cfg)
+    h, p1, ph = grid
     share = 1.0 / n
     if cfg.objective_form == "paper_literal":
         dev = 2.0 * (p1 - ph)

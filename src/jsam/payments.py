@@ -167,18 +167,35 @@ def verify_monotone_allocation(interim: InterimAllocation,
                           tolerance=float(tol), at_index=idx)
 
 
-def expost_payments(costs, support_upper, eps_of_report, grid_size: int = 200):
+def expost_payments(costs, budgets, support_upper, eps_of_report,
+                    grid_size: int = 200):
     """Envelope payments with rivals' reports held fixed at their realization.
 
     eps_of_report(k, z_array) -> client k's budgets when reporting each z,
     rivals fixed. Averaging this payment over rival draws recovers the interim
     rule, so totals are comparable across mechanisms. Returns (payments,
     quadrature error estimates).
+
+    `budgets` are the truthful budgets, eps_of_report(k, costs[k]) for each
+    k. A client whose truthful budget is exactly 0 is paid 0 with error 0 and
+    its curve is not evaluated, because every z >= c_k also gives it budget 0
+    under the rules priced here:
+
+    - jsam: the grid objective of a candidate (h, m) depends only on the h
+      cheapest virtual costs and is weakly increasing in each of them.
+      Raising an unselected client's report leaves every candidate that
+      excludes it bit-for-bit unchanged and can only raise the others, so
+      argmin keeps its first minimiser and the client stays out.
+    - fsbm-M: the client is not among the M cheapest reports, and raising
+      its report keeps it out.
+    - usbm and bbm give every client a positive budget, so nothing is
+      skipped.
     """
     costs = np.asarray(costs, dtype=float)
+    budgets = np.asarray(budgets, dtype=float)
     pis = np.zeros(costs.size)
     errs = np.zeros(costs.size)
-    for k in range(costs.size):
+    for k in np.nonzero(budgets != 0)[0]:
         z = np.linspace(costs[k], support_upper, grid_size)
         e = np.asarray(eps_of_report(k, z), dtype=float)
         pis[k] = float(_trapezoid(e, z)) + costs[k] * float(e[0])

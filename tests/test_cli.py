@@ -60,9 +60,7 @@ def test_solve_output_respects_the_selection_structure(tmp_path):
     order = np.argsort(np.array(got["virtual_costs"]), kind="stable") + 1
     report = verify_structure(p, order, tol=1e-2 + 1e-9)
     assert report.passed, report.clause
-    # the grid can zero out the threshold client exactly, shifting the
-    # inferred threshold down by one
-    assert got["threshold"] in (report.threshold, report.threshold + 1)
+    assert got["threshold"] == report.threshold
     assert got["selected_count"] == int(np.sum(p > 0))
 
 
@@ -105,6 +103,26 @@ def test_unknown_config_field_is_named(tmp_path, capsys):
     path = _write_cfg(tmp_path, dict(SMALL_SIM, path="/tmp/x"))
     assert main(["solve", "--config", path]) == 2
     assert "path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch, field", [
+    ({"server": {"eta": "1"}}, "server.eta"),
+    ({"clients": True}, "clients"),
+    ({"train": {"rounds": 2.5}}, "train.rounds"),
+    ({"costs": {"kind": "uniform", "upper": False}}, "costs.upper"),
+    ({"server": {"q_coefficient": "2"}}, "server.q_coefficient"),
+    ({"server": {"eta": float("inf"), "q_coefficient": 1.0}}, "server.eta"),
+    ({"eta_grid": [1.0, float("nan")]}, "eta_grid"),
+    ({"seeds": [True]}, "seeds"),
+    ({"seeds": 0}, "seeds"),
+    ({"mechanisms": [1]}, "mechanisms"),
+    ({"sensitivities": [0.2, "0.5", 0.9]}, "sensitivities"),
+])
+def test_wrongly_typed_config_value_is_named(tmp_path, capsys, patch, field):
+    path = _write_cfg(tmp_path, dict(SMALL_SIM, **patch))
+    assert main(["solve", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} must be"), err
 
 
 def test_malformed_json_is_a_config_error(tmp_path, capsys):

@@ -1,0 +1,145 @@
+"""Golden `jsam solve` outputs, the budget root against its Newton reference,
+and the payment-curve skip against computing every curve.
+
+`golden_solve.json` holds the plans of the pinned configs below as written
+before the closed-form budget root, the payment-curve skip and the
+duplicate-free candidate grid. Every float field must agree at GOLDEN_RTOL;
+`threshold` is checked against the count of positive probabilities instead,
+because the stored values could name a zero-probability client. Regenerate
+(only for a deliberate, documented change of numerics) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from jsam.cli import main
+from jsam.costs import TruncatedGaussianCosts, UniformCosts
+from jsam.flsim import (_fixed_p_eps_of_report, _fsbm_probabilities,
+                        _jsam_eps_of_report, make_plan)
+from jsam.mechanism import ServerConfig, _budget_root_sq
+from jsam.payments import expost_payments
+
+GOLDEN = Path(__file__).with_name("golden_solve.json")
+GOLDEN_RTOL = 1e-12
+ROOT_RTOL = 1e-13
+
+_GAUSSIAN = {"kind": "gaussian", "mean": 0.5, "std": 0.2, "lower": 0.05,
+             "upper": 1.0}
+CASES = {
+    "n100-uniform-eta1": {"clients": 100, "server": {"eta": 1.0}},
+    "n100-uniform-eta1000": {"clients": 100, "server": {"eta": 1000.0}},
+    "n100-gaussian-usbm-eta1000": {"clients": 100, "costs": _GAUSSIAN,
+                                   "server": {"eta": 1000.0},
+                                   "mechanisms": ["usbm"]},
+    "n100-gaussian-fsbm10-eta1000": {"clients": 100, "costs": _GAUSSIAN,
+                                     "server": {"eta": 1000.0},
+                                     "mechanisms": ["fsbm-10"]},
+    "n3-eta1": {"clients": 3, "server": {"eta": 1.0, "q_coefficient": 1.0}},
+}
+
+
+def solve_doc(config, workdir):
+    cfg_path = Path(workdir) / "config.json"
+    out_path = Path(workdir) / "plan.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+    return json.loads(out_path.read_text(encoding="utf-8"))
+
+
+def _assert_close(name, got, want):
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=GOLDEN_RTOL, abs=0.0), name
+    elif isinstance(want, list) and want and isinstance(want[0], float):
+        np.testing.assert_allclose(got, want, rtol=GOLDEN_RTOL, atol=0.0,
+                                   err_msg=name)
+    else:
+        assert got == want, name
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_solve_matches_the_golden_plan(case, tmp_path):
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))[case]
+    got = solve_doc(CASES[case], tmp_path)
+    assert sorted(got) == sorted(want)
+    for field in want:
+        if field != "threshold":
+            _assert_close(field, got[field], want[field])
+    positive = int(np.count_nonzero(np.asarray(got["probabilities"]) > 0))
+    if got["mechanism"] == "jsam":
+        assert got["threshold"] == positive
+    else:
+        assert got["threshold"] is None
+
+
+def newton_root_sq(dev2, a, eta):
+    """Reference B*^2: Newton on dev2*x^3 + a*x^2 - eta^2*a^2 from eta*sqrt(a).
+
+    The start is exact at dev2 = 0 and an upper bound otherwise, so the
+    iteration descends monotonically on the convex cubic.
+    """
+    x = eta * np.sqrt(a)
+    for _ in range(80):
+        phi = dev2 * x ** 3 + a * x ** 2 - (eta * a) ** 2
+        dphi = 3.0 * dev2 * x ** 2 + 2.0 * a * x
+        step = phi / dphi
+        step = np.where(np.abs(step) > 1e-14 * np.abs(x), step, 0.0)
+        x = x - step
+        if not np.any(step):
+            break
+    return x
+
+
+def test_closed_form_root_matches_newton_across_branches():
+    # k = dev^2*eta/sqrt(a); t = (3*sqrt(3)/2)*k switches branch at t = 1
+    k_switch = 2.0 / (3.0 * np.sqrt(3.0))
+    ks = np.concatenate([[0.0], k_switch * (1.0 + np.linspace(-1e-6, 1e-6, 21)),
+                         np.logspace(-8, 12, 400)])
+    for eta in (1e-3, 1.0, 1e3):
+        for a in (1e-6, 1.0, 1e6):
+            dev2 = ks * np.sqrt(a) / eta
+            got = _budget_root_sq(dev2, np.full(ks.size, a), eta)
+            want = newton_root_sq(dev2, np.full(ks.size, a), eta)
+            np.testing.assert_allclose(got, want, rtol=ROOT_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("mechanism", ["jsam", "fsbm-10"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_skipped_payment_curves_are_exactly_zero(mechanism, seed):
+    if mechanism == "jsam":
+        dist = UniformCosts(0.0, 1.0)
+    else:
+        dist = TruncatedGaussianCosts(0.5, 0.2, 0.05, 1.0)
+    cfg = ServerConfig(eta=1000.0, q_coefficient=6e4)
+    costs = dist.sample(np.random.default_rng(seed), size=30)
+    grid = 200
+    budgets = make_plan(mechanism, costs, dist, cfg, payment_grid=grid).epsilons
+    if mechanism == "jsam":
+        eps_fn = _jsam_eps_of_report(costs, dist, cfg)
+    else:
+        eps_fn = _fixed_p_eps_of_report(costs, dist, cfg,
+                                        probabilities_of=_fsbm_probabilities(10))
+    skipped = np.nonzero(budgets == 0)[0]
+    assert 0 < skipped.size < costs.size
+    for k in skipped:
+        z = np.linspace(costs[k], dist.upper, grid)
+        assert np.all(eps_fn(k, z) == 0.0)
+
+    everyone = np.ones(costs.size)  # no zero budget, so no curve is skipped
+    full = expost_payments(costs, everyone, dist.upper, eps_fn, grid_size=grid)
+    fast = expost_payments(costs, budgets, dist.upper, eps_fn, grid_size=grid)
+    assert full[0].tobytes() == fast[0].tobytes()
+    assert full[1].tobytes() == fast[1].tobytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        docs = {name: solve_doc(cfg, tmp) for name, cfg in sorted(CASES.items())}
+    GOLDEN.write_text(json.dumps(docs, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")

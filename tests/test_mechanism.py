@@ -311,6 +311,20 @@ def test_candidate_grid_order_and_size():
     assert ph[first_h2] == pytest.approx(1.0 / 3.0)
 
 
+@pytest.mark.parametrize("n, eta", [(10, 30.0), (100, 30.0), (100, 1000.0),
+                                    (2, 30.0)])
+def test_threshold_counts_the_positive_probabilities(n, eta, rng):
+    # 1/(N*delta) is an integer at N in {10, 100}, and one rounding step off
+    # an integer at N = 2 with delta = 1/98
+    delta = 1.0 / 98.0 if n == 2 else 1e-3
+    cfg = ServerConfig(eta=eta, q_coefficient=6e4, grid_delta=delta)
+    _, _, ph = _candidate_grid(n, cfg)
+    assert np.all(ph > 0)
+    sol = solve_profiles(2.0 * rng.uniform(0.01, 1.0, size=(400, n)), cfg)
+    assert np.array_equal(sol.threshold,
+                          np.count_nonzero(sol.probabilities > 0, axis=1))
+
+
 def test_batch_solver_matches_single_profile_solves(uniform01, rng, basic_cfg):
     profiles = rng.uniform(0.05, 1.0, size=(12, 4))
     batch = solve_profiles(2.0 * profiles, basic_cfg)

@@ -130,7 +130,8 @@ def test_expost_payments_cover_costs(uniform01, rng):
         profiles[:, k] = z
         return solve_profiles(2.0 * profiles, FAST).privacy_budgets[:, k]
 
-    pis, errs = expost_payments(costs, 1.0, eps_fn, grid_size=120)
+    pis, errs = expost_payments(costs, sol.privacy_budgets[0], 1.0, eps_fn,
+                                 grid_size=120)
     for k in range(3):
         assert pis[k] - costs[k] * sol.privacy_budgets[0, k] >= -1e-6
         assert errs[k] >= 0.0
@@ -148,8 +149,9 @@ def test_total_payments_match_virtual_surrogate_spend(rng):
             profiles[:, k] = z
             return solve_profiles(dist.virtual(profiles), FAST).privacy_budgets[:, k]
 
-        pis, errs = expost_payments(costs, dist.upper, eps_fn, grid_size=150)
         sol = solve_profiles(dist.virtual(costs)[None, :], FAST)
+        pis, errs = expost_payments(costs, sol.privacy_budgets[0], dist.upper,
+                                    eps_fn, grid_size=150)
         spend = float(np.sum(dist.virtual(costs) * sol.privacy_budgets[0]))
         diffs.append(pis.sum() - spend)
         quad.append(errs.sum())
