@@ -15,7 +15,7 @@ from .payments import (ICReport, InterimAllocation, MonotoneReport,
                        verify_monotone_allocation)
 from .flsim import (PartitionPlan, RunRecord, SelectionPlan, SelectionSchedule,
                     SyntheticTask, TrainSettings, baseline_plan,
-                    build_schedule, clip, initial_local_losses,
+                    build_schedule, initial_local_losses,
                     local_noisy_gradient, make_plan, make_task,
                     match_eta_to_cost, model_loss, noise_sigma,
                     parse_mechanism, partition_noniid, test_metrics, train)

@@ -13,6 +13,7 @@ otherwise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,19 +102,21 @@ class TruncatedGaussianCosts(CostDistribution):
             raise ValueError("std must be positive")
         self._check_regularity()
 
+    @functools.cached_property
     def _frozen(self):
+        """The scipy distribution, built once per instance."""
         a = (self.lower - self.mean) / self.std
         b = (self.upper - self.mean) / self.std
         return stats.truncnorm(a, b, loc=self.mean, scale=self.std)
 
     def cdf(self, c):
-        return self._frozen().cdf(np.asarray(c, dtype=float))
+        return self._frozen.cdf(np.asarray(c, dtype=float))
 
     def pdf(self, c):
-        return self._frozen().pdf(np.asarray(c, dtype=float))
+        return self._frozen.pdf(np.asarray(c, dtype=float))
 
     def sample(self, rng: np.random.Generator, size=None):
-        return self._frozen().rvs(size=size, random_state=rng)
+        return self._frozen.rvs(size=size, random_state=rng)
 
 
 def virtual_cost(c: float, dist: CostDistribution) -> float:

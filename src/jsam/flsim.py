@@ -8,6 +8,10 @@ local loss, clips them individually to norm C, averages, adds
 N(0, sigma_k^2 C^2 I) noise, and the server averages the noisy gradients and
 takes a step. sigma_k is calibrated from the client's realized participation
 count, which is known in advance precisely because the schedule is pre-drawn.
+
+A round is a few array operations: the equal-size shards are stacked once,
+the scheduled clients' clipped gradients are one batched contraction and
+their noise one draw, and the per-round losses are evaluated classes-first.
 """
 
 from __future__ import annotations
@@ -67,35 +71,45 @@ def make_task(feature_dim, classes, pool_size, test_size, samples_per_client,
 
 
 def _scores(w, x, classes):
+    """Example-major scores (..., n, C), the orientation the gradient uses."""
     mat = w.reshape(classes, -1)
     return x @ mat[:, :-1].T + mat[:, -1]
 
 
 def _log_softmax(scores):
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _class_scores(w, x, classes):
+    """Classes-first scores (C, n), so the reductions run over the short axis 0."""
+    mat = w.reshape(classes, -1)
+    return mat[:, :-1] @ x.T + mat[:, -1:]
+
+
+def _mean_nll(scores, y):
+    """Mean cross-entropy of classes-first scores against the labels y.
+
+    Each column's sum holds exp(0) = 1 for its largest class, which absorbs
+    any term below exp(-700) ~ 1e-304 exactly, so clamping the shifted scores
+    at -700 leaves the sum bit-for-bit unchanged. It keeps numpy's exp off its
+    slow path for arguments below about -708 (over 10x slower per element,
+    about 175x where the result is subnormal), which up to a fifth of the
+    pool's scores reach once noise has grown w.
+    """
+    shifted = scores - scores.max(axis=0)
+    log_norm = np.log(np.exp(np.maximum(shifted, -700.0)).sum(axis=0))
+    return float(-(shifted[y, np.arange(y.size)] - log_norm).mean())
 
 
 def model_loss(w, x, y, classes) -> float:
     """Mean cross-entropy of the flat logistic weight vector on (x, y)."""
-    logp = _log_softmax(_scores(w, x, classes))
-    return float(-logp[np.arange(y.size), y].mean())
+    return _mean_nll(_class_scores(w, x, classes), y)
 
 
 def test_metrics(w, x, y, classes):
-    scores = _scores(w, x, classes)
-    logp = _log_softmax(scores)
-    loss = float(-logp[np.arange(y.size), y].mean())
-    accuracy = float((scores.argmax(axis=1) == y).mean())
-    return loss, accuracy
-
-
-def clip(g, c):
-    """Scale g to L2 norm at most c: g / max(1, ||g||/c)."""
-    if c <= 0:
-        raise ValueError("clipping norm must be > 0")
-    g = np.asarray(g, dtype=float)
-    return g / max(1.0, float(np.linalg.norm(g)) / c)
+    scores = _class_scores(w, x, classes)
+    return _mean_nll(scores, y), float((scores.argmax(axis=0) == y).mean())
 
 
 def noise_sigma(t_k, eps_k, delta, c2=1.0) -> float:
@@ -109,30 +123,49 @@ def noise_sigma(t_k, eps_k, delta, c2=1.0) -> float:
     return c2 * math.sqrt(t_k * math.log(1.0 / delta)) / eps_k
 
 
+def _augment(x):
+    """Inputs with a trailing bias column, and the norm of each augmented row."""
+    xt = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+    return xt, np.linalg.norm(xt, axis=-1)
+
+
 def local_noisy_gradient(w, x, y, classes, clip_c, sigma, rng,
-                         noiseless=False) -> np.ndarray:
-    """Per-example-clipped mean gradient of the local loss, plus noise.
+                         noiseless=False, augmented=None) -> np.ndarray:
+    """Per-example-clipped mean local gradients of k clients, plus noise.
+
+    `x` is (k, m, D) and `y` is (k, m) for k clients of m examples each, and
+    `sigma` holds one noise multiplier per client; the result is (k, W). A
+    2-D `x` is one client: `y` is (m,), `sigma` a scalar and the result (W,).
+    `augmented` is `_augment(x)` where the caller has it already.
 
     Each example's gradient is the outer product of (softmax - onehot) with
     the augmented input, whose norm factorizes, so clipping never materializes
-    per-example matrices.
+    per-example matrices, and all k means are one batched contraction. The
+    N(0, sigma_k^2 C^2 I) noise of the clients with sigma_k > 0 is one draw,
+    the same stream as one draw per client in order; the others draw nothing.
     """
-    if y.size == 0:
+    single = x.ndim == 2
+    if single:
+        x, y = x[None], y[None]
+    k, m = y.shape
+    if m == 0:
         raise ValueError("empty shard")
+    xt, x_norms = _augment(x) if augmented is None else augmented
     errors = np.exp(_log_softmax(_scores(w, x, classes)))
-    errors[np.arange(y.size), y] -= 1.0
-    xt = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
-    if noiseless:
-        scale = np.ones(y.size)
-    else:
-        norms = np.linalg.norm(errors, axis=1) * np.linalg.norm(xt, axis=1)
+    errors[np.arange(k)[:, None], np.arange(m), y] -= 1.0
+    if not noiseless:
+        norms = np.linalg.norm(errors, axis=-1) * x_norms
         with np.errstate(divide="ignore"):
             scale = np.minimum(1.0, clip_c / np.where(norms > 0, norms, 1.0))
-    grad = (errors * scale[:, None]).T @ xt / y.size
-    flat = grad.ravel()
-    if not noiseless and sigma > 0:
-        flat = flat + rng.normal(0.0, sigma * clip_c, size=flat.size)
-    return flat
+        errors = errors * scale[..., None]
+    grads = (np.swapaxes(errors, 1, 2) @ xt / m).reshape(k, -1)
+    if not noiseless:
+        sigma = np.broadcast_to(sigma, (k,))
+        noisy = sigma > 0
+        if noisy.any():
+            grads[noisy] += rng.normal(0.0, (sigma[noisy] * clip_c)[:, None],
+                                       size=(np.count_nonzero(noisy), grads.shape[1]))
+    return grads[0] if single else grads
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +483,34 @@ class RunRecord:
                    f"{float(self.test_accuracy[t])!r},{float(self.total_cost)!r}")
 
 
+def _stack_shards(task: SyntheticTask, shards):
+    """(N, m, D) inputs and (N, m) labels of equal-size, non-empty shards."""
+    sizes = [len(s) for s in shards]
+    if min(sizes) == 0:
+        raise ValueError(f"shard of client {sizes.index(0)} is empty")
+    if min(sizes) != max(sizes):
+        raise ValueError(f"shards must have equal sizes, got sizes from "
+                         f"{min(sizes)} to {max(sizes)}")
+    idx = np.stack(shards)
+    return task.pool_x[idx], task.pool_y[idx]
+
+
 def train(task: SyntheticTask, shards, plan: SelectionPlan,
           schedule: SelectionSchedule, settings: TrainSettings,
           rng: np.random.Generator, w0=None, run_id="run", mechanism=None,
           seed=0) -> RunRecord:
     """Run the full pre-scheduled DP-FL protocol and record per-round metrics.
 
-    Noise scales come from realized participation counts; a scheduled client
-    with a zero budget is a configuration error. Divergence (non-finite loss)
-    is recorded in the output, not raised.
+    The shards must be non-empty and of equal size; they are stacked once,
+    and each round is one `local_noisy_gradient` call over the scheduled
+    clients (a client drawn twice in a round counts twice) with one noise
+    draw. Noise scales come
+    from realized participation counts; a scheduled client with a zero budget
+    is a configuration error. Train and test metrics are evaluated every
+    round. Divergence (non-finite loss) is recorded in the output, not raised.
     """
+    x, y = _stack_shards(task, shards)
+    xt, x_norms = _augment(x)
     n = len(shards)
     sigma = np.zeros(n)
     for k in range(n):
@@ -467,25 +518,25 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
             sigma[k] = noise_sigma(schedule.counts[k], plan.epsilons[k],
                                    settings.delta, settings.c2)
     w = np.zeros(task.weight_dim) if w0 is None else np.asarray(w0, dtype=float).copy()
-    pool_idx = np.concatenate(shards)
-    px, py = task.pool_x[pool_idx], task.pool_y[pool_idx]
+    # the pool in shard order; transposed once so the classes-first loss
+    # multiplies by a contiguous (D, n) matrix every round
+    px = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T).T
+    py = y.ravel()
+    tx = np.ascontiguousarray(task.test_x.T).T
 
     t_rounds = schedule.rounds.shape[0]
     train_loss = np.zeros(t_rounds)
     test_loss = np.zeros(t_rounds)
     test_acc = np.zeros(t_rounds)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(t_rounds):
-            grads = [
-                local_noisy_gradient(w, task.pool_x[shards[k]],
-                                     task.pool_y[shards[k]], task.classes,
-                                     settings.clip, sigma[k], rng,
-                                     noiseless=settings.noiseless)
-                for k in schedule.rounds[t]
-            ]
-            w = w - settings.learning_rate * np.mean(grads, axis=0)
+        for t, ks in enumerate(schedule.rounds):
+            grads = local_noisy_gradient(w, x[ks], y[ks], task.classes,
+                                         settings.clip, sigma[ks], rng,
+                                         noiseless=settings.noiseless,
+                                         augmented=(xt[ks], x_norms[ks]))
+            w = w - settings.learning_rate * grads.mean(axis=0)
             train_loss[t] = model_loss(w, px, py, task.classes)
-            test_loss[t], test_acc[t] = test_metrics(w, task.test_x, task.test_y,
+            test_loss[t], test_acc[t] = test_metrics(w, tx, task.test_y,
                                                      task.classes)
     return RunRecord(
         run_id=run_id,

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 
+from jsam import costs as costs_module
 from jsam.costs import (ClientType, CostDistribution, TruncatedGaussianCosts,
                         UniformCosts, make_clients, sort_by_virtual_cost,
                         virtual_cost)
@@ -37,6 +39,32 @@ def test_gaussian_virtual_increases_on_the_support():
     dist = TruncatedGaussianCosts(mean=0.5, std=0.2, lower=0.0, upper=1.0)
     grid = np.linspace(0.0, 1.0, 400)
     assert np.all(np.diff(dist.virtual(grid)) > 0)
+
+
+def test_gaussian_builds_its_scipy_distribution_once(monkeypatch):
+    real = stats.truncnorm
+    builds = []
+
+    def counting_truncnorm(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(costs_module.stats, "truncnorm", counting_truncnorm)
+    dist = TruncatedGaussianCosts(mean=0.5, std=0.2, lower=0.05, upper=1.0)
+    grid = np.linspace(0.05, 1.0, 7)
+    got = [dist.cdf(grid), dist.pdf(grid), dist.virtual(grid),
+           dist.sample(np.random.default_rng(3), size=5)]
+    assert len(builds) == 1
+    assert TruncatedGaussianCosts(mean=0.5, std=0.3, lower=0.05,
+                                  upper=1.0)._frozen is not dist._frozen
+    assert len(builds) == 2
+
+    fresh = real((0.05 - 0.5) / 0.2, (1.0 - 0.5) / 0.2, loc=0.5, scale=0.2)
+    assert got[0].tobytes() == fresh.cdf(grid).tobytes()
+    assert got[1].tobytes() == fresh.pdf(grid).tobytes()
+    assert got[2].tobytes() == (grid + fresh.cdf(grid) / fresh.pdf(grid)).tobytes()
+    want = fresh.rvs(size=5, random_state=np.random.default_rng(3))
+    assert got[3].tobytes() == want.tobytes()
 
 
 def test_out_of_support_sensitivity_is_rejected(uniform01):

@@ -8,9 +8,10 @@ from hypothesis import given, strategies as st
 
 from jsam.costs import UniformCosts
 from jsam.flsim import (RunRecord, SelectionPlan, SelectionSchedule,
-                        TrainSettings, baseline_plan, build_schedule, clip,
-                        initial_local_losses, local_noisy_gradient, make_plan,
-                        make_task, match_eta_to_cost, model_loss, noise_sigma,
+                        TrainSettings, _stack_shards, baseline_plan,
+                        build_schedule, initial_local_losses,
+                        local_noisy_gradient, make_plan, make_task,
+                        match_eta_to_cost, model_loss, noise_sigma,
                         parse_mechanism, partition_noniid, train)
 from jsam.flsim import test_metrics as eval_metrics
 from jsam.mechanism import ServerConfig
@@ -60,21 +61,86 @@ def test_noise_sigma_round_trips_the_budget(t_k, eps, delta, c2):
 # gradients
 
 
-def test_clip_examples():
-    assert clip(np.array([3.0, 4.0]), 2.5) == pytest.approx([1.5, 2.0])
-    g = np.array([0.6, 0.8])
-    assert clip(g, 2.0) is not g
-    assert clip(g, 2.0) == pytest.approx(g)
-    assert np.all(clip(np.zeros(3), 1.0) == 0.0)
-    with pytest.raises(ValueError):
-        clip(g, 0.0)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), st.integers(1, 6),
+       st.integers(1, 12), st.floats(1e-3, 10.0), st.floats(0.0, 20.0))
+def test_clipped_gradients_and_their_mean_have_norm_at_most_c(
+        seed, classes, dim, n, clip_c, spread):
+    gen = np.random.default_rng(seed)
+    w = gen.normal(0.0, spread, classes * (dim + 1))
+    x = gen.normal(0.0, spread, (n, dim))
+    y = gen.integers(0, classes, n)
+    # n one-example clients: each row is one clipped per-example gradient
+    per_example = local_noisy_gradient(w, x[:, None, :], y[:, None], classes,
+                                       clip_c, np.zeros(n), gen)
+    mean = local_noisy_gradient(w, x, y, classes, clip_c, 0.0, gen)
+    assert np.all(np.linalg.norm(per_example, axis=1) <= clip_c * (1 + 1e-12))
+    assert np.linalg.norm(mean) <= clip_c * (1 + 1e-12)
+    np.testing.assert_allclose(mean, per_example.mean(axis=0), rtol=1e-9,
+                               atol=1e-12 * clip_c)
 
 
-@given(st.lists(st.floats(-50, 50), min_size=1, max_size=20),
-       st.floats(0.01, 10.0))
-def test_clip_norm_bound(values, c):
-    out = clip(np.array(values), c)
-    assert np.linalg.norm(out) <= c * (1 + 1e-12)
+def _uniform_plan(n, eps=1.0):
+    return SelectionPlan(kind="usbm", eta=1.0, probabilities=np.full(n, 1.0 / n),
+                         epsilons=np.full(n, eps), total_budget=1.0,
+                         payments=np.zeros(n), payment_errors=np.zeros(n))
+
+
+def test_a_batch_equals_single_client_calls(rng):
+    task = _small_task(rng)
+    x, y = _stack_shards(task, partition_noniid(task, 4, 50, rng).shards)
+    w = rng.normal(0, 1.0, task.weight_dim)
+    ks = np.array([2, 0, 2, 3])  # the schedule draws with replacement
+    sigma = np.array([0.7, 1.3, 0.7, 2.0])
+    for noiseless in (False, True):
+        batch = local_noisy_gradient(w, x[ks], y[ks], task.classes, 0.8, sigma,
+                                     np.random.default_rng(5),
+                                     noiseless=noiseless)
+        one_by_one = np.random.default_rng(5)
+        singles = [local_noisy_gradient(w, x[k], y[k], task.classes, 0.8, s,
+                                        one_by_one, noiseless=noiseless)
+                   for k, s in zip(ks, sigma)]
+        assert batch.shape == (ks.size, task.weight_dim)
+        assert batch.tobytes() == np.stack(singles).tobytes()
+        if noiseless:
+            assert batch[0].tobytes() == batch[2].tobytes()
+
+
+def test_one_noise_draw_equals_sequential_draws():
+    scales = np.array([0.5, 3.0, 1e-3])
+    batch = np.random.default_rng(8).normal(0.0, scales[:, None], size=(3, 17))
+    gen = np.random.default_rng(8)
+    rows = [gen.normal(0.0, s, size=17) for s in scales]
+    assert batch.tobytes() == np.stack(rows).tobytes()
+
+
+def test_rows_with_zero_sigma_draw_no_noise(rng):
+    task = _small_task(rng)
+    x, y = _stack_shards(task, partition_noniid(task, 4, 100, rng).shards)
+    w = rng.normal(0, 1.0, task.weight_dim)
+    ks = np.array([1, 3, 0])
+    quiet = local_noisy_gradient(w, x[ks], y[ks], task.classes, 2.0,
+                                 np.zeros(3), rng)
+    drawn = np.random.default_rng(4)
+    got = local_noisy_gradient(w, x[ks], y[ks], task.classes, 2.0,
+                               np.array([0.0, 1.5, 0.0]), drawn)
+    expect = np.random.default_rng(4)
+    noise = expect.normal(0.0, 1.5 * 2.0, size=task.weight_dim)
+    assert got[[0, 2]].tobytes() == quiet[[0, 2]].tobytes()
+    assert got[1].tobytes() == (quiet[1] + noise).tobytes()
+    assert drawn.bit_generator.state == expect.bit_generator.state
+
+
+def test_zero_c2_trains_without_drawing_noise(rng):
+    task = _small_task(rng)
+    shards = partition_noniid(task, 4, 100, rng).shards
+    plan = _uniform_plan(4)
+    schedule = build_schedule(plan.probabilities, 5, 3, rng)
+    noise_rng = np.random.default_rng(6)
+    before = noise_rng.bit_generator.state
+    record = train(task, shards, plan, schedule,
+                   TrainSettings(rounds=5, per_round=3, c2=0.0), noise_rng)
+    assert noise_rng.bit_generator.state == before
+    assert np.all(np.isfinite(record.train_loss))
 
 
 def test_single_example_gradient_matches_softmax_algebra(rng):
@@ -90,6 +156,31 @@ def test_single_example_gradient_matches_softmax_algebra(rng):
     soft[1] -= 1.0
     expected = np.outer(soft, np.concatenate([x[0], [1.0]])).ravel()
     assert got == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("spread", [0.5, 30.0, 300.0])
+def test_losses_match_the_unclamped_log_sum_exp_bit_for_bit(rng, spread):
+    classes, dim, n = 5, 6, 400
+    w = rng.normal(0, spread, classes * (dim + 1))
+    x = rng.normal(0, 1, (n, dim))
+    y = rng.integers(0, classes, n)
+    mat = w.reshape(classes, -1)
+
+    def unclamped(xs, ys):
+        scores = mat[:, :-1] @ xs.T + mat[:, -1:]
+        shifted = scores - scores.max(axis=0)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=0))
+        accuracy = float((scores.argmax(axis=0) == ys).mean())
+        return float(-logp[ys, np.arange(ys.size)].mean()), accuracy, shifted
+
+    loss, accuracy, shifted = unclamped(x, y)
+    if spread > 100:  # exp arguments in (-745, -700): clamped, not yet 0
+        assert np.any((shifted < -700) & (shifted > -745))
+    assert model_loss(w, x, y, classes) == loss
+    assert eval_metrics(w, x, y, classes) == (loss, accuracy)
+    for i in range(n):
+        one = slice(i, i + 1)
+        assert model_loss(w, x[one], y[one], classes) == unclamped(x[one], y[one])[0]
 
 
 def test_tiny_clip_shrinks_the_gradient_to_zero(rng):
@@ -360,10 +451,7 @@ def test_zero_learning_rate_freezes_the_model(rng):
 def test_one_noiseless_round_is_a_plain_gradient_step(rng):
     task = _small_task(rng)
     shards = partition_noniid(task, 4, 100, rng).shards
-    plan = SelectionPlan(kind="usbm", eta=1.0,
-                         probabilities=np.full(4, 0.25),
-                         epsilons=np.full(4, 1.0), total_budget=1.0,
-                         payments=np.zeros(4), payment_errors=np.zeros(4))
+    plan = _uniform_plan(4)
     schedule = SelectionSchedule(rounds=np.array([[0, 2]]),
                                  counts=np.bincount([0, 2], minlength=4))
     settings = TrainSettings(rounds=1, per_round=2, learning_rate=0.5,
@@ -393,10 +481,7 @@ def test_one_noiseless_round_is_a_plain_gradient_step(rng):
 def test_full_participation_noiseless_matches_centralized(rng):
     task = _small_task(rng, n_clients=4, m=30)
     shards = partition_noniid(task, 4, 100, rng).shards
-    plan = SelectionPlan(kind="usbm", eta=1.0,
-                         probabilities=np.full(4, 0.25),
-                         epsilons=np.full(4, 1.0), total_budget=1.0,
-                         payments=np.zeros(4), payment_errors=np.zeros(4))
+    plan = _uniform_plan(4)
     t = 50
     schedule = SelectionSchedule(rounds=np.tile(np.arange(4), (t, 1)),
                                  counts=np.full(4, t))
@@ -432,6 +517,30 @@ def test_sigma_overflow_is_recorded_as_divergence(rng):
 def test_scheduled_client_with_zero_budget_is_a_config_error(rng):
     with pytest.raises(ValueError, match="zero privacy budget"):
         _toy_run(rng, plan_eps=0.0)
+
+
+def test_train_rejects_an_empty_shard(rng):
+    task = _small_task(rng)
+    shards = partition_noniid(task, 4, 100, rng).shards
+    shards[2] = shards[2][:0]
+    plan = _uniform_plan(4)
+    # client 2 is never scheduled, so only an up-front check can see it
+    schedule = SelectionSchedule(rounds=np.array([[0, 1]]),
+                                 counts=np.bincount([0, 1], minlength=4))
+    with pytest.raises(ValueError, match="client 2 is empty"):
+        train(task, shards, plan, schedule, TrainSettings(rounds=1, per_round=2),
+              rng)
+
+
+def test_train_rejects_unequal_shards(rng):
+    task = _small_task(rng)
+    shards = partition_noniid(task, 4, 100, rng).shards
+    shards[1] = shards[1][:-1]
+    plan = _uniform_plan(4)
+    schedule = build_schedule(plan.probabilities, 2, 2, rng)
+    with pytest.raises(ValueError, match="equal sizes"):
+        train(task, shards, plan, schedule, TrainSettings(rounds=2, per_round=2),
+              rng)
 
 
 def test_run_record_rows_and_header(rng):
