@@ -61,10 +61,31 @@ def test_noise_sigma_round_trips_the_budget(t_k, eps, delta, c2):
 # gradients
 
 
+def test_clip_examples(rng):
+    # two classes, w = 0, x = sqrt(7): the error (-1/2, 1/2) has norm 1/sqrt(2)
+    # and the augmented input (sqrt(7), 1) has norm sqrt(8), so ||g|| = 2
+    x, y = np.array([[math.sqrt(7.0)]]), np.array([0])
+    raw = np.outer([-0.5, 0.5], [math.sqrt(7.0), 1.0]).ravel()
+    assert np.linalg.norm(raw) == pytest.approx(2.0)
+    halved = local_noisy_gradient(np.zeros(4), x, y, 2, 1.0, 0.0, rng)
+    assert halved == pytest.approx(raw / 2.0)
+    kept = local_noisy_gradient(np.zeros(4), x, y, 2, 2.5, 0.0, rng)
+    assert kept == pytest.approx(raw)
+    # a certain correct prediction has an exactly zero error: no 0/0
+    sure = local_noisy_gradient(np.array([0.0, 800.0, 0.0, 0.0]), x, y, 2,
+                                1.0, 0.0, rng)
+    assert np.all(sure == 0.0)
+    # clipping is per example: the mean of one clipped and one kept gradient
+    both = local_noisy_gradient(np.zeros(4), np.array([[math.sqrt(7.0)], [0.0]]),
+                                np.array([0, 1]), 2, 1.0, 0.0, rng)
+    small = np.outer([0.5, -0.5], [0.0, 1.0]).ravel()
+    assert both == pytest.approx((raw / 2.0 + small) / 2.0)
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), st.integers(1, 6),
        st.integers(1, 12), st.floats(1e-3, 10.0), st.floats(0.0, 20.0))
-def test_clipped_gradients_and_their_mean_have_norm_at_most_c(
-        seed, classes, dim, n, clip_c, spread):
+def test_clip_norm_bound(seed, classes, dim, n, clip_c, spread):
+    """No noise: each clipped per-example gradient and their mean have norm <= C."""
     gen = np.random.default_rng(seed)
     w = gen.normal(0.0, spread, classes * (dim + 1))
     x = gen.normal(0.0, spread, (n, dim))
