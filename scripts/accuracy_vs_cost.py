@@ -10,7 +10,7 @@ an accuracy-vs-cost scatter.
 import argparse
 import sys
 
-from jsam.cli import _sample_costs, _simulate_one
+from jsam.cli import sample_costs, simulate_one
 from jsam.config import from_dict, load, server_config, validate
 from jsam.flsim import make_plan, match_eta_to_cost
 
@@ -32,7 +32,7 @@ def run(cfg, etas, mechanisms, out):
     lines = [HEADER]
     for eta in etas:
         for seed in cfg.seeds:
-            costs = _sample_costs(cfg, dist, seed)
+            costs = sample_costs(cfg, dist, seed)
             anchor = make_plan("jsam", costs, dist,
                                server_config(cfg, eta=eta),
                                payment_grid=cfg.payment_grid)
@@ -47,7 +47,7 @@ def run(cfg, etas, mechanisms, out):
 
                     used_eta, _ = match_eta_to_cost(anchor.total_payment,
                                                     plan_at)
-                record, plan = _simulate_one(cfg, name, seed, eta=used_eta)
+                record, plan = simulate_one(cfg, name, seed, eta=used_eta)
                 lines.append(
                     f"{float(eta)!r},{name},{seed},{float(used_eta)!r},"
                     f"{float(plan.total_payment)!r},{plan.selected_count},"

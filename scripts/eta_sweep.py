@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from jsam.cli import _sample_costs
+from jsam.cli import sample_costs
 from jsam.config import from_dict, load, server_config, validate
 from jsam.flsim import make_plan
 
@@ -33,7 +33,7 @@ def run(cfg, etas, out):
     lines = [HEADER]
     for eta in etas:
         for seed in cfg.seeds:
-            costs = _sample_costs(cfg, dist, seed)
+            costs = sample_costs(cfg, dist, seed)
             plan = make_plan("jsam", costs, dist,
                              server_config(cfg, eta=eta),
                              payment_grid=cfg.payment_grid)

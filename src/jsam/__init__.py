@@ -1,12 +1,9 @@
 """Joint client selection and privacy compensation for DP federated learning."""
 
-from .costs import (ClientType, CostDistribution, TruncatedGaussianCosts,
-                    UniformCosts, make_clients, sort_by_virtual_cost,
-                    virtual_cost)
-from .mechanism import (BatchSolution, MechanismOutcome, ServerConfig,
-                        StructureReport, fixed_probability_solve, jsam_solve,
-                        optimal_epsilon, plan_objective, reduced_objective,
-                        solve_inner_budget, solve_profiles, verify_structure)
+from .costs import CostDistribution, TruncatedGaussianCosts, UniformCosts
+from .mechanism import (BatchSolution, ServerConfig, StructureReport,
+                        fixed_probability_solve, optimal_epsilon,
+                        solve_profiles, verify_structure)
 from .oracle import (BruteForceResult, CrossCheckReport, brute_force_solve,
                      cross_check, lagrangian_budget_split)
 from .payments import (ICReport, InterimAllocation, MonotoneReport,
@@ -14,10 +11,9 @@ from .payments import (ICReport, InterimAllocation, MonotoneReport,
                        payment, verify_ic, verify_ir,
                        verify_monotone_allocation)
 from .flsim import (PartitionPlan, RunRecord, SelectionPlan, SelectionSchedule,
-                    SyntheticTask, TrainSettings, baseline_plan,
-                    build_schedule, initial_local_losses,
-                    local_noisy_gradient, make_plan, make_task,
-                    match_eta_to_cost, model_loss, noise_sigma,
+                    SyntheticTask, TrainSettings, build_schedule,
+                    initial_local_losses, local_noisy_gradient, make_plan,
+                    make_task, match_eta_to_cost, model_loss, noise_sigma,
                     parse_mechanism, partition_noniid, test_metrics, train)
 from .config import (ConfigError, CostSpec, ExperimentConfig, ServerSpec,
                      TaskSpec, from_dict, load, server_config, to_dict,

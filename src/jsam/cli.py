@@ -11,44 +11,45 @@ import numpy as np
 from . import seeding
 from .config import (ConfigError, ExperimentConfig, from_dict, load,
                      server_config, validate)
-from .flsim import (SelectionPlan, build_schedule, initial_local_losses,
-                    make_plan, make_task, parse_mechanism, partition_noniid,
-                    train)
+from .flsim import (RunRecord, SelectionPlan, build_schedule,
+                    initial_local_losses, make_plan, make_task, noise_sigma,
+                    partition_noniid, train)
 from .mechanism import optimal_epsilon
 from .oracle import cross_check
-from .payments import interim_allocation, payment, verify_ic, verify_ir, \
-    verify_monotone_allocation
-from .costs import make_clients
-from .flsim import RunRecord, noise_sigma
+from .payments import (interim_allocation, payment, verify_ic, verify_ir,
+                       verify_monotone_allocation)
 
 
-def _sample_costs(cfg: ExperimentConfig, dist, seed):
+def sample_costs(cfg: ExperimentConfig, dist, seed):
+    """The clients' sensitivities: `cfg.sensitivities` if given, else drawn.
+
+    Draws come from `dist` with the seed's cost stream, so every command
+    and script sees the same costs for the same seed.
+    """
     if cfg.sensitivities is not None:
         return np.asarray(cfg.sensitivities, dtype=float)
     rng = seeding.derive(seed, seeding.COSTS)
     return dist.sample(rng, size=cfg.clients)
 
 
-def _build_task(cfg: ExperimentConfig, seed):
-    pool = cfg.clients * cfg.task.samples_per_client
-    return make_task(cfg.task.feature_dim, cfg.task.classes, pool,
+def _probe_inputs(cfg: ExperimentConfig, seed):
+    """The seed's (task, client shards, initial weights): bbm's probe and training."""
+    task = make_task(cfg.task.feature_dim, cfg.task.classes,
+                     cfg.clients * cfg.task.samples_per_client,
                      cfg.task.test_size, cfg.task.samples_per_client,
                      seeding.derive(seed, seeding.TASK),
                      center_spread=cfg.task.center_spread,
                      noise=cfg.task.noise)
+    shards = partition_noniid(task, cfg.clients, cfg.train.similarity,
+                              seeding.derive(seed, seeding.PARTITION)).shards
+    w0 = seeding.derive(seed, seeding.INIT).normal(0.0, 0.01,
+                                                   size=cfg.task.weight_dim)
+    return task, shards, w0
 
 
-def _initial_weights(cfg: ExperimentConfig, seed):
-    rng = seeding.derive(seed, seeding.INIT)
-    return rng.normal(0.0, 0.01, size=cfg.task.weight_dim)
-
-
-def _plan_for(cfg, name, seed, dist, costs, scfg, task=None, shards=None,
-              w0=None) -> SelectionPlan:
-    kind, _ = parse_mechanism(name)
-    bbm_losses = None
-    if kind == "bbm":
-        bbm_losses = initial_local_losses(task, shards, w0)
+def _plan_for(cfg, name, dist, costs, scfg, probe=None) -> SelectionPlan:
+    """make_plan with the config's payment grid; bbm's losses come from `probe`."""
+    bbm_losses = initial_local_losses(*probe) if name == "bbm" else None
     return make_plan(name, costs, dist, scfg, bbm_losses=bbm_losses,
                      payment_grid=cfg.payment_grid)
 
@@ -65,16 +66,10 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     seed = cfg.seeds[0]
     name = cfg.mechanisms[0]
     dist = cfg.costs.build()
-    costs = _sample_costs(cfg, dist, seed)
+    costs = sample_costs(cfg, dist, seed)
     scfg = server_config(cfg)
-    kind, _ = parse_mechanism(name)
-    task = shards = w0 = None
-    if kind == "bbm":
-        task = _build_task(cfg, seed)
-        shards = partition_noniid(task, cfg.clients, cfg.train.similarity,
-                                  seeding.derive(seed, seeding.PARTITION)).shards
-        w0 = _initial_weights(cfg, seed)
-    plan = _plan_for(cfg, name, seed, dist, costs, scfg, task, shards, w0)
+    probe = _probe_inputs(cfg, seed) if name == "bbm" else None
+    plan = _plan_for(cfg, name, dist, costs, scfg, probe)
     doc = {
         "mechanism": name,
         "seed": seed,
@@ -97,17 +92,20 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _simulate_one(cfg, name, seed, eta=None):
+def simulate_one(cfg: ExperimentConfig, name, seed, eta=None):
+    """Plan mechanism `name` for one seed, then train under it.
+
+    `eta` overrides the config's accuracy weight, which must be > 0. Returns
+    (RunRecord, SelectionPlan); `jsam simulate` and `jsam sweep` are loops
+    over this call.
+    """
     dist = cfg.costs.build()
-    costs = _sample_costs(cfg, dist, seed)
+    costs = sample_costs(cfg, dist, seed)
     scfg = server_config(cfg, eta=eta)
     if scfg.eta == 0:
         raise ConfigError("eta must be > 0 to simulate")
-    task = _build_task(cfg, seed)
-    shards = partition_noniid(task, cfg.clients, cfg.train.similarity,
-                              seeding.derive(seed, seeding.PARTITION)).shards
-    w0 = _initial_weights(cfg, seed)
-    plan = _plan_for(cfg, name, seed, dist, costs, scfg, task, shards, w0)
+    task, shards, w0 = probe = _probe_inputs(cfg, seed)
+    plan = _plan_for(cfg, name, dist, costs, scfg, probe)
     tag = seeding.mechanism_tag(name)
     schedule = build_schedule(plan.probabilities, cfg.train.rounds,
                               cfg.train.per_round,
@@ -123,7 +121,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     lines = [RunRecord.CSV_HEADER]
     for name in cfg.mechanisms:
         for seed in cfg.seeds:
-            record, _ = _simulate_one(cfg, name, seed)
+            record, _ = simulate_one(cfg, name, seed)
             if record.diverged:
                 print(f"warning: run {record.run_id} diverged", file=sys.stderr)
             lines.extend(record.rows())
@@ -140,7 +138,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     for eta in cfg.eta_grid:
         for name in cfg.mechanisms:
             for seed in cfg.seeds:
-                record, plan = _simulate_one(cfg, name, seed, eta=eta)
+                record, plan = simulate_one(cfg, name, seed, eta=eta)
                 lines.append(
                     f"{float(eta)!r},{name},{seed},{float(plan.total_budget)!r},"
                     f"{float(plan.total_payment)!r},{plan.selected_count},"
@@ -174,8 +172,7 @@ def _audit_checks(cfg: ExperimentConfig):
     for i in range(3):
         costs = dist.sample(seeding.derive(seed, seeding.COSTS, 10 + i),
                             size=cfg.clients)
-        clients = make_clients(dist, costs)
-        report = cross_check(clients, scfg)
+        report = cross_check(dist.virtual(costs), scfg)
         if not report.passed:
             ok = False
             detail = (f"instance {i}: gap {report.objective_gap:.3e} "

@@ -1,4 +1,4 @@
-"""Privacy-sensitivity distributions, client types, and virtual costs.
+"""Privacy-sensitivity distributions and virtual costs.
 
 A client's sensitivity c is its per-unit monetary cost of privacy leakage.
 The server optimizes against the information-rent-adjusted *virtual cost*
@@ -14,7 +14,7 @@ otherwise.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -118,45 +118,3 @@ class TruncatedGaussianCosts(CostDistribution):
     def sample(self, rng: np.random.Generator, size=None):
         return self._frozen.rvs(size=size, random_state=rng)
 
-
-def virtual_cost(c: float, dist: CostDistribution) -> float:
-    """Virtual cost v(c) = c + F(c)/f(c) for a sensitivity in the support."""
-    return float(dist.virtual(c))
-
-
-@dataclass(frozen=True)
-class ClientType:
-    """A client's reported sensitivity and its derived virtual cost.
-
-    `index` is 1-based and stable: it identifies the client across the
-    virtual-cost sort used by the solver.
-    """
-
-    index: int
-    sensitivity: float
-    virtual: float
-    distribution: CostDistribution = field(repr=False)
-
-    def __post_init__(self):
-        if not self.distribution.in_support(self.sensitivity):
-            raise ValueError(f"client {self.index}: sensitivity outside support")
-
-
-def make_clients(dist: CostDistribution, sensitivities) -> list[ClientType]:
-    """Build ClientType records (1-based indices) from raw sensitivities."""
-    sens = np.asarray(sensitivities, dtype=float)
-    virtuals = dist.virtual(sens)
-    return [ClientType(index=k + 1, sensitivity=float(c), virtual=float(v), distribution=dist)
-            for k, (c, v) in enumerate(zip(sens, virtuals))]
-
-
-def sort_by_virtual_cost(clients: list[ClientType]) -> list[int]:
-    """Stable ascending order by virtual cost; ties keep the smaller index first.
-
-    Returns the permutation as a list of 1-based client indices.
-    """
-    virtuals = [cl.virtual for cl in clients]
-    if not np.all(np.isfinite(virtuals)):
-        raise ValueError("virtual costs must be finite")
-    order = sorted(range(len(clients)), key=lambda i: (virtuals[i], clients[i].index))
-    return [clients[i].index for i in order]

@@ -17,17 +17,15 @@ their noise one draw, and the per-round losses are evaluated classes-first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostDistribution, make_clients
-from .mechanism import (MechanismOutcome, ServerConfig, fixed_probability_solve,
-                        jsam_solve, solve_profiles)
+from .costs import CostDistribution
+from .mechanism import ServerConfig, fixed_probability_solve, solve_profiles
 from .payments import expost_payments
 
-BASELINE_KINDS = ("usbm", "fsbm", "bbm", "jsam_ci")
-MECHANISM_KINDS = ("jsam",) + BASELINE_KINDS
+MECHANISM_KINDS = ("jsam", "usbm", "fsbm", "bbm", "jsam_ci")
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +210,9 @@ def partition_noniid(task: SyntheticTask, n_clients, similarity,
 class SelectionSchedule:
     rounds: np.ndarray   # (T, m) client indices, 0-based
     counts: np.ndarray   # realized participation per client
-    seed: object = None
 
 
-def build_schedule(p, rounds, per_round, rng: np.random.Generator,
-                   seed=None) -> SelectionSchedule:
+def build_schedule(p, rounds, per_round, rng: np.random.Generator) -> SelectionSchedule:
     """Pre-draw all per-round client multisets i.i.d. from p, with replacement."""
     p = np.asarray(p, dtype=float)
     if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
@@ -224,7 +220,7 @@ def build_schedule(p, rounds, per_round, rng: np.random.Generator,
     draws = rng.choice(p.size, size=(rounds, per_round), replace=True,
                        p=p / p.sum())
     counts = np.bincount(draws.ravel(), minlength=p.size)
-    return SelectionSchedule(rounds=draws, counts=counts, seed=seed)
+    return SelectionSchedule(rounds=draws, counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +339,14 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
     if np.any(costs <= dist.lower) and dist.virtual(dist.lower) <= 0:
         raise ValueError("cost at the support boundary has zero virtual cost")
 
-    objective = None
     threshold = None
-    if kind == "jsam":
-        clients = make_clients(dist, costs)
-        outcome = jsam_solve(clients, cfg)
-        p, eps, budget = outcome.probabilities, outcome.privacy_budgets, outcome.total_budget
-        objective, threshold = outcome.objective_value, outcome.threshold
-        eps_fn = _jsam_eps_of_report(costs, dist, cfg)
-    elif kind == "jsam_ci":
-        sol = solve_profiles(costs[None, :], cfg)
+    if kind in ("jsam", "jsam_ci"):
+        # jsam_ci solves against the reported costs themselves
+        v = dist.virtual(costs) if kind == "jsam" else costs
+        sol = solve_profiles(v[None, :], cfg)
         p, eps, budget = sol.probabilities[0], sol.privacy_budgets[0], float(sol.total_budget[0])
         objective, threshold = float(sol.objective_value[0]), int(sol.threshold[0])
-        eps_fn = None
+        eps_fn = _jsam_eps_of_report(costs, dist, cfg) if kind == "jsam" else None
     elif kind == "usbm":
         p = np.full(n, 1.0 / n)
         eps, budget, objective = _fixed_plan(p, costs, dist, cfg)
@@ -399,14 +390,6 @@ def _fixed_plan(p, costs, dist, cfg):
     virtuals = dist.virtual(costs)
     eps, budget, objective = fixed_probability_solve(p[None, :], virtuals[None, :], cfg)
     return eps[0], float(budget[0]), float(objective[0])
-
-
-def baseline_plan(name, costs, dist, cfg, **kwargs) -> SelectionPlan:
-    """make_plan restricted to the comparison mechanisms."""
-    kind, _ = parse_mechanism(name)
-    if kind == "jsam":
-        raise ValueError("jsam is not a baseline")
-    return make_plan(name, costs, dist, cfg, **kwargs)
 
 
 def match_eta_to_cost(target_cost, plan_fn, lo=1e-8, hi=None, iters=60,

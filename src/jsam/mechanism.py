@@ -11,9 +11,10 @@ minimize
     eta * sqrt(dev^2 + Q * sum_k p_k^2 / eps_k^2) + eta * dev + B
 
 subject to sum_k v_k eps_k = B. The eps minimization has the closed form in
-`optimal_epsilon`; substituting it reduces the noise term to Q*c/B^2 with the
-`c` coefficient below, and the remaining (p_1, p_h, B) search is a grid over
-(h, m) plus an exact 1-D convex minimization in B.
+`optimal_epsilon`; substituting it reduces the noise term to Q*c/B^2 with
+c = (sum_k (v_k p_k)^{2/3})^3, and the remaining (p_1, p_h, B) search is a
+grid over (h, m) plus the closed-form minimizing B of the convex 1-D
+objective.
 
 `dev` is the L1 distance between p and the uniform distribution. Under the
 threshold structure it equals 2*(p_1 - 1/N); the alternative form
@@ -24,11 +25,9 @@ differ whenever p_h < 1/N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
-
-from .costs import ClientType, sort_by_virtual_cost
 
 _TWO_THIRDS = 2.0 / 3.0
 _TWO_OVER_ROOT3 = 2.0 / math.sqrt(3.0)
@@ -73,52 +72,11 @@ class ServerConfig:
                    objective_form=objective_form)
 
 
-@dataclass
-class MechanismOutcome:
-    """Solver output in original client order.
-
-    `threshold` is the position h in ascending virtual-cost order of the last
-    client with positive selection probability; `order` is that ascending
-    permutation as 1-based client indices. `payments` stays None until a
-    payment rule fills it. `degenerate` marks the eta=0 outcome (B=0, eps=0).
-    """
-
-    probabilities: np.ndarray
-    privacy_budgets: np.ndarray
-    total_budget: float
-    threshold: int
-    objective_value: float
-    order: np.ndarray
-    degenerate: bool = False
-    payments: np.ndarray | None = None
-
-    def validate(self, virtual_costs) -> None:
-        v = np.asarray(virtual_costs, dtype=float)
-        p = self.probabilities
-        eps = self.privacy_budgets
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("probabilities do not sum to 1")
-        if np.any((p == 0) & (eps != 0)):
-            raise ValueError("zero-probability client holds a privacy budget")
-        if not self.degenerate and np.any((eps == 0) & (p != 0)):
-            raise ValueError("selected client holds no privacy budget")
-        spend = float(np.sum(v * eps))
-        if self.total_budget == 0:
-            if spend != 0:
-                raise ValueError("nonzero spend against a zero budget")
-        elif abs(spend - self.total_budget) > 1e-9 * self.total_budget:
-            raise ValueError("budget identity violated")
-        report = verify_structure(p, self.order)
-        if not report.passed:
-            raise ValueError(f"threshold structure violated: {report.clause}")
-
-
 @dataclass(frozen=True)
 class StructureReport:
     passed: bool
     clause: str | None = None
     threshold: int | None = None
-    max_violation: float = 0.0
 
 
 def verify_structure(p, order, tol: float = 1e-9) -> StructureReport:
@@ -135,23 +93,19 @@ def verify_structure(p, order, tol: float = 1e-9) -> StructureReport:
     share = 1.0 / n
     positive = np.nonzero(q > tol)[0]
     if positive.size == 0:
-        return StructureReport(False, "no client selected", None, 1.0)
+        return StructureReport(False, "no client selected")
     t = int(positive[-1])
     if q[0] < share - tol:
-        return StructureReport(False, "cheapest client below 1/N", t + 1,
-                               float(share - q[0]))
+        return StructureReport(False, "cheapest client below 1/N", t + 1)
     mid = q[1:t]
     if mid.size and np.max(np.abs(mid - share)) > tol:
-        return StructureReport(False, "interior client off 1/N", t + 1,
-                               float(np.max(np.abs(mid - share))))
+        return StructureReport(False, "interior client off 1/N", t + 1)
     if t >= 1 and q[t] > share + tol:
-        return StructureReport(False, "threshold client above 1/N", t + 1,
-                               float(q[t] - share))
+        return StructureReport(False, "threshold client above 1/N", t + 1)
     tail = q[t + 1:]
     if tail.size and np.max(tail) > tol:
-        return StructureReport(False, "excluded client selected", t + 1,
-                               float(np.max(tail)))
-    return StructureReport(True, None, t + 1, 0.0)
+        return StructureReport(False, "excluded client selected", t + 1)
+    return StructureReport(True, None, t + 1)
 
 
 def optimal_epsilon(p, total_budget, v) -> np.ndarray:
@@ -181,86 +135,6 @@ def optimal_epsilon(p, total_budget, v) -> np.ndarray:
     return np.where(p > 0, eps, 0.0)
 
 
-def _noise_coefficient(h, p1, ph, v_sorted):
-    """c = ((v_1 p_1)^{2/3} + (v_h p_h)^{2/3} + sum_{1<i<h} v_i^{2/3}/N^{2/3})^3.
-
-    For h = 1 clients 1 and h coincide, so only the first term contributes.
-    """
-    n = v_sorted.size
-    first = (v_sorted[0] * p1) ** _TWO_THIRDS
-    if h == 1:
-        return float(first ** 3)
-    mid = np.sum(v_sorted[1:h - 1] ** _TWO_THIRDS) / n ** _TWO_THIRDS
-    last = (v_sorted[h - 1] * ph) ** _TWO_THIRDS
-    return float((first + mid + last) ** 3)
-
-
-def _check_pair(h, p_h, n):
-    if not 1 <= h <= n:
-        raise ValueError(f"threshold h={h} outside [1, {n}]")
-    if not -1e-12 <= p_h <= 1.0 / n + 1e-12:
-        raise ValueError(f"p_h={p_h} outside [0, 1/N]")
-    p1 = (2.0 + n - h) / n - p_h
-    if not 1.0 / n - 1e-12 <= p1 <= 1.0 + 1e-12:
-        raise ValueError(f"implied p_1={p1} outside [1/N, 1]")
-    return p1
-
-
-def _deviation(p1, ph, n, form):
-    if form == "paper_literal":
-        return 2.0 * (p1 - ph)
-    return 2.0 * (p1 - 1.0 / n)
-
-
-def reduced_objective(h, p_h, total_budget, v_sorted, cfg: ServerConfig) -> float:
-    """Objective after substituting the optimal budget split, at a given B."""
-    v_sorted = np.asarray(v_sorted, dtype=float)
-    n = v_sorted.size
-    p1 = _check_pair(h, p_h, n)
-    if total_budget <= 0:
-        raise ValueError("total budget must be > 0")
-    dev = _deviation(p1, p_h, n, cfg.objective_form)
-    c = _noise_coefficient(h, p1, p_h, v_sorted)
-    noise = cfg.q_coefficient * c / total_budget ** 2
-    return cfg.eta * math.sqrt(dev * dev + noise) + cfg.eta * dev + total_budget
-
-
-def solve_inner_budget(h, p_h, v_sorted, cfg: ServerConfig) -> float:
-    """Minimize the reduced objective over B > 0 for a fixed (h, p_h) pair.
-
-    Derivative-sign bisection on [1e-8, B_hi], B_hi doubling from 1 until the
-    derivative turns positive, to 1e-10 relative width. eta = 0 collapses the
-    objective to B itself and returns the degenerate B = 0.
-    """
-    v_sorted = np.asarray(v_sorted, dtype=float)
-    n = v_sorted.size
-    p1 = _check_pair(h, p_h, n)
-    if cfg.eta == 0:
-        return 0.0
-    dev = _deviation(p1, p_h, n, cfg.objective_form)
-    a = cfg.q_coefficient * _noise_coefficient(h, p1, p_h, v_sorted)
-
-    def slope(b):
-        return 1.0 - cfg.eta * a / (b ** 3 * math.sqrt(dev * dev + a / b ** 2))
-
-    lo, hi = 1e-8, 1.0
-    for _ in range(200):
-        if slope(hi) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise ArithmeticError("no positive-slope bracket for the budget search")
-    if slope(lo) > 0:
-        return lo
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def _budget_root_sq(dev2, a, eta):
     """Vectorized B*^2: the positive root of dev2*x^3 + a*x^2 - eta^2*a^2.
 
@@ -286,17 +160,27 @@ def _budget_root_sq(dev2, a, eta):
     return eta * root_a / u
 
 
+def _budget_and_objective(dev, a, eta):
+    """B* and the objective eta*sqrt(dev^2 + a/B*^2) + eta*dev + B* at it."""
+    dev2 = dev * dev
+    bsq = _budget_root_sq(dev2, a, eta)
+    b = np.sqrt(bsq)
+    return b, eta * np.sqrt(dev2 + a / bsq) + eta * dev + b
+
+
 @dataclass
 class BatchSolution:
-    """jsam solutions for a batch of cost profiles, original client order."""
+    """jsam solutions for a batch of cost profiles, original client order.
+
+    `threshold` is the position h, in ascending virtual-cost order, of the
+    last client with positive selection probability.
+    """
 
     probabilities: np.ndarray   # (B, N)
     privacy_budgets: np.ndarray  # (B, N)
     total_budget: np.ndarray    # (B,)
     threshold: np.ndarray       # (B,)
     objective_value: np.ndarray  # (B,)
-    order: np.ndarray           # (B, N) ascending-cost permutation, 0-based
-    degenerate: bool = False
 
 
 def _candidate_grid(n, cfg: ServerConfig):
@@ -324,9 +208,12 @@ def solve_profiles(virtual_costs, cfg: ServerConfig,
                    max_elements: int = 262_144) -> BatchSolution:
     """Run the grid solver on a (B, N) batch of positive virtual costs.
 
-    Work proceeds in row chunks sized so no intermediate exceeds
-    `max_elements` floats (2 MB), which keeps each chunk's arrays near the
-    cache instead of streaming them through memory.
+    Clients are ranked by a stable argsort, so of two equal virtual costs
+    the lower index ranks first. Work proceeds in row chunks sized so no
+    intermediate exceeds `max_elements` floats (2 MB), which keeps each
+    chunk's arrays near the cache instead of streaming them through memory.
+    At eta = 0 every plan is the degenerate one: the cheapest client alone,
+    with B = 0 and no privacy budgets.
     """
     v = np.atleast_2d(np.asarray(virtual_costs, dtype=float))
     batch, n = v.shape
@@ -339,15 +226,8 @@ def solve_profiles(virtual_costs, cfg: ServerConfig,
     if batch > rows_per_chunk:
         parts = [_solve_block(v[i:i + rows_per_chunk], cfg, grid)
                  for i in range(0, batch, rows_per_chunk)]
-        return BatchSolution(
-            np.concatenate([s.probabilities for s in parts]),
-            np.concatenate([s.privacy_budgets for s in parts]),
-            np.concatenate([s.total_budget for s in parts]),
-            np.concatenate([s.threshold for s in parts]),
-            np.concatenate([s.objective_value for s in parts]),
-            np.concatenate([s.order for s in parts]),
-            degenerate=parts[0].degenerate,
-        )
+        return BatchSolution(*(np.concatenate([getattr(s, f.name) for s in parts])
+                               for f in fields(BatchSolution)))
     return _solve_block(v, cfg, grid)
 
 
@@ -376,56 +256,29 @@ def _solve_block(v, cfg: ServerConfig, grid) -> BatchSolution:
 
     if cfg.eta == 0:
         best = np.zeros(batch, dtype=int)  # ties at f = B = 0; h = 1 wins
-        bsq = np.zeros((batch, h.size))
-        f = np.zeros((batch, h.size))
+        b = f = np.zeros((batch, h.size))
     else:
+        # `a` stays bound until the block returns: freeing it mid-block
+        # lets the allocator trim the heap, and payment curves then paid
+        # about 50% more page faults per make_plan
         a = cfg.q_coefficient * coef
-        bsq = _budget_root_sq(dev[None, :] ** 2, a, cfg.eta)
-        f = cfg.eta * np.sqrt(dev[None, :] ** 2 + a / bsq) + cfg.eta * dev[None, :] \
-            + np.sqrt(bsq)
+        b, f = _budget_and_objective(dev, a, cfg.eta)
         best = np.argmin(f, axis=1)
 
     rows = np.arange(batch)
     h_star = h[best]
-    p1_star = p1[best]
-    ph_star = ph[best]
-    b_star = np.sqrt(bsq[rows, best]) if cfg.eta != 0 else np.zeros(batch)
-
     idx = np.arange(n)[None, :]
     hcol = h_star[:, None]
-    p_sorted = np.where(idx == 0, p1_star[:, None],
+    p_sorted = np.where(idx == 0, p1[best][:, None],
                         np.where(idx < hcol - 1, share,
-                                 np.where(idx == hcol - 1, ph_star[:, None], 0.0)))
-
-    w = np.where(p_sorted > 0, (vs * p_sorted) ** _TWO_THIRDS, 0.0)
-    scale = w.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eps_sorted = p_sorted ** _TWO_THIRDS * b_star[:, None] / (scale * np.cbrt(vs))
-    eps_sorted = np.where(p_sorted > 0, eps_sorted, 0.0)
+                                 np.where(idx == hcol - 1, ph[best][:, None], 0.0)))
+    b_star = b[rows, best]
+    eps_sorted = optimal_epsilon(p_sorted, b_star[:, None], vs)
 
     inverse = np.argsort(order, axis=1)
     p = np.take_along_axis(p_sorted, inverse, axis=1)
     eps = np.take_along_axis(eps_sorted, inverse, axis=1)
-    return BatchSolution(p, eps, b_star, h_star, f[rows, best], order,
-                         degenerate=cfg.eta == 0)
-
-
-def jsam_solve(clients: list[ClientType], cfg: ServerConfig) -> MechanismOutcome:
-    """Solve the joint selection/budget problem for explicit client types."""
-    if not clients:
-        raise ValueError("empty client list")
-    v = np.array([cl.virtual for cl in clients], dtype=float)
-    sol = solve_profiles(v[None, :], cfg)
-    order = np.array(sort_by_virtual_cost(clients), dtype=int)
-    return MechanismOutcome(
-        probabilities=sol.probabilities[0],
-        privacy_budgets=sol.privacy_budgets[0],
-        total_budget=float(sol.total_budget[0]),
-        threshold=int(sol.threshold[0]),
-        objective_value=float(sol.objective_value[0]),
-        order=order,
-        degenerate=sol.degenerate,
-    )
+    return BatchSolution(p, eps, b_star, h_star, f[rows, best])
 
 
 def fixed_probability_solve(p, v, cfg: ServerConfig):
@@ -447,18 +300,5 @@ def fixed_probability_solve(p, v, cfg: ServerConfig):
         return np.zeros((batch, n)), np.zeros(batch), np.zeros(batch)
     dev = np.abs(p - 1.0 / n).sum(axis=1)
     c = np.where(p > 0, (v * p) ** _TWO_THIRDS, 0.0).sum(axis=1) ** 3
-    a = cfg.q_coefficient * c
-    bsq = _budget_root_sq(dev * dev, a, cfg.eta)
-    b = np.sqrt(bsq)
-    f = cfg.eta * np.sqrt(dev * dev + a / bsq) + cfg.eta * dev + b
-    w = np.where(p > 0, (v * p) ** _TWO_THIRDS, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eps = p ** _TWO_THIRDS * b[:, None] / (w.sum(axis=1, keepdims=True) * np.cbrt(v))
-    return np.where(p > 0, eps, 0.0), b, f
-
-
-def plan_objective(p, v, cfg: ServerConfig):
-    """Single-profile convenience wrapper around fixed_probability_solve."""
-    eps, b, f = fixed_probability_solve(np.asarray(p)[None, :],
-                                        np.asarray(v)[None, :], cfg)
-    return eps[0], float(b[0]), float(f[0])
+    b, f = _budget_and_objective(dev, cfg.q_coefficient * c, cfg.eta)
+    return optimal_epsilon(p, b[:, None], v), b, f

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanism import MechanismOutcome, ServerConfig, jsam_solve, verify_structure
+from .mechanism import (BatchSolution, ServerConfig, solve_profiles,
+                        verify_structure)
 
 
 def lagrangian_budget_split(p, v, total_budget, lam_iters=64, eps_iters=48,
@@ -120,7 +121,10 @@ def brute_force_solve(v, cfg: ServerConfig, grid_step: float = 0.01) -> BruteFor
 
     The deviation term is the exact L1 distance to uniform for every grid
     point (arbitrary p carries no threshold structure to exploit). Ties keep
-    the lexicographically smallest p, which is the enumeration order.
+    the lexicographically smallest p, which is the enumeration order, except
+    at eta = 0: there every p ties at f = B = 0, and the result is the
+    cheapest client alone (the lowest index among equals), the solver's
+    degenerate plan and the only tie with the threshold structure.
     """
     v = np.asarray(v, dtype=float)
     n = v.size
@@ -139,7 +143,7 @@ def brute_force_solve(v, cfg: ServerConfig, grid_step: float = 0.01) -> BruteFor
 
     if cfg.eta == 0:
         p = np.zeros(n)
-        p[-1] = 1.0
+        p[np.argmin(v)] = 1.0
         return BruteForceResult(p, np.zeros(n), 0.0, 0.0, grid_step, total_points)
 
     share = 1.0 / n
@@ -176,7 +180,7 @@ class CrossCheckReport:
     brute_objective: float
     structure_ok: bool
     structure_clause: str | None
-    jsam: MechanismOutcome
+    jsam: BatchSolution
     brute: BruteForceResult
 
 
@@ -185,14 +189,18 @@ def slack(grid_step, grid_delta, eta, v_max) -> float:
     return 4.0 * (grid_step + grid_delta) * (eta + v_max)
 
 
-def cross_check(clients, cfg: ServerConfig, grid_step: float = 0.01) -> CrossCheckReport:
-    """Compare the grid solver against brute force on one small instance."""
-    if len(clients) > 4:
+def cross_check(v, cfg: ServerConfig, grid_step: float = 0.01) -> CrossCheckReport:
+    """Compare the grid solver against brute force on one small instance.
+
+    `v` holds the clients' virtual costs.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.size > 4:
         raise ValueError("cross_check is guarded to N <= 4")
-    outcome = jsam_solve(clients, cfg)
-    v = np.array([cl.virtual for cl in clients], dtype=float)
+    sol = solve_profiles(v[None, :], cfg)
+    jsam_objective = float(sol.objective_value[0])
     brute = brute_force_solve(v, cfg, grid_step)
-    gap = abs(outcome.objective_value - brute.objective)
+    gap = abs(jsam_objective - brute.objective)
     tol = max(0.01 * brute.objective, slack(grid_step, cfg.grid_delta, cfg.eta,
                                             float(v.max())))
     order = np.argsort(v, kind="stable") + 1
@@ -201,10 +209,10 @@ def cross_check(clients, cfg: ServerConfig, grid_step: float = 0.01) -> CrossChe
         passed=bool(gap <= tol and report.passed),
         objective_gap=float(gap),
         tolerance=float(tol),
-        jsam_objective=outcome.objective_value,
+        jsam_objective=jsam_objective,
         brute_objective=brute.objective,
         structure_ok=report.passed,
         structure_clause=report.clause,
-        jsam=outcome,
+        jsam=sol,
         brute=brute,
     )

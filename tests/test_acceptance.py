@@ -12,9 +12,9 @@ import time
 
 import numpy as np
 
-from jsam.cli import _sample_costs, _simulate_one, main
+from jsam.cli import main, sample_costs, simulate_one
 from jsam.config import from_dict, server_config
-from jsam.costs import UniformCosts, make_clients
+from jsam.costs import UniformCosts
 from jsam.flsim import make_plan, match_eta_to_cost, noise_sigma
 from jsam.mechanism import ServerConfig, optimal_epsilon
 from jsam.oracle import cross_check, lagrangian_budget_split
@@ -71,7 +71,7 @@ def test_criterion_2_grid_solver_matches_brute_force():
         costs = rng.uniform(0.02, 0.98, n)
         eta = float(rng.uniform(0.2, 5.0))
         cfg = ServerConfig(eta=eta, q_coefficient=1.0, grid_delta=1e-3)
-        report = cross_check(make_clients(dist, costs), cfg, grid_step=0.01)
+        report = cross_check(dist.virtual(costs), cfg, grid_step=0.01)
         worst_ratio = max(worst_ratio,
                           report.objective_gap / report.tolerance)
         if not (report.passed and report.structure_ok):
@@ -180,7 +180,7 @@ _SEEDS = (0, 1, 2, 3, 4)
 
 
 def _matched_pair_accuracies(cfg, dist, eta, seed):
-    costs = _sample_costs(cfg, dist, seed)
+    costs = sample_costs(cfg, dist, seed)
     jsam_plan = make_plan("jsam", costs, dist, server_config(cfg, eta=eta),
                           payment_grid=cfg.payment_grid)
 
@@ -189,8 +189,8 @@ def _matched_pair_accuracies(cfg, dist, eta, seed):
                          payment_grid=cfg.payment_grid)
 
     usbm_eta, _ = match_eta_to_cost(jsam_plan.total_payment, usbm_at)
-    jsam_rec, _ = _simulate_one(cfg, "jsam", seed, eta=eta)
-    usbm_rec, _ = _simulate_one(cfg, "usbm", seed, eta=usbm_eta)
+    jsam_rec, _ = simulate_one(cfg, "jsam", seed, eta=eta)
+    usbm_rec, _ = simulate_one(cfg, "usbm", seed, eta=usbm_eta)
     return jsam_rec.test_accuracy[-1], usbm_rec.test_accuracy[-1]
 
 
@@ -210,7 +210,7 @@ def test_criterion_7_desk_scale_directional_checks():
 
     count_ok = payment_ok = True
     for seed in _SEEDS:
-        costs = _sample_costs(cfg, dist, seed)
+        costs = sample_costs(cfg, dist, seed)
         plans = [make_plan("jsam", costs, dist, server_config(cfg, eta=eta),
                            payment_grid=cfg.payment_grid)
                  for eta in _ETA_GRID]

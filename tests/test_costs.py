@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from jsam import costs as costs_module
-from jsam.costs import (ClientType, CostDistribution, TruncatedGaussianCosts,
-                        UniformCosts, make_clients, sort_by_virtual_cost,
-                        virtual_cost)
+from jsam.costs import CostDistribution, TruncatedGaussianCosts, UniformCosts
+from jsam.flsim import make_plan
+from jsam.mechanism import ServerConfig, solve_profiles, verify_structure
 
 # frozen from a 40-digit quadrature of the normal density: the truncation
 # mass cancels in F/f, so v(c) = c + (integral_0^c phi)/phi(c)
@@ -16,23 +16,23 @@ GAUSSIAN_V_AT_07 = 1.3902777866226503
 
 
 def test_uniform_virtual_doubles_the_sensitivity():
-    assert virtual_cost(0.3, UniformCosts(0.0, 1.0)) == 0.6
+    assert UniformCosts(0.0, 1.0).virtual(0.3) == 0.6
 
 
 def test_virtual_vanishes_at_the_lower_support_edge():
-    assert virtual_cost(0.0, UniformCosts(0.0, 1.0)) == 0.0
+    assert UniformCosts(0.0, 1.0).virtual(0.0) == 0.0
 
 
 @given(st.floats(0.0, 5.0), st.floats(0.05, 5.0), st.floats(0.0, 1.0))
 def test_uniform_virtual_is_affine_in_the_sensitivity(lower, width, frac):
     dist = UniformCosts(lower, lower + width)
     c = lower + frac * width
-    assert virtual_cost(c, dist) == pytest.approx(2.0 * c - lower, abs=1e-12)
+    assert dist.virtual(c) == pytest.approx(2.0 * c - lower, abs=1e-12)
 
 
 def test_gaussian_virtual_matches_quadrature_oracle():
     dist = TruncatedGaussianCosts(mean=0.5, std=0.2, lower=0.0, upper=1.0)
-    assert virtual_cost(0.7, dist) == pytest.approx(GAUSSIAN_V_AT_07, abs=1e-9)
+    assert dist.virtual(0.7) == pytest.approx(GAUSSIAN_V_AT_07, abs=1e-9)
 
 
 def test_gaussian_virtual_increases_on_the_support():
@@ -69,7 +69,7 @@ def test_gaussian_builds_its_scipy_distribution_once(monkeypatch):
 
 def test_out_of_support_sensitivity_is_rejected(uniform01):
     with pytest.raises(ValueError, match="support"):
-        virtual_cost(1.5, uniform01)
+        uniform01.virtual(1.5)
     with pytest.raises(ValueError, match="support"):
         uniform01.virtual(np.array([0.5, -0.1]))
 
@@ -110,32 +110,21 @@ def test_non_monotone_virtual_cost_is_rejected_at_construction():
         _BimodalCosts()
 
 
-def test_make_clients_assigns_one_based_indices(uniform01):
-    clients = make_clients(uniform01, [0.1, 0.4, 0.25])
-    assert [cl.index for cl in clients] == [1, 2, 3]
-    assert [cl.sensitivity for cl in clients] == [0.1, 0.4, 0.25]
-    assert [cl.virtual for cl in clients] == [0.2, 0.8, 0.5]
-
-
-def test_client_outside_support_is_rejected(uniform01):
+def test_client_outside_support_is_rejected(uniform01, basic_cfg):
     with pytest.raises(ValueError, match="support"):
-        ClientType(index=1, sensitivity=1.5, virtual=3.0, distribution=uniform01)
+        make_plan("jsam", [0.5, 1.5], uniform01, basic_cfg)
 
 
-def test_sort_by_virtual_cost_examples(uniform01):
-    clients = make_clients(uniform01, [0.2, 0.1, 0.45])
-    assert sort_by_virtual_cost(clients) == [2, 1, 3]
-    tied = make_clients(uniform01, [0.25, 0.25])
-    assert sort_by_virtual_cost(tied) == [1, 2]
-
-
-@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+@given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12))
 def test_sort_agrees_with_independent_argsort(sensitivities):
-    dist = UniformCosts(0.0, 1.0)
-    clients = make_clients(dist, sensitivities)
-    order = sort_by_virtual_cost(clients)
-    expected = np.argsort(2.0 * np.asarray(sensitivities), kind="stable") + 1
-    assert order == list(expected)
+    # the solver ranks clients as a stable argsort of the virtual costs does,
+    # ties included, so its plan has the threshold structure in that order
+    v = UniformCosts(0.0, 1.0).virtual(sensitivities)
+    sol = solve_profiles(v[None, :], ServerConfig(eta=1.0, grid_delta=1e-2))
+    order = np.argsort(2.0 * np.asarray(sensitivities), kind="stable") + 1
+    report = verify_structure(sol.probabilities[0], order)
+    assert report.passed, report.clause
+    assert report.threshold == sol.threshold[0]
 
 
 def test_gaussian_samples_stay_in_support(rng):

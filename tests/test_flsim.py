@@ -8,11 +8,10 @@ from hypothesis import given, strategies as st
 
 from jsam.costs import UniformCosts
 from jsam.flsim import (RunRecord, SelectionPlan, SelectionSchedule,
-                        TrainSettings, _stack_shards, baseline_plan,
-                        build_schedule, initial_local_losses,
-                        local_noisy_gradient, make_plan, make_task,
-                        match_eta_to_cost, model_loss, noise_sigma,
-                        parse_mechanism, partition_noniid, train)
+                        TrainSettings, _stack_shards, build_schedule,
+                        initial_local_losses, local_noisy_gradient,
+                        make_plan, make_task, match_eta_to_cost, model_loss,
+                        noise_sigma, parse_mechanism, partition_noniid, train)
 from jsam.flsim import test_metrics as eval_metrics
 from jsam.mechanism import ServerConfig
 
@@ -367,7 +366,7 @@ def test_parse_mechanism_forms():
 
 def test_usbm_plan_is_uniform(uniform01, rng):
     costs = rng.uniform(0.1, 0.9, 5)
-    plan = baseline_plan("usbm", costs, uniform01, FAST, payment_grid=80)
+    plan = make_plan("usbm", costs, uniform01, FAST, payment_grid=80)
     assert plan.probabilities == pytest.approx(np.full(5, 0.2))
     assert plan.selected_count == 5
     assert plan.total_budget > 0
@@ -375,8 +374,8 @@ def test_usbm_plan_is_uniform(uniform01, rng):
 
 def test_fsbm_with_every_client_equals_usbm(uniform01, rng):
     costs = rng.uniform(0.1, 0.9, 4)
-    a = baseline_plan("usbm", costs, uniform01, FAST, payment_grid=60)
-    b = baseline_plan("fsbm-4", costs, uniform01, FAST, payment_grid=60)
+    a = make_plan("usbm", costs, uniform01, FAST, payment_grid=60)
+    b = make_plan("fsbm-4", costs, uniform01, FAST, payment_grid=60)
     assert a.probabilities.tobytes() == b.probabilities.tobytes()
     assert a.epsilons == pytest.approx(b.epsilons, rel=1e-12)
     assert a.total_budget == pytest.approx(b.total_budget, rel=1e-12)
@@ -384,25 +383,20 @@ def test_fsbm_with_every_client_equals_usbm(uniform01, rng):
 
 def test_fsbm_selects_the_cheapest_subset(uniform01):
     costs = np.array([0.8, 0.2, 0.5, 0.3])
-    plan = baseline_plan("fsbm-2", costs, uniform01, FAST, payment_grid=60)
+    plan = make_plan("fsbm-2", costs, uniform01, FAST, payment_grid=60)
     assert plan.probabilities == pytest.approx([0.0, 0.5, 0.0, 0.5])
     with pytest.raises(ValueError, match="subset"):
-        baseline_plan("fsbm-9", costs, uniform01, FAST)
+        make_plan("fsbm-9", costs, uniform01, FAST)
 
 
 def test_bbm_needs_probe_losses(uniform01, rng):
     costs = rng.uniform(0.1, 0.9, 4)
     with pytest.raises(ValueError, match="probe"):
-        baseline_plan("bbm", costs, uniform01, FAST)
+        make_plan("bbm", costs, uniform01, FAST)
     losses = np.array([1.0, 2.0, 3.0, 4.0])
-    plan = baseline_plan("bbm", costs, uniform01, FAST, bbm_losses=losses,
+    plan = make_plan("bbm", costs, uniform01, FAST, bbm_losses=losses,
                          payment_grid=60)
     assert plan.probabilities == pytest.approx(losses / losses.sum())
-
-
-def test_jsam_is_not_a_baseline(uniform01, rng):
-    with pytest.raises(ValueError, match="baseline"):
-        baseline_plan("jsam", rng.uniform(0.1, 0.9, 3), uniform01, FAST)
 
 
 def test_jsam_ci_pays_reported_cost_exactly(uniform01, rng):

@@ -1,17 +1,15 @@
-"""Solver unit tests: budget split, reduced objective, grid search, structure."""
+"""Solver unit tests: budget split, objective at a fixed p, grid search, structure."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from jsam.costs import UniformCosts, make_clients
-from jsam.mechanism import (MechanismOutcome, ServerConfig, _candidate_grid,
-                            fixed_probability_solve, jsam_solve,
-                            optimal_epsilon, reduced_objective,
-                            solve_inner_budget, solve_profiles,
-                            verify_structure)
+from jsam.mechanism import (ServerConfig, _candidate_grid,
+                            fixed_probability_solve, optimal_epsilon,
+                            solve_profiles, verify_structure)
+from jsam.oracle import _golden_minimize
 
 # dev = 0, Q*c = 2: the stationary point of eta*sqrt(Qc)/B + B is
 # B = sqrt(eta)*(Qc)^(1/4)
@@ -37,6 +35,59 @@ def feasible_pairs(max_n=8):
             st.floats(0.0, 1.0),
         ).map(lambda t: (t[0], t[1],
                          1.0 / t[0] if t[1] == 1 else t[2] / t[0])))
+
+
+def _fixed(p, v, cfg):
+    """fixed_probability_solve on one profile: (eps, B*, objective)."""
+    eps, b, f = fixed_probability_solve(np.asarray(p, dtype=float)[None, :],
+                                        np.asarray(v, dtype=float)[None, :], cfg)
+    return eps[0], float(b[0]), float(f[0])
+
+
+def _objective_at(p, v, cfg, budgets):
+    """The objective at each budget in `budgets`, by direct substitution.
+
+    eta*sqrt(dev^2 + Q*sum p^2/eps^2) + eta*dev + B with eps the
+    optimal_epsilon split of B and dev the exact L1 distance to uniform.
+    """
+    budgets = np.atleast_1d(np.asarray(budgets, dtype=float))
+    p = np.asarray(p, dtype=float)
+    eps = optimal_epsilon(np.broadcast_to(p, budgets.shape + p.shape),
+                          budgets[:, None], v)
+    noise = np.where(p > 0, p ** 2 / np.where(eps > 0, eps, 1.0) ** 2, 0.0).sum(axis=1)
+    dev = float(np.abs(p - 1.0 / p.size).sum())
+    return cfg.eta * np.sqrt(dev * dev + cfg.q_coefficient * noise) \
+        + cfg.eta * dev + budgets
+
+
+def validate_plan(p, eps, total_budget, v, degenerate=False):
+    """Raise ValueError unless (p, eps, B) is a consistent solved plan for v.
+
+    p lies on the simplex, exactly the selected clients hold a budget (at
+    eta = 0 none does), the spend identity sum v*eps = B holds and p has the
+    threshold structure in the stable ascending order of v.
+    """
+    v = np.asarray(v, dtype=float)
+    if abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError("probabilities do not sum to 1")
+    if np.any((p == 0) & (eps != 0)):
+        raise ValueError("zero-probability client holds a privacy budget")
+    if not degenerate and np.any((eps == 0) & (p != 0)):
+        raise ValueError("selected client holds no privacy budget")
+    spend = float(np.sum(v * eps))
+    if total_budget == 0:
+        if spend != 0:
+            raise ValueError("nonzero spend against a zero budget")
+    elif abs(spend - total_budget) > 1e-9 * total_budget:
+        raise ValueError("budget identity violated")
+    report = verify_structure(p, np.argsort(v, kind="stable") + 1)
+    if not report.passed:
+        raise ValueError(f"threshold structure violated: {report.clause}")
+
+
+def _validate_row(sol, v, row=0, degenerate=False):
+    validate_plan(sol.probabilities[row], sol.privacy_budgets[row],
+                  float(sol.total_budget[row]), v, degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +137,7 @@ def test_budget_split_spend_identity(n, budget, data):
 
 
 # ---------------------------------------------------------------------------
-# reduced objective
+# objective and budget at a fixed selection distribution
 
 
 def test_reduced_objective_unbiased_plan_closed_form():
@@ -94,30 +145,34 @@ def test_reduced_objective_unbiased_plan_closed_form():
     cfg = ServerConfig(eta=2.0, q_coefficient=3.0)
     n = 3
     c = float(np.sum(v ** (2.0 / 3.0)) / n ** (2.0 / 3.0)) ** 3
-    got = reduced_objective(3, 1.0 / 3.0, 1.7, v, cfg)
-    assert got == pytest.approx(2.0 * math.sqrt(3.0 * c) / 1.7 + 1.7, rel=1e-12)
+    _, b, f = _fixed(np.full(n, 1.0 / n), v, cfg)
+    assert b == pytest.approx(math.sqrt(2.0) * (3.0 * c) ** 0.25, rel=1e-12)
+    assert f == pytest.approx(2.0 * math.sqrt(3.0 * c) / b + b, rel=1e-12)
 
 
 def test_reduced_objective_eta_zero_is_the_budget():
-    v = np.array([0.5, 1.0])
     cfg = ServerConfig(eta=0.0, q_coefficient=1.0)
-    assert reduced_objective(2, 0.25, 0.9, v, cfg) == pytest.approx(0.9)
+    _, b, f = _fixed([0.75, 0.25], [0.5, 1.0], cfg)
+    assert f == b == 0.0
+    sol = solve_profiles([[0.5, 1.0]], cfg)
+    assert sol.objective_value[0] == sol.total_budget[0] == 0.0
 
 
 def test_reduced_objective_rejects_infeasible_pairs():
-    v = np.array([0.5, 1.0, 2.0])
+    v = np.array([[0.5, 1.0, 2.0]])
     cfg = ServerConfig()
-    with pytest.raises(ValueError):
-        reduced_objective(4, 0.1, 1.0, v, cfg)
-    with pytest.raises(ValueError):
-        reduced_objective(2, 0.9, 1.0, v, cfg)
-    with pytest.raises(ValueError):
-        reduced_objective(2, 0.1, 0.0, v, cfg)
+    with pytest.raises(ValueError, match="simplex"):
+        fixed_probability_solve([[0.5, 0.6, 0.0]], v, cfg)
+    with pytest.raises(ValueError, match="simplex"):
+        fixed_probability_solve([[1.2, -0.2, 0.0]], v, cfg)
+    with pytest.raises(ValueError, match="virtual cost"):
+        fixed_probability_solve([[0.5, 0.5, 0.0]], [[0.5, 0.0, 2.0]], cfg)
 
 
-@given(feasible_pairs(), st.floats(0.1, 5.0), st.floats(0.0, 3.0),
-       st.floats(0.2, 4.0), st.data())
-def test_reduced_objective_equals_direct_substitution(pair, budget, eta, q, data):
+# eta well below 1e-6 drives B* towards 1e-154, where the direct p^2/eps^2
+# overflows; eta = 0 is its own test above
+@given(feasible_pairs(), st.floats(1e-6, 3.0), st.floats(0.2, 4.0), st.data())
+def test_reduced_objective_equals_direct_substitution(pair, eta, q, data):
     n, h, p_h = pair
     v = np.array(data.draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n)))
     v = np.sort(v)
@@ -125,12 +180,8 @@ def test_reduced_objective_equals_direct_substitution(pair, budget, eta, q, data
     p = _structured_p(h, p_h, n)
     if np.any(p[p > 0] < 1e-9):
         return  # nearly-zero mass makes the direct noise sum ill-conditioned
-    eps = optimal_epsilon(p, budget, v)
-    noise = float(np.sum(np.where(p > 0, p ** 2 / np.where(eps > 0, eps, 1.0) ** 2, 0.0)))
-    dev = float(np.abs(p - 1.0 / n).sum())
-    direct = eta * math.sqrt(dev * dev + q * noise) + eta * dev + budget
-    got = reduced_objective(h, p_h, budget, v, cfg)
-    assert got == pytest.approx(direct, rel=1e-9)
+    _, b, f = _fixed(p, v, cfg)
+    assert f == pytest.approx(float(_objective_at(p, v, cfg, b)[0]), rel=1e-9)
 
 
 @given(feasible_pairs())
@@ -141,17 +192,26 @@ def test_structured_deviation_is_the_exact_l1_distance(pair):
         float(np.abs(p - 1.0 / n).sum()), abs=1e-12)
 
 
-def test_objective_forms_agree_only_when_p_h_is_uniform():
-    v = np.array([0.4, 1.0, 2.5])
-    exact = ServerConfig(eta=1.0, q_coefficient=1.0, objective_form="exact_l1")
-    literal = ServerConfig(eta=1.0, q_coefficient=1.0,
-                           objective_form="paper_literal")
-    at_share = (3, 1.0 / 3.0, 1.2)
-    assert reduced_objective(*at_share, v, exact) == \
-        pytest.approx(reduced_objective(*at_share, v, literal), rel=1e-12)
-    off_share = (3, 0.1, 1.2)
-    assert reduced_objective(*off_share, v, literal) > \
-        reduced_objective(*off_share, v, exact)
+def test_paper_literal_never_reports_a_lower_objective(rng):
+    # 2(p1 - ph) >= 2(p1 - 1/N) on every candidate, with equality at
+    # p_h = 1/N, so paper_literal's optimum is never lower, and it equals
+    # exact_l1's wherever exact_l1's plan has p_h = 1/N (or h = 1)
+    n = 5
+    for eta in (0.3, 3.0, 300.0):
+        v = 2.0 * rng.uniform(0.05, 1.0, size=(60, n))
+        exact = solve_profiles(v, ServerConfig(eta=eta, grid_delta=1e-2))
+        literal = solve_profiles(v, ServerConfig(eta=eta, grid_delta=1e-2,
+                                                 objective_form="paper_literal"))
+        assert np.all(literal.objective_value
+                      >= exact.objective_value * (1 - 1e-12))
+        ranked = np.take_along_axis(exact.probabilities,
+                                    np.argsort(v, axis=1, kind="stable"), axis=1)
+        p_h = ranked[np.arange(v.shape[0]), exact.threshold - 1]
+        uniform_h = (exact.threshold == 1) | (p_h == 1.0 / n)
+        assert uniform_h.any()
+        np.testing.assert_allclose(literal.objective_value[uniform_h],
+                                   exact.objective_value[uniform_h],
+                                   rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +220,15 @@ def test_objective_forms_agree_only_when_p_h_is_uniform():
 
 def test_inner_budget_zero_deviation_closed_form():
     cfg = ServerConfig(eta=1.0, q_coefficient=1.0)
-    got = solve_inner_budget(1, 1.0, np.array([math.sqrt(2.0)]), cfg)
-    assert got == pytest.approx(B_STAR_QC2, rel=1e-9)
+    _, b, _ = _fixed([1.0], [math.sqrt(2.0)], cfg)
+    assert b == pytest.approx(B_STAR_QC2, rel=1e-9)
 
 
 def test_inner_budget_eta_zero_degenerates():
     cfg = ServerConfig(eta=0.0, q_coefficient=1.0)
-    assert solve_inner_budget(2, 0.25, np.array([0.5, 1.0]), cfg) == 0.0
+    eps, b, _ = _fixed([0.75, 0.25], [0.5, 1.0], cfg)
+    assert b == 0.0
+    assert np.all(eps == 0.0)
 
 
 @given(feasible_pairs(max_n=6), st.floats(0.05, 20.0), st.floats(0.2, 5.0),
@@ -184,7 +246,7 @@ def test_inner_budget_first_order_condition(pair, eta, q, data):
         w[1:h - 1] = v[1:h - 1] ** (2.0 / 3.0) / n ** (2.0 / 3.0)
         w[h - 1] = (v[h - 1] * p_h) ** (2.0 / 3.0)
     a = q * float(w.sum()) ** 3
-    b = solve_inner_budget(h, p_h, v, cfg)
+    _, b, _ = _fixed(_structured_p(h, p_h, n), v, cfg)
     lhs = eta * a / b ** 3
     rhs = math.sqrt(dev * dev + a / (b * b))
     assert lhs == pytest.approx(rhs, rel=1e-6)
@@ -199,15 +261,13 @@ def test_inner_budget_matches_exhaustive_grid():
         p_h = 1.0 / n if h == 1 else float(rng.uniform(0.0, 1.0 / n))
         cfg = ServerConfig(eta=float(rng.uniform(0.2, 4.0)),
                            q_coefficient=float(rng.uniform(0.2, 4.0)))
-        b_star = solve_inner_budget(h, p_h, v, cfg)
-        f_star = reduced_objective(h, p_h, b_star, v, cfg)
+        p = _structured_p(h, p_h, n)
+        _, b_star, f_star = _fixed(p, v, cfg)
         grid = np.exp(np.linspace(np.log(b_star) - 3, np.log(b_star) + 3, 10 ** 6))
-        f_grid = min(reduced_objective(h, p_h, float(b), v, cfg)
-                     for b in grid[:: 10 ** 3])  # coarse pass
+        f_grid = float(_objective_at(p, v, cfg, grid[:: 10 ** 3]).min())  # coarse pass
         lo = np.searchsorted(grid, b_star) - 2000
         fine = grid[max(lo, 0):lo + 4000]
-        f_grid = min(f_grid, min(reduced_objective(h, p_h, float(b), v, cfg)
-                                 for b in fine))
+        f_grid = min(f_grid, float(_objective_at(p, v, cfg, fine).min()))
         assert f_star <= f_grid * (1 + 1e-4)
         assert f_star == pytest.approx(f_grid, rel=1e-4)
 
@@ -215,6 +275,8 @@ def test_inner_budget_matches_exhaustive_grid():
 @given(feasible_pairs(max_n=6), st.floats(0.1, 10.0), st.floats(0.2, 5.0),
        st.data())
 def test_scalar_and_batched_budget_solvers_agree(pair, eta, q, data):
+    # the scalar reference is a golden-section search of the directly
+    # substituted objective over B, which knows nothing of the closed form
     n, h, p_h = pair
     v = np.sort(np.array(data.draw(
         st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))))
@@ -222,9 +284,16 @@ def test_scalar_and_batched_budget_solvers_agree(pair, eta, q, data):
     p = _structured_p(h, p_h, n)
     if np.any(p[p > 0] < 1e-12):
         return
-    b_scalar = solve_inner_budget(h, p_h, v, cfg)
-    _, b_batch, _ = fixed_probability_solve(p[None, :], v[None, :], cfg)
-    assert float(b_batch[0]) == pytest.approx(b_scalar, rel=1e-8)
+    _, b_batch, f_batch = _fixed(p, v, cfg)
+
+    def objective(b):
+        return _objective_at(p, v, cfg, b)
+
+    hi = float(objective(1.0)[0]) + 1.0  # f(B) >= B, so B* < f(1)
+    b_scalar, f_scalar = _golden_minimize(objective, np.array([1e-9]),
+                                          np.array([hi]), iters=80)
+    assert f_batch <= float(f_scalar[0]) * (1 + 1e-12)
+    assert b_batch == pytest.approx(float(b_scalar[0]), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -232,58 +301,69 @@ def test_scalar_and_batched_budget_solvers_agree(pair, eta, q, data):
 
 
 def test_single_client_plan(uniform01, basic_cfg):
-    outcome = jsam_solve(make_clients(uniform01, [0.4]), basic_cfg)
-    assert outcome.probabilities == pytest.approx([1.0])
-    assert outcome.threshold == 1
-    v = 0.8
-    assert outcome.privacy_budgets[0] == pytest.approx(
-        outcome.total_budget / v, rel=1e-9)
-    outcome.validate([v])
+    v = uniform01.virtual([0.4])
+    sol = solve_profiles(v[None, :], basic_cfg)
+    assert sol.probabilities[0] == pytest.approx([1.0])
+    assert sol.threshold[0] == 1
+    assert sol.privacy_budgets[0, 0] == pytest.approx(
+        sol.total_budget[0] / 0.8, rel=1e-9)
+    _validate_row(sol, v)
 
 
 def test_empty_client_list_rejected(basic_cfg):
     with pytest.raises(ValueError, match="empty"):
-        jsam_solve([], basic_cfg)
+        solve_profiles(np.empty((1, 0)), basic_cfg)
 
 
 def test_solver_output_validates_and_orders(uniform01, rng, basic_cfg):
     for _ in range(20):
         n = int(rng.integers(2, 9))
-        costs = rng.uniform(0.05, 1.0, n)
-        clients = make_clients(uniform01, costs)
-        outcome = jsam_solve(clients, basic_cfg)
-        outcome.validate([cl.virtual for cl in clients])
-        assert outcome.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
-        assert 1 <= outcome.threshold <= n
+        v = uniform01.virtual(rng.uniform(0.05, 1.0, n))
+        sol = solve_profiles(v[None, :], basic_cfg)
+        _validate_row(sol, v)
+        assert sol.probabilities[0].sum() == pytest.approx(1.0, abs=1e-9)
+        assert 1 <= sol.threshold[0] <= n
 
 
 def test_solver_is_deterministic(uniform01, basic_cfg):
-    clients = make_clients(uniform01, [0.3, 0.7, 0.12, 0.55])
-    a = jsam_solve(clients, basic_cfg)
-    b = jsam_solve(clients, basic_cfg)
+    v = uniform01.virtual([0.3, 0.7, 0.12, 0.55])[None, :]
+    a = solve_profiles(v, basic_cfg)
+    b = solve_profiles(v, basic_cfg)
     assert a.probabilities.tobytes() == b.probabilities.tobytes()
     assert a.privacy_budgets.tobytes() == b.privacy_budgets.tobytes()
-    assert a.total_budget == b.total_budget
-    assert a.objective_value == b.objective_value
+    assert a.total_budget.tobytes() == b.total_budget.tobytes()
+    assert a.objective_value.tobytes() == b.objective_value.tobytes()
 
 
 def test_eta_zero_plan_is_degenerate(uniform01):
     cfg = ServerConfig(eta=0.0, q_coefficient=1.0)
-    outcome = jsam_solve(make_clients(uniform01, [0.2, 0.5, 0.8]), cfg)
-    assert outcome.degenerate
-    assert outcome.total_budget == 0.0
-    assert np.all(outcome.privacy_budgets == 0.0)
-    assert outcome.threshold == 1
-    assert outcome.objective_value == 0.0
-    outcome.validate([0.4, 1.0, 1.6])
+    v = uniform01.virtual([0.5, 0.2, 0.8])
+    sol = solve_profiles(v[None, :], cfg)
+    assert sol.total_budget[0] == 0.0
+    assert np.all(sol.privacy_budgets == 0.0)
+    assert sol.threshold[0] == 1
+    assert sol.probabilities[0].tolist() == [0.0, 1.0, 0.0]  # the cheapest
+    assert sol.objective_value[0] == 0.0
+    _validate_row(sol, v, degenerate=True)
+
+
+def test_exact_tie_selects_the_lower_index():
+    # a one-client plan on v = [1, 1, 5]: the stable ranking puts the lower
+    # index of the tie first, whichever end of the profile it sits at
+    cfg = ServerConfig(eta=0.1, q_coefficient=1.0)
+    sol = solve_profiles([[1.0, 1.0, 5.0], [5.0, 1.0, 1.0]], cfg)
+    assert sol.threshold.tolist() == [1, 1]
+    assert sol.probabilities.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    degenerate = solve_profiles([[5.0, 1.0, 1.0]], ServerConfig(eta=0.0))
+    assert degenerate.probabilities.tolist() == [[0.0, 1.0, 0.0]]
 
 
 def test_large_eta_drives_the_plan_to_uniform(uniform01, rng):
     cfg = ServerConfig(eta=1e3, q_coefficient=1.0)
-    costs = rng.uniform(0.05, 1.0, 10)
-    outcome = jsam_solve(make_clients(uniform01, costs), cfg)
-    assert outcome.threshold == 10
-    assert np.max(np.abs(outcome.probabilities - 0.1)) <= cfg.grid_delta + 1e-12
+    v = uniform01.virtual(rng.uniform(0.05, 1.0, 10))
+    sol = solve_profiles(v[None, :], cfg)
+    assert sol.threshold[0] == 10
+    assert np.max(np.abs(sol.probabilities[0] - 0.1)) <= cfg.grid_delta + 1e-12
 
 
 def test_raising_a_virtual_cost_never_raises_selection(rng):
@@ -325,15 +405,28 @@ def test_threshold_counts_the_positive_probabilities(n, eta, rng):
                           np.count_nonzero(sol.probabilities > 0, axis=1))
 
 
-def test_batch_solver_matches_single_profile_solves(uniform01, rng, basic_cfg):
-    profiles = rng.uniform(0.05, 1.0, size=(12, 4))
-    batch = solve_profiles(2.0 * profiles, basic_cfg)
+@pytest.mark.parametrize("eta", [0.3, 3.0, 300.0])
+def test_kernel_rows_match_fixed_probability_solve(eta, rng):
+    # each row's budget split, B* and objective are those of the fixed-p
+    # solve at the row's chosen p
+    cfg = ServerConfig(eta=eta, q_coefficient=2.0, grid_delta=1e-2)
+    v = 2.0 * rng.uniform(0.05, 1.0, size=(40, 5))
+    sol = solve_profiles(v, cfg)
+    eps, b, f = fixed_probability_solve(sol.probabilities, v, cfg)
+    np.testing.assert_allclose(b, sol.total_budget, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(eps, sol.privacy_budgets, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(f, sol.objective_value, rtol=1e-12, atol=0.0)
+
+
+def test_batch_solver_matches_single_profile_solves(rng, basic_cfg):
+    v = 2.0 * rng.uniform(0.05, 1.0, size=(12, 4))
+    batch = solve_profiles(v, basic_cfg)
     for i in range(12):
-        single = jsam_solve(make_clients(uniform01, profiles[i]), basic_cfg)
+        single = solve_profiles(v[i][None, :], basic_cfg)
         assert batch.probabilities[i] == pytest.approx(
-            single.probabilities, abs=1e-12)
+            single.probabilities[0], abs=1e-12)
         assert float(batch.total_budget[i]) == pytest.approx(
-            single.total_budget, rel=1e-8)
+            float(single.total_budget[0]), rel=1e-8)
 
 
 def test_chunked_and_unchunked_batches_agree(basic_cfg, rng):
@@ -374,27 +467,14 @@ def test_structure_respects_the_given_order():
 
 
 def test_outcome_validate_catches_tampering(uniform01, basic_cfg):
-    clients = make_clients(uniform01, [0.2, 0.6, 0.9])
-    outcome = jsam_solve(clients, basic_cfg)
-    v = [cl.virtual for cl in clients]
-    bad = MechanismOutcome(
-        probabilities=outcome.probabilities * 1.1,
-        privacy_budgets=outcome.privacy_budgets,
-        total_budget=outcome.total_budget,
-        threshold=outcome.threshold,
-        objective_value=outcome.objective_value,
-        order=outcome.order)
+    v = uniform01.virtual([0.2, 0.6, 0.9])
+    sol = solve_profiles(v[None, :], basic_cfg)
+    p, eps, b = sol.probabilities[0], sol.privacy_budgets[0], float(sol.total_budget[0])
+    validate_plan(p, eps, b, v)
     with pytest.raises(ValueError):
-        bad.validate(v)
-    bad = MechanismOutcome(
-        probabilities=outcome.probabilities,
-        privacy_budgets=outcome.privacy_budgets * 2.0,
-        total_budget=outcome.total_budget,
-        threshold=outcome.threshold,
-        objective_value=outcome.objective_value,
-        order=outcome.order)
+        validate_plan(p * 1.1, eps, b, v)
     with pytest.raises(ValueError, match="budget identity"):
-        bad.validate(v)
+        validate_plan(p, eps * 2.0, b, v)
 
 
 # ---------------------------------------------------------------------------

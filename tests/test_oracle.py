@@ -1,13 +1,15 @@
 """Independent-search oracles versus the closed-form solver."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jsam.costs import UniformCosts, make_clients
-from jsam.mechanism import ServerConfig, jsam_solve, optimal_epsilon
+from jsam.cli import main
+from jsam.costs import UniformCosts
+from jsam.mechanism import ServerConfig, optimal_epsilon
 from jsam.oracle import (brute_force_solve, cross_check,
                          lagrangian_budget_split, slack)
 
@@ -67,6 +69,29 @@ def test_brute_force_eta_zero_costs_nothing():
     assert result.total_budget == 0.0
 
 
+def test_cross_check_passes_at_eta_zero_with_the_cheapest_client_not_last():
+    # every p ties at f = B = 0; the oracle must still report the plan with
+    # the threshold structure, all mass on the cheapest client
+    cfg = ServerConfig(eta=0.0, q_coefficient=1.0)
+    for v in ([1.0, 0.4, 2.0], [2.0, 1.5, 0.5, 1.0], [0.7, 0.7, 0.3]):
+        report = cross_check(v, cfg, grid_step=0.05)
+        assert report.passed and report.structure_ok, report.structure_clause
+        assert report.brute.probabilities.tolist() == \
+            report.jsam.probabilities[0].tolist()
+
+
+def test_audit_passes_at_eta_zero(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "clients": 3, "server": {"eta": 0.0, "q_coefficient": 1.0},
+        "train": {"rounds": 50, "per_round": 2},
+        "task": {"samples_per_client": 20, "test_size": 50}}))
+    out = tmp_path / "audit.txt"
+    assert main(["audit", "--config", str(cfg_path), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 6 and all(line.startswith("ok: ") for line in lines)
+
+
 def test_brute_force_guards():
     cfg = ServerConfig()
     with pytest.raises(ValueError, match="N <= 5"):
@@ -88,8 +113,8 @@ def test_brute_force_evaluation_count():
 
 def test_two_client_example_brackets_the_solver(uniform01):
     cfg = ServerConfig(eta=1.0, q_coefficient=1.0)
-    clients = make_clients(uniform01, [0.2, 1.0])  # v = (0.4, 2.0)
-    report = cross_check(clients, cfg, grid_step=0.01)
+    v = uniform01.virtual([0.2, 1.0])  # (0.4, 2.0)
+    report = cross_check(v, cfg, grid_step=0.01)
     assert report.passed
     assert report.structure_ok
     assert report.brute_objective <= report.jsam_objective + report.tolerance
@@ -98,16 +123,16 @@ def test_two_client_example_brackets_the_solver(uniform01):
 def test_near_tie_instance_is_deterministic():
     cfg = ServerConfig(eta=1.0, q_coefficient=1.0)
     dist = UniformCosts(0.0, 10.0)
-    clients = make_clients(dist, [0.5, 0.5 + 5e-10, 2.5])  # v = (1, 1+1e-9, 5)
-    first = cross_check(clients, cfg, grid_step=0.02)
-    second = cross_check(clients, cfg, grid_step=0.02)
+    v = dist.virtual([0.5, 0.5 + 5e-10, 2.5])  # (1, 1+1e-9, 5)
+    first = cross_check(v, cfg, grid_step=0.02)
+    second = cross_check(v, cfg, grid_step=0.02)
     assert first.passed and second.passed
     assert first.brute.probabilities.tobytes() == second.brute.probabilities.tobytes()
 
 
 def test_cross_check_rejects_large_instances(uniform01, basic_cfg):
     with pytest.raises(ValueError, match="N <= 4"):
-        cross_check(make_clients(uniform01, [0.1] * 5), basic_cfg)
+        cross_check(uniform01.virtual([0.1] * 5), basic_cfg)
 
 
 def test_slack_formula():
@@ -120,6 +145,6 @@ def test_brute_force_tracks_the_solver_on_random_instances(uniform01, rng):
         costs = rng.uniform(0.05, 1.0, n)
         cfg = ServerConfig(eta=float(rng.uniform(0.3, 2.5)),
                            q_coefficient=float(rng.uniform(0.3, 2.5)))
-        report = cross_check(make_clients(uniform01, costs), cfg, grid_step=0.02)
+        report = cross_check(uniform01.virtual(costs), cfg, grid_step=0.02)
         assert report.passed, (report.objective_gap, report.tolerance,
                                report.structure_clause)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from jsam.costs import UniformCosts
-from jsam.mechanism import ServerConfig, jsam_solve, solve_profiles
-from jsam.costs import make_clients
+from jsam.mechanism import ServerConfig, solve_profiles
 from jsam.payments import (InterimAllocation, expost_payments,
                            interim_allocation, payment, verify_ic, verify_ir,
                            verify_monotone_allocation)
@@ -76,8 +75,8 @@ def test_single_client_interim_is_the_deterministic_curve():
     dist = UniformCosts(0.2, 1.0)
     interim = interim_allocation(1, dist, 1, FAST, grid_size=8, samples=3, seed=5)
     for z, e in zip(interim.grid, interim.budgets):
-        outcome = jsam_solve(make_clients(dist, [z]), FAST)
-        assert e == pytest.approx(outcome.privacy_budgets[0], rel=1e-9)
+        sol = solve_profiles(dist.virtual([z])[None, :], FAST)
+        assert e == pytest.approx(sol.privacy_budgets[0, 0], rel=1e-9)
 
 
 def test_interim_curve_is_monotone_and_lowest_at_the_top(uniform01):

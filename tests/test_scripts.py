@@ -1,0 +1,70 @@
+"""Smoke runs of the scripts under scripts/ on a tiny config."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+TINY = {
+    "clients": 4,
+    "costs": {"kind": "uniform", "lower": 0.1, "upper": 1.0},
+    "server": {"grid_delta": 0.01},
+    "train": {"rounds": 6, "per_round": 2},
+    "task": {"feature_dim": 3, "classes": 3, "samples_per_client": 12,
+             "test_size": 30},
+    "payment_grid": 20,
+}
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tiny_config(tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY))
+    return path
+
+
+def _rows(path):
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [dict(zip(header.split(","), r.split(",")))
+                               for r in rows]
+
+
+def test_eta_sweep_writes_one_plan_row_per_eta_and_seed(tiny_config, tmp_path):
+    script = _load("eta_sweep")
+    out = tmp_path / "sweep.csv"
+    assert script.main(["--config", str(tiny_config), "--eta", "1", "100",
+                        "--seeds", "0", "1", "--out", str(out)]) == 0
+    header, rows = _rows(out)
+    assert header == script.HEADER.split(",")
+    assert [(r["eta"], r["seed"]) for r in rows] == \
+        [("1.0", "0"), ("1.0", "1"), ("100.0", "0"), ("100.0", "1")]
+    for r in rows:
+        assert 1 <= int(r["selected_count"]) <= TINY["clients"]
+        assert float(r["total_payment"]) > 0
+
+
+def test_accuracy_vs_cost_matches_each_baseline_to_the_jsam_spend(tiny_config,
+                                                                  tmp_path):
+    script = _load("accuracy_vs_cost")
+    out = tmp_path / "accuracy.csv"
+    assert script.main(["--config", str(tiny_config), "--eta", "30",
+                        "--mechanism", "jsam,usbm", "--seeds", "0",
+                        "--out", str(out)]) == 0
+    header, rows = _rows(out)
+    assert header == script.HEADER.split(",")
+    assert [r["mechanism"] for r in rows] == ["jsam", "usbm"]
+    jsam, usbm = (float(r["total_payment"]) for r in rows)
+    assert usbm == pytest.approx(jsam, rel=1e-3)  # match_eta_to_cost's rel_tol
+    for r in rows:
+        assert 0.0 <= float(r["final_test_accuracy"]) <= 1.0
+        assert r["diverged"] == "0"
