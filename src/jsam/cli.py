@@ -75,7 +75,6 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         "seed": seed,
         "eta": scfg.eta,
         "q_coefficient": scfg.q_coefficient,
-        "objective_form": scfg.objective_form,
         "sensitivities": [float(c) for c in costs],
         "virtual_costs": [float(v) for v in np.atleast_1d(dist.virtual(costs))],
         "probabilities": [float(x) for x in plan.probabilities],
@@ -113,7 +112,7 @@ def simulate_one(cfg: ExperimentConfig, name, seed, eta=None):
     run_id = f"{name}-s{cfg.train.similarity}-eta{scfg.eta:g}-seed{seed}"
     record = train(task, shards, plan, schedule, cfg.train,
                    seeding.derive(seed, seeding.NOISE, tag), w0=w0,
-                   run_id=run_id, mechanism=name, seed=seed)
+                   run_id=run_id, seed=seed)
     return record, plan
 
 
@@ -248,7 +247,6 @@ def _parse_args(argv):
         p.add_argument("--seed", type=int, help="override the seed list")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--mechanism", help="comma-separated mechanism list")
-        p.add_argument("--objective-form", choices=["exact_l1", "paper_literal"])
     return parser.parse_args(argv)
 
 
@@ -265,8 +263,6 @@ def main(argv=None) -> int:
             cfg.seeds = [args.seed]
         if args.mechanism is not None:
             cfg.mechanisms = [m.strip() for m in args.mechanism.split(",") if m.strip()]
-        if args.objective_form is not None:
-            cfg.server.objective_form = args.objective_form
         if args.out is not None:
             cfg.out = args.out
         validate(cfg)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .costs import CostDistribution, TruncatedGaussianCosts, UniformCosts
 from .flsim import TrainSettings, parse_mechanism
-from .mechanism import OBJECTIVE_FORMS, ServerConfig
+from .mechanism import ServerConfig
 
 
 class ConfigError(ValueError):
@@ -55,7 +55,6 @@ class ServerSpec:
     q_coefficient: float | None = None  # None: derive from the noise model
     smoothness: float = 1.0
     grid_delta: float = 1e-3
-    objective_form: str = "exact_l1"
 
 
 @dataclass
@@ -184,8 +183,6 @@ def validate(cfg: ExperimentConfig) -> None:
              "q_coefficient must be > 0 when given")
     _require(srv.smoothness > 0, "smoothness must be > 0")
     _require(0 < srv.grid_delta <= 1, "grid_delta must lie in (0, 1]")
-    _require(srv.objective_form in OBJECTIVE_FORMS,
-             f"objective_form must be one of {OBJECTIVE_FORMS}")
 
     tr = cfg.train
     _require(tr.rounds >= 1, "train.rounds must be >= 1")
@@ -233,10 +230,8 @@ def server_config(cfg: ExperimentConfig, eta: float | None = None) -> ServerConf
     eta = cfg.server.eta if eta is None else eta
     if cfg.server.q_coefficient is not None:
         return ServerConfig(eta=eta, q_coefficient=cfg.server.q_coefficient,
-                            grid_delta=cfg.server.grid_delta,
-                            objective_form=cfg.server.objective_form)
+                            grid_delta=cfg.server.grid_delta)
     return ServerConfig.from_noise_model(
         eta=eta, c2=cfg.train.c2, delta=cfg.train.delta,
         dimension=cfg.task.weight_dim, iterations=cfg.train.rounds,
-        smoothness=cfg.server.smoothness, grid_delta=cfg.server.grid_delta,
-        objective_form=cfg.server.objective_form)
+        smoothness=cfg.server.smoothness, grid_delta=cfg.server.grid_delta)

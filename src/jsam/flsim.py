@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostDistribution
-from .mechanism import ServerConfig, fixed_probability_solve, solve_profiles
+from .mechanism import (BatchSolution, ServerConfig, fixed_probability_solve,
+                        solve_profiles)
 from .payments import expost_payments
 
 MECHANISM_KINDS = ("jsam", "usbm", "fsbm", "bbm", "jsam_ci")
@@ -273,102 +274,71 @@ def initial_local_losses(task: SyntheticTask, shards, w) -> np.ndarray:
                      for s in shards])
 
 
-def _report_virtuals(costs, dist):
-    """(k, z) -> the (z.size, N) virtual-cost profiles with client k reporting z.
+def _allocation_rule(kind, subset, n, bbm_losses, cfg: ServerConfig):
+    """The mechanism's allocation as one batched rule: (reports, virtual
+    costs) profiles of shape (rows, N) -> BatchSolution."""
+    if kind in ("jsam", "jsam_ci"):
+        # jsam_ci solves against the reported costs themselves
+        return lambda reports, virtuals: solve_profiles(
+            virtuals if kind == "jsam" else reports, cfg)
+    if kind == "fsbm":
+        if subset > n:
+            raise ValueError("fsbm subset larger than the client count")
 
-    The rivals' virtual costs are computed once; only column k changes.
-    """
-    base = dist.virtual(costs)
-
-    def virtuals_of(k, z):
-        profiles = np.tile(base, (z.size, 1))
-        profiles[:, k] = dist.virtual(z)
-        return profiles
-
-    return virtuals_of
-
-
-def _jsam_eps_of_report(costs, dist, cfg):
-    virtuals_of = _report_virtuals(np.asarray(costs, dtype=float), dist)
-
-    def eps_fn(k, z):
-        return solve_profiles(virtuals_of(k, z), cfg).privacy_budgets[:, k]
-
-    return eps_fn
-
-
-def _fixed_p_eps_of_report(costs, dist, cfg, probabilities_of=None, p_fixed=None):
-    costs = np.asarray(costs, dtype=float)
-    virtuals_of = _report_virtuals(costs, dist)
-
-    def eps_fn(k, z):
-        virtuals = virtuals_of(k, z)
-        if p_fixed is not None:
-            p = np.broadcast_to(p_fixed, virtuals.shape)
+        def probabilities(reports):
+            order = np.argsort(reports, axis=1, kind="stable")
+            p = np.zeros_like(reports)
+            np.put_along_axis(p, order[:, :subset], 1.0 / subset, axis=1)
+            return p
+    else:
+        if kind == "usbm":
+            p_fixed = np.full(n, 1.0 / n)
         else:
-            profiles = np.tile(costs, (z.size, 1))
-            profiles[:, k] = z
-            p = probabilities_of(profiles)
-        eps, _, _ = fixed_probability_solve(p, virtuals, cfg)
-        return eps[:, k]
+            if bbm_losses is None:
+                raise ValueError("bbm needs probe losses for the initial model")
+            losses = np.asarray(bbm_losses, dtype=float)
+            if losses.size != n or np.any(losses <= 0):
+                raise ValueError("bbm probe losses must be positive, one per client")
+            p_fixed = losses / losses.sum()
 
-    return eps_fn
+        def probabilities(reports):
+            return np.broadcast_to(p_fixed, reports.shape)
 
+    def rule(reports, virtuals):
+        p = probabilities(reports)
+        eps, budget, objective = fixed_probability_solve(p, virtuals, cfg)
+        return BatchSolution(p, eps, budget, None, objective)
 
-def _fsbm_probabilities(subset_size):
-    def probabilities_of(profiles):
-        order = np.argsort(profiles, axis=1, kind="stable")
-        p = np.zeros_like(profiles)
-        np.put_along_axis(p, order[:, :subset_size], 1.0 / subset_size, axis=1)
-        return p
-
-    return probabilities_of
+    return rule
 
 
 def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
               bbm_losses=None, payment_grid: int = 200) -> SelectionPlan:
     """Build the selection plan and its payments for any mechanism kind.
 
-    Payments are envelope payments against the realized rival reports (their
-    expectation over rivals is the interim rule), except jsam_ci, which pays
-    the reported cost outright: c_k * eps_k, leaving no information rent.
+    The plan is the mechanism's allocation rule on the truthful profile, and
+    each client's payment curve is the same rule with that client's report
+    varied and the rivals' virtual costs computed once. Payments are envelope
+    payments against the realized rival reports (their expectation over
+    rivals is the interim rule), except jsam_ci, which pays the reported cost
+    outright: c_k * eps_k, leaving no information rent.
     """
     kind, subset = parse_mechanism(name)
     costs = np.asarray(costs, dtype=float)
     n = costs.size
     if np.any(costs <= dist.lower) and dist.virtual(dist.lower) <= 0:
         raise ValueError("cost at the support boundary has zero virtual cost")
+    rule = _allocation_rule(kind, subset, n, bbm_losses, cfg)
+    virtuals = dist.virtual(costs)
+    sol = rule(costs[None, :], virtuals[None, :])
+    eps = sol.privacy_budgets[0]
 
-    threshold = None
-    if kind in ("jsam", "jsam_ci"):
-        # jsam_ci solves against the reported costs themselves
-        v = dist.virtual(costs) if kind == "jsam" else costs
-        sol = solve_profiles(v[None, :], cfg)
-        p, eps, budget = sol.probabilities[0], sol.privacy_budgets[0], float(sol.total_budget[0])
-        objective, threshold = float(sol.objective_value[0]), int(sol.threshold[0])
-        eps_fn = _jsam_eps_of_report(costs, dist, cfg) if kind == "jsam" else None
-    elif kind == "usbm":
-        p = np.full(n, 1.0 / n)
-        eps, budget, objective = _fixed_plan(p, costs, dist, cfg)
-        eps_fn = _fixed_p_eps_of_report(costs, dist, cfg, p_fixed=p)
-    elif kind == "fsbm":
-        if subset > n:
-            raise ValueError("fsbm subset larger than the client count")
-        p = _fsbm_probabilities(subset)(costs[None, :])[0]
-        eps, budget, objective = _fixed_plan(p, costs, dist, cfg)
-        eps_fn = _fixed_p_eps_of_report(costs, dist, cfg,
-                                        probabilities_of=_fsbm_probabilities(subset))
-    elif kind == "bbm":
-        if bbm_losses is None:
-            raise ValueError("bbm needs probe losses for the initial model")
-        losses = np.asarray(bbm_losses, dtype=float)
-        if losses.size != n or np.any(losses <= 0):
-            raise ValueError("bbm probe losses must be positive, one per client")
-        p = losses / losses.sum()
-        eps, budget, objective = _fixed_plan(p, costs, dist, cfg)
-        eps_fn = _fixed_p_eps_of_report(costs, dist, cfg, p_fixed=p)
-    else:  # pragma: no cover - parse_mechanism already rejects
-        raise ValueError(kind)
+    def eps_of_report(k, z):
+        reports = np.tile(costs, (z.size, 1))
+        reports[:, k] = z
+        profiles = np.tile(virtuals, (z.size, 1))
+        profiles[:, k] = dist.virtual(z)
+        return rule(reports, profiles).privacy_budgets[:, k]
 
     degenerate = cfg.eta == 0
     if kind == "jsam_ci":
@@ -378,18 +348,14 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
         payments = np.zeros(n)
         errors = np.zeros(n)
     else:
-        payments, errors = expost_payments(costs, eps, dist.upper, eps_fn,
+        payments, errors = expost_payments(costs, eps, dist.upper, eps_of_report,
                                            grid_size=payment_grid)
-    return SelectionPlan(kind=name, eta=cfg.eta, probabilities=p, epsilons=eps,
-                         total_budget=budget, payments=payments,
-                         payment_errors=errors, objective=objective,
-                         threshold=threshold, degenerate=degenerate)
-
-
-def _fixed_plan(p, costs, dist, cfg):
-    virtuals = dist.virtual(costs)
-    eps, budget, objective = fixed_probability_solve(p[None, :], virtuals[None, :], cfg)
-    return eps[0], float(budget[0]), float(objective[0])
+    return SelectionPlan(kind=name, eta=cfg.eta, probabilities=sol.probabilities[0],
+                         epsilons=eps, total_budget=float(sol.total_budget[0]),
+                         payments=payments, payment_errors=errors,
+                         objective=float(sol.objective_value[0]),
+                         threshold=None if sol.threshold is None else int(sol.threshold[0]),
+                         degenerate=degenerate)
 
 
 def match_eta_to_cost(target_cost, plan_fn, lo=1e-8, hi=None, iters=60,
@@ -480,8 +446,7 @@ def _stack_shards(task: SyntheticTask, shards):
 
 def train(task: SyntheticTask, shards, plan: SelectionPlan,
           schedule: SelectionSchedule, settings: TrainSettings,
-          rng: np.random.Generator, w0=None, run_id="run", mechanism=None,
-          seed=0) -> RunRecord:
+          rng: np.random.Generator, w0=None, run_id="run", seed=0) -> RunRecord:
     """Run the full pre-scheduled DP-FL protocol and record per-round metrics.
 
     The shards must be non-empty and of equal size; they are stacked once,
@@ -523,7 +488,7 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
                                                      task.classes)
     return RunRecord(
         run_id=run_id,
-        mechanism=mechanism if mechanism is not None else plan.kind,
+        mechanism=plan.kind,
         seed=seed,
         similarity=settings.similarity,
         eta=plan.eta,

@@ -16,10 +16,8 @@ c = (sum_k (v_k p_k)^{2/3})^3, and the remaining (p_1, p_h, B) search is a
 grid over (h, m) plus the closed-form minimizing B of the convex 1-D
 objective.
 
-`dev` is the L1 distance between p and the uniform distribution. Under the
-threshold structure it equals 2*(p_1 - 1/N); the alternative form
-2*(p_1 - p_h) is kept behind `objective_form="paper_literal"` because the two
-differ whenever p_h < 1/N.
+`dev` is the L1 distance between p and the uniform distribution, which under
+the threshold structure equals 2*(p_1 - 1/N).
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ _TWO_THIRDS = 2.0 / 3.0
 _TWO_OVER_ROOT3 = 2.0 / math.sqrt(3.0)
 _HALF_THREE_ROOT3 = 1.5 * math.sqrt(3.0)
 
-OBJECTIVE_FORMS = ("exact_l1", "paper_literal")
-
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -47,7 +43,6 @@ class ServerConfig:
     eta: float = 1.0
     q_coefficient: float = 1.0
     grid_delta: float = 1e-3
-    objective_form: str = "exact_l1"
 
     def __post_init__(self):
         if self.eta < 0:
@@ -56,20 +51,17 @@ class ServerConfig:
             raise ValueError("q_coefficient must be > 0")
         if not 0 < self.grid_delta <= 1:
             raise ValueError("grid_delta must lie in (0, 1]")
-        if self.objective_form not in OBJECTIVE_FORMS:
-            raise ValueError(f"objective_form must be one of {OBJECTIVE_FORMS}")
 
     @classmethod
     def from_noise_model(cls, eta, c2, delta, dimension, iterations, smoothness,
-                         grid_delta=1e-3, objective_form="exact_l1"):
+                         grid_delta=1e-3):
         """Build the config with Q = 2*c2^2*ln(1/delta)*D*sqrt(T)*L."""
         if not 0 < delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if c2 <= 0 or dimension <= 0 or iterations <= 0 or smoothness <= 0:
             raise ValueError("c2, dimension, iterations, smoothness must be > 0")
         q = 2.0 * c2 ** 2 * math.log(1.0 / delta) * dimension * math.sqrt(iterations) * smoothness
-        return cls(eta=eta, q_coefficient=q, grid_delta=grid_delta,
-                   objective_form=objective_form)
+        return cls(eta=eta, q_coefficient=q, grid_delta=grid_delta)
 
 
 @dataclass(frozen=True)
@@ -170,10 +162,11 @@ def _budget_and_objective(dev, a, eta):
 
 @dataclass
 class BatchSolution:
-    """jsam solutions for a batch of cost profiles, original client order.
+    """Plans for a batch of cost profiles, original client order.
 
     `threshold` is the position h, in ascending virtual-cost order, of the
-    last client with positive selection probability.
+    last client with positive selection probability (None for plans with
+    fixed selection probabilities, which have no threshold).
     """
 
     probabilities: np.ndarray   # (B, N)
@@ -186,14 +179,13 @@ class BatchSolution:
 def _candidate_grid(n, cfg: ServerConfig):
     """(h, p1, ph) triples in h-ascending, m-ascending order.
 
-    h = 1 admits only p_1 = 1 (stored with the p_h = 1/n placeholder, which
-    also makes both deviation forms agree there). For h >= 2 the grid walks
-    p_1 = i/n + m*delta, p_h = 1/n - m*delta with i = n + 1 - h, for every m
-    with p_h > 0: a p_h = 0 candidate repeats the distribution of (h - 1,
-    m = 0), or of h = 1 when h = 2, so keeping it would let rounding decide
-    which threshold a plan reports. The m range counts the steps strictly
-    below 1/n, with 1/(n*delta) read as an integer when it is one up to
-    rounding.
+    h = 1 admits only p_1 = 1 (stored with a p_h = 1/n placeholder that no
+    plan reads). For h >= 2 the grid walks p_1 = i/n + m*delta,
+    p_h = 1/n - m*delta with i = n + 1 - h, for every m with p_h > 0: a
+    p_h = 0 candidate repeats the distribution of (h - 1, m = 0), or of
+    h = 1 when h = 2, so keeping it would let rounding decide which
+    threshold a plan reports. The m range counts the steps strictly below
+    1/n, with 1/(n*delta) read as an integer when it is one up to rounding.
     """
     share = 1.0 / n
     steps = math.ceil((1.0 - 1e-12) / (n * cfg.grid_delta)) if n >= 2 else 0
@@ -238,10 +230,7 @@ def _solve_block(v, cfg: ServerConfig, grid) -> BatchSolution:
 
     h, p1, ph = grid
     share = 1.0 / n
-    if cfg.objective_form == "paper_literal":
-        dev = 2.0 * (p1 - ph)
-    else:
-        dev = 2.0 * (p1 - share)
+    dev = 2.0 * (p1 - share)
 
     # noise coefficient per (profile, candidate), cubed at the end
     v23 = vs ** _TWO_THIRDS
@@ -284,9 +273,9 @@ def _solve_block(v, cfg: ServerConfig, grid) -> BatchSolution:
 def fixed_probability_solve(p, v, cfg: ServerConfig):
     """Inner-optimize B and eps for fixed selection distributions, batched.
 
-    Used by fixed-probability baselines. The deviation term is the exact L1
-    distance to uniform regardless of objective_form, since arbitrary p need
-    not follow the threshold structure. p and v are (B, N); returns
+    Used by fixed-probability baselines. The deviation term is the L1
+    distance to uniform summed over all clients, since arbitrary p need not
+    follow the threshold structure. p and v are (B, N); returns
     (eps (B, N), budgets (B,), objectives (B,)).
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))

@@ -30,6 +30,13 @@ from .mechanism import ServerConfig, solve_profiles
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
+def _trapezoid_error(e, step) -> float:
+    """Composite-trapezoid error estimate step * sum|second differences| / 12."""
+    if e.size < 3:
+        return 0.0
+    return float(step * np.abs(np.diff(e, 2)).sum() / 12.0)
+
+
 @dataclass
 class InterimAllocation:
     """Monte-Carlo estimate of one client's report -> expected budget curve."""
@@ -46,12 +53,8 @@ class InterimAllocation:
 
     def quadrature_error(self, lower=None) -> float:
         """Composite-trapezoid error estimate from second differences."""
-        sel = slice(None) if lower is None else self.grid >= lower
-        e = self.budgets[sel] if lower is not None else self.budgets
-        if e.size < 3:
-            return 0.0
-        h = (self.grid[-1] - self.grid[0]) / (self.grid.size - 1)
-        return float(h * np.abs(np.diff(e, 2)).sum() / 12.0)
+        e = self.budgets if lower is None else self.budgets[self.grid >= lower]
+        return _trapezoid_error(e, (self.grid[-1] - self.grid[0]) / (self.grid.size - 1))
 
 
 def interim_allocation(k, dist: CostDistribution, n_clients, cfg: ServerConfig,
@@ -199,7 +202,5 @@ def expost_payments(costs, budgets, support_upper, eps_of_report,
         z = np.linspace(costs[k], support_upper, grid_size)
         e = np.asarray(eps_of_report(k, z), dtype=float)
         pis[k] = float(_trapezoid(e, z)) + costs[k] * float(e[0])
-        if e.size >= 3:
-            h = (support_upper - costs[k]) / (grid_size - 1)
-            errs[k] = h * np.abs(np.diff(e, 2)).sum() / 12.0
+        errs[k] = _trapezoid_error(e, (support_upper - costs[k]) / (grid_size - 1))
     return pis, errs

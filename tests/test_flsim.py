@@ -453,7 +453,7 @@ def _toy_run(rng, plan_eps, rounds=6, noiseless=False, lr=0.3):
                              noiseless=noiseless)
     schedule = build_schedule(plan.probabilities, rounds, 2, rng)
     record = train(task, shards, plan, schedule, settings, rng, run_id="t",
-                   mechanism="usbm", seed=0)
+                   seed=0)
     return record, plan
 
 

@@ -1,5 +1,6 @@
 """Golden `jsam solve` outputs, the budget root against its Newton reference,
-and the payment-curve skip against computing every curve.
+the payment-curve skip against computing every curve, and each payment curve
+against the plan it prices.
 
 `golden_solve.json` holds the plans of the pinned configs below as written
 before the closed-form budget root, the payment-curve skip and the
@@ -17,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jsam import flsim
 from jsam.cli import main
 from jsam.costs import TruncatedGaussianCosts, UniformCosts
-from jsam.flsim import (_fixed_p_eps_of_report, _fsbm_probabilities,
-                        _jsam_eps_of_report, make_plan)
+from jsam.flsim import make_plan
 from jsam.mechanism import ServerConfig, _budget_root_sq
 from jsam.payments import expost_payments
 
@@ -107,22 +108,36 @@ def test_closed_form_root_matches_newton_across_branches():
             np.testing.assert_allclose(got, want, rtol=ROOT_RTOL, atol=0.0)
 
 
-@pytest.mark.parametrize("mechanism", ["jsam", "fsbm-10"])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_skipped_payment_curves_are_exactly_zero(mechanism, seed):
+def priced_plan(monkeypatch, mechanism, seed, grid=200):
+    """(costs, dist, plan, the eps_of_report curve make_plan passed to expost_payments)."""
     if mechanism == "jsam":
         dist = UniformCosts(0.0, 1.0)
     else:
         dist = TruncatedGaussianCosts(0.5, 0.2, 0.05, 1.0)
     cfg = ServerConfig(eta=1000.0, q_coefficient=6e4)
-    costs = dist.sample(np.random.default_rng(seed), size=30)
+    rng = np.random.default_rng(seed)
+    costs = dist.sample(rng, size=30)
+    losses = rng.uniform(0.5, 2.0, size=30) if mechanism == "bbm" else None
+    curves = []
+
+    def capture(costs, budgets, support_upper, eps_of_report, grid_size):
+        curves.append(eps_of_report)
+        return expost_payments(costs, budgets, support_upper, eps_of_report,
+                               grid_size=grid_size)
+
+    monkeypatch.setattr(flsim, "expost_payments", capture)
+    plan = make_plan(mechanism, costs, dist, cfg, bbm_losses=losses,
+                     payment_grid=grid)
+    (eps_fn,) = curves
+    return costs, dist, plan, eps_fn
+
+
+@pytest.mark.parametrize("mechanism", ["jsam", "fsbm-10"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_skipped_payment_curves_are_exactly_zero(mechanism, seed, monkeypatch):
     grid = 200
-    budgets = make_plan(mechanism, costs, dist, cfg, payment_grid=grid).epsilons
-    if mechanism == "jsam":
-        eps_fn = _jsam_eps_of_report(costs, dist, cfg)
-    else:
-        eps_fn = _fixed_p_eps_of_report(costs, dist, cfg,
-                                        probabilities_of=_fsbm_probabilities(10))
+    costs, dist, plan, eps_fn = priced_plan(monkeypatch, mechanism, seed, grid)
+    budgets = plan.epsilons
     skipped = np.nonzero(budgets == 0)[0]
     assert 0 < skipped.size < costs.size
     for k in skipped:
@@ -134,6 +149,16 @@ def test_skipped_payment_curves_are_exactly_zero(mechanism, seed):
     fast = expost_payments(costs, budgets, dist.upper, eps_fn, grid_size=grid)
     assert full[0].tobytes() == fast[0].tobytes()
     assert full[1].tobytes() == fast[1].tobytes()
+
+
+@pytest.mark.parametrize("mechanism", ["jsam", "usbm", "fsbm-10", "bbm"])
+def test_payment_curve_at_the_true_cost_is_the_plans_budget(mechanism, monkeypatch):
+    # the plan and its payment curves are one rule, so each curve evaluated
+    # at the client's true cost returns the plan's budget bit for bit
+    costs, _, plan, eps_fn = priced_plan(monkeypatch, mechanism, seed=0)
+    at_truth = np.array([eps_fn(k, costs[k:k + 1])[0] for k in range(costs.size)])
+    assert at_truth.tobytes() == plan.epsilons.tobytes()
+    assert np.count_nonzero(at_truth) > 0
 
 
 if __name__ == "__main__":

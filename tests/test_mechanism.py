@@ -192,28 +192,6 @@ def test_structured_deviation_is_the_exact_l1_distance(pair):
         float(np.abs(p - 1.0 / n).sum()), abs=1e-12)
 
 
-def test_paper_literal_never_reports_a_lower_objective(rng):
-    # 2(p1 - ph) >= 2(p1 - 1/N) on every candidate, with equality at
-    # p_h = 1/N, so paper_literal's optimum is never lower, and it equals
-    # exact_l1's wherever exact_l1's plan has p_h = 1/N (or h = 1)
-    n = 5
-    for eta in (0.3, 3.0, 300.0):
-        v = 2.0 * rng.uniform(0.05, 1.0, size=(60, n))
-        exact = solve_profiles(v, ServerConfig(eta=eta, grid_delta=1e-2))
-        literal = solve_profiles(v, ServerConfig(eta=eta, grid_delta=1e-2,
-                                                 objective_form="paper_literal"))
-        assert np.all(literal.objective_value
-                      >= exact.objective_value * (1 - 1e-12))
-        ranked = np.take_along_axis(exact.probabilities,
-                                    np.argsort(v, axis=1, kind="stable"), axis=1)
-        p_h = ranked[np.arange(v.shape[0]), exact.threshold - 1]
-        uniform_h = (exact.threshold == 1) | (p_h == 1.0 / n)
-        assert uniform_h.any()
-        np.testing.assert_allclose(literal.objective_value[uniform_h],
-                                   exact.objective_value[uniform_h],
-                                   rtol=1e-12, atol=0.0)
-
-
 # ---------------------------------------------------------------------------
 # inner budget minimization
 
@@ -488,8 +466,6 @@ def test_server_config_validation_messages():
         ServerConfig(q_coefficient=0.0)
     with pytest.raises(ValueError, match="grid_delta"):
         ServerConfig(grid_delta=0.0)
-    with pytest.raises(ValueError, match="objective_form"):
-        ServerConfig(objective_form="other")
 
 
 def test_noise_model_coefficient():
