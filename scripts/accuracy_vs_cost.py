@@ -10,9 +10,9 @@ an accuracy-vs-cost scatter.
 import argparse
 import sys
 
-from jsam.cli import sample_costs, simulate_one
+from jsam.cli import probe_inputs, sample_costs, simulate_one
 from jsam.config import from_dict, load, server_config, validate
-from jsam.flsim import make_plan, match_eta_to_cost
+from jsam.flsim import initial_local_losses, make_plan, match_eta_to_cost
 
 DEFAULTS = {
     "clients": 10,
@@ -33,8 +33,11 @@ def run(cfg, etas, mechanisms, out):
     for eta in etas:
         for seed in cfg.seeds:
             costs = sample_costs(cfg, dist, seed)
+            bbm_losses = (initial_local_losses(*probe_inputs(cfg, seed))
+                          if "bbm" in mechanisms else None)
             anchor = make_plan("jsam", costs, dist,
                                server_config(cfg, eta=eta),
+                               bbm_losses=bbm_losses,
                                payment_grid=cfg.payment_grid)
             for name in mechanisms:
                 if name == "jsam":
@@ -43,6 +46,7 @@ def run(cfg, etas, mechanisms, out):
                     def plan_at(e, _name=name):
                         return make_plan(_name, costs, dist,
                                          server_config(cfg, eta=e),
+                                         bbm_losses=bbm_losses,
                                          payment_grid=cfg.payment_grid)
 
                     used_eta, _ = match_eta_to_cost(anchor.total_payment,

@@ -6,15 +6,15 @@ from .mechanism import (BatchSolution, ServerConfig, StructureReport,
                         solve_profiles, verify_structure)
 from .oracle import (BruteForceResult, CrossCheckReport, brute_force_solve,
                      cross_check, lagrangian_budget_split)
-from .payments import (ICReport, InterimAllocation, MonotoneReport,
-                       PaymentQuote, expost_payments, interim_allocation,
-                       payment, verify_ic, verify_ir,
-                       verify_monotone_allocation)
+from .payments import (InterimAllocation, PaymentQuote, expost_payments,
+                       interim_allocation, payment)
 from .flsim import (PartitionPlan, RunRecord, SelectionPlan, SelectionSchedule,
                     SyntheticTask, TrainSettings, build_schedule,
                     initial_local_losses, local_noisy_gradient, make_plan,
                     make_task, match_eta_to_cost, model_loss, noise_sigma,
                     parse_mechanism, partition_noniid, test_metrics, train)
+from .audit import (Verdict, budget_identity, grid_vs_brute_force,
+                    interim_monotone, noise_calibration, truthfulness)
 from .config import (ConfigError, CostSpec, ExperimentConfig, ServerSpec,
                      TaskSpec, from_dict, load, server_config, to_dict,
                      validate)

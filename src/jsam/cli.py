@@ -8,16 +8,13 @@ import sys
 
 import numpy as np
 
-from . import seeding
+from . import audit, seeding
 from .config import (ConfigError, ExperimentConfig, from_dict, load,
                      server_config, validate)
 from .flsim import (RunRecord, SelectionPlan, build_schedule,
-                    initial_local_losses, make_plan, make_task, noise_sigma,
+                    initial_local_losses, make_plan, make_task,
                     partition_noniid, train)
-from .mechanism import optimal_epsilon
-from .oracle import cross_check
-from .payments import (interim_allocation, payment, verify_ic, verify_ir,
-                       verify_monotone_allocation)
+from .payments import interim_allocation
 
 
 def sample_costs(cfg: ExperimentConfig, dist, seed):
@@ -32,7 +29,7 @@ def sample_costs(cfg: ExperimentConfig, dist, seed):
     return dist.sample(rng, size=cfg.clients)
 
 
-def _probe_inputs(cfg: ExperimentConfig, seed):
+def probe_inputs(cfg: ExperimentConfig, seed):
     """The seed's (task, client shards, initial weights): bbm's probe and training."""
     task = make_task(cfg.task.feature_dim, cfg.task.classes,
                      cfg.clients * cfg.task.samples_per_client,
@@ -68,7 +65,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     dist = cfg.costs.build()
     costs = sample_costs(cfg, dist, seed)
     scfg = server_config(cfg)
-    probe = _probe_inputs(cfg, seed) if name == "bbm" else None
+    probe = probe_inputs(cfg, seed) if name == "bbm" else None
     plan = _plan_for(cfg, name, dist, costs, scfg, probe)
     doc = {
         "mechanism": name,
@@ -103,7 +100,7 @@ def simulate_one(cfg: ExperimentConfig, name, seed, eta=None):
     scfg = server_config(cfg, eta=eta)
     if scfg.eta == 0:
         raise ConfigError("eta must be > 0 to simulate")
-    task, shards, w0 = probe = _probe_inputs(cfg, seed)
+    task, shards, w0 = probe = probe_inputs(cfg, seed)
     plan = _plan_for(cfg, name, dist, costs, scfg, probe)
     tag = seeding.mechanism_tag(name)
     schedule = build_schedule(plan.probabilities, cfg.train.rounds,
@@ -147,82 +144,28 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _audit_checks(cfg: ExperimentConfig):
+def cmd_audit(cfg: ExperimentConfig) -> int:
     if cfg.clients > 4:
         raise ConfigError("clients must be <= 4 for audit (oracle guard)")
-    seed = cfg.seeds[0]
-    dist = cfg.costs.build()
-    scfg = server_config(cfg)
-    checks = []
-
-    rng = seeding.derive(seed, seeding.COSTS)
-    worst = 0.0
-    for _ in range(500):
-        n = int(rng.integers(1, 7))
-        p = rng.dirichlet(np.ones(n))
-        v = rng.uniform(0.05, 2.0, size=n)
-        b = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-        eps = optimal_epsilon(p, b, v)
-        worst = max(worst, abs(float(np.sum(v * eps)) - b) / b)
-    checks.append(("budget-identity", worst <= 1e-9, f"max rel err {worst:.2e}"))
-
-    ok = True
-    detail = ""
-    for i in range(3):
-        costs = dist.sample(seeding.derive(seed, seeding.COSTS, 10 + i),
-                            size=cfg.clients)
-        report = cross_check(dist.virtual(costs), scfg)
-        if not report.passed:
-            ok = False
-            detail = (f"instance {i}: gap {report.objective_gap:.3e} "
-                      f"tol {report.tolerance:.3e} "
-                      f"structure={report.structure_ok}")
-            break
-    checks.append(("grid-vs-brute-force", ok, detail or "3 instances"))
-
+    seed, dist, scfg = cfg.seeds[0], cfg.costs.build(), server_config(cfg)
+    instances = [(dist.virtual(dist.sample(seeding.derive(seed, seeding.COSTS, 10 + i),
+                                           size=cfg.clients)), scfg) for i in range(3)]
     mc_seed = int(seeding.derive(seed, seeding.INTERIM).integers(2 ** 31))
     interim = interim_allocation(1, dist, cfg.clients, scfg, grid_size=60,
                                  samples=600, seed=mc_seed)
-    mono = verify_monotone_allocation(interim)
-    checks.append(("interim-monotone", mono.passed,
-                   f"max increase {mono.max_increase:.3e} tol {mono.tolerance:.3e}"))
-
     rng = seeding.derive(seed, seeding.COSTS, 99)
     lo, hi = interim.grid[0], interim.grid[-1]
-    ic_ok, ir_ok = True, True
-    for _ in range(10):
-        c = float(rng.uniform(lo, hi))
-        reports = rng.uniform(lo, hi, size=10)
-        if not verify_ic(c, reports, interim).passed:
-            ic_ok = False
-        quote = payment(c, interim)
-        if not verify_ir(c, quote.amount, float(interim.at(c))):
-            ir_ok = False
-    checks.append(("incentive-compatibility", ic_ok, "10 costs x 10 misreports"))
-    checks.append(("individual-rationality", ir_ok, "10 sampled costs"))
-
-    rng = seeding.derive(seed, seeding.COSTS, 7)
-    worst = 0.0
-    for _ in range(200):
-        t_k = int(rng.integers(1, 1000))
-        eps = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
-        sigma = noise_sigma(t_k, eps, cfg.train.delta, cfg.train.c2)
-        back = cfg.train.c2 * np.sqrt(t_k * np.log(1.0 / cfg.train.delta)) / sigma
-        worst = max(worst, abs(back - eps) / eps)
-    checks.append(("noise-calibration", worst <= 1e-9, f"max rel err {worst:.2e}"))
-    return checks
-
-
-def cmd_audit(cfg: ExperimentConfig) -> int:
-    checks = _audit_checks(cfg)
-    lines = []
-    failed = False
-    for name, ok, detail in checks:
-        status = "ok" if ok else "FAIL"
-        failed = failed or not ok
-        lines.append(f"{status}: {name} ({detail})" if detail else f"{status}: {name}")
-    _write("\n".join(lines) + "\n", cfg.out)
-    return 1 if failed else 0
+    draws = [(rng.uniform(lo, hi), rng.uniform(lo, hi, size=10)) for _ in range(10)]
+    verdicts = [audit.budget_identity(seeding.derive(seed, seeding.COSTS)),
+                audit.grid_vs_brute_force(instances),
+                audit.interim_monotone(interim),
+                *audit.truthfulness(interim, *zip(*draws)),
+                audit.noise_calibration(seeding.derive(seed, seeding.COSTS, 7),
+                                        cfg.train.delta, cfg.train.c2)]
+    _write("".join(f"{'ok' if v.passed else 'FAIL'}: {v.name} (measured "
+                   f"{v.measured:.3e}, tolerance {v.tolerance:.3e})\n"
+                   for v in verdicts), cfg.out)
+    return 0 if all(v.passed for v in verdicts) else 1
 
 
 _AUDIT_DEFAULT = {

@@ -2,9 +2,11 @@
 
 Nothing here evaluates the closed-form budget split or the threshold-grid
 search. The inner problem (min sum p^2/eps^2 subject to sum v*eps = B) is
-solved by a Lagrangian scan with numeric per-coordinate root finds, the outer
-budget problem by golden-section search, and the selection problem by plain
-enumeration of a simplex grid.
+solved by numeric per-coordinate root finds of its stationarity conditions
+at one multiplier, the outer budget problem by golden-section search, and
+the selection problem by plain enumeration of a simplex grid. One multiplier
+suffices: at multiplier lam every root of lam*v*eps^3 = 2p^2 scales by the
+same lam^(-1/3), which rescaling the roots to spend exactly B cancels.
 """
 
 from __future__ import annotations
@@ -18,16 +20,21 @@ import numpy as np
 from .mechanism import (BatchSolution, ServerConfig, solve_profiles,
                         verify_structure)
 
+_BRACKET = (1e-12, 1e12)
+_REL_TOL = 1e-13
+# halvings of log(hi/lo) down to a relative width of tol: 49
+_STEPS = math.ceil(math.log2(math.log(_BRACKET[1] / _BRACKET[0]) / math.log1p(_REL_TOL)))
 
-def lagrangian_budget_split(p, v, total_budget, lam_iters=64, eps_iters=48,
-                            bracket=(1e-12, 1e12)):
-    """min sum p^2/eps^2 s.t. sum v*eps = B, by bisection on the multiplier.
 
-    For a trial multiplier lam, each coordinate's stationarity condition
-    lam*v*eps^3 = 2 p^2 is solved by log-space bisection on the fixed bracket;
-    the multiplier is then bisected until the spend matches B, and the result
-    is rescaled so feasibility holds exactly. Returns (eps, objective) with
-    leading batch dimensions preserved. Coordinates with p = 0 get eps = 0.
+def lagrangian_budget_split(p, v, total_budget):
+    """min sum p^2/eps^2 s.t. sum v*eps = B, by log-space bisection.
+
+    Each selected coordinate's condition v*eps^3 = 2 p^2 is solved at a unit
+    multiplier to relative tolerance 1e-13, then all are rescaled to spend B;
+    any other multiplier scales every root alike, which the rescale cancels.
+    A root at an end of the fixed bracket raises ArithmeticError. Returns
+    (eps, objective) with leading batch dimensions preserved; coordinates
+    with p = 0 get eps = 0.
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     v = np.broadcast_to(np.asarray(v, dtype=float), p.shape)
@@ -41,43 +48,31 @@ def lagrangian_budget_split(p, v, total_budget, lam_iters=64, eps_iters=48,
 
     mask = p > 0
     two_p2 = 2.0 * p * p
-
-    def coordinate_roots(lam):
-        # geometric-midpoint bisection, i.e. bisection on the log axis
-        lo = np.full(p.shape, bracket[0])
-        hi = np.full(p.shape, bracket[1])
-        for _ in range(eps_iters):
-            mid = np.sqrt(lo * hi)
-            low = lam * v * mid * mid * mid < two_p2
-            lo = np.where(low, mid, lo)
-            hi = np.where(low, hi, mid)
-        return np.where(mask, np.sqrt(lo * hi), 0.0)
-
-    llo = np.full(p.shape[0], bracket[0])
-    lhi = np.full(p.shape[0], bracket[1])
-    for _ in range(lam_iters):
-        lmid = np.sqrt(llo * lhi)
-        spend = (v * coordinate_roots(lmid[:, None])).sum(axis=1)
-        over = spend > total_budget  # multiplier too small, budgets too generous
-        llo = np.where(over, lmid, llo)
-        lhi = np.where(over, lhi, lmid)
-    eps = coordinate_roots(np.sqrt(llo * lhi)[:, None])
+    lo, hi = (np.full(p.shape, end) for end in _BRACKET)
+    for _ in range(_STEPS):
+        mid = np.sqrt(lo * hi)  # geometric midpoint: bisection on the log axis
+        low = v * mid * mid * mid < two_p2
+        lo = np.where(low, mid, lo)
+        hi = np.where(low, hi, mid)
+    if np.any(mask & ((lo == _BRACKET[0]) | (hi == _BRACKET[1]))):
+        raise ArithmeticError("stationary budget outside the search bracket")
+    eps = np.where(mask, np.sqrt(lo * hi), 0.0)
     eps *= (total_budget / (v * eps).sum(axis=1))[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         objective = np.where(mask, p * p / (eps * eps), 0.0).sum(axis=1)
     return eps, objective
 
 
-def _golden_minimize(fn, lo, hi, iters=60):
+def _golden_minimize(fn, lo, hi):
     """Vectorized golden-section minimum of a unimodal fn on [lo, hi].
 
-    Evaluates both interior points each iteration; fn is cheap enough that
-    the simpler bookkeeping wins.
+    Sixty steps shrink the bracket by 0.618^60 (3e-13). Evaluates both
+    interior points each step; fn is cheap enough that this is simpler.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a = np.asarray(lo, dtype=float).copy()
     b = np.asarray(hi, dtype=float).copy()
-    for _ in range(iters):
+    for _ in range(60):
         c = b - invphi * (b - a)
         d = a + invphi * (b - a)
         shrink_right = fn(c) < fn(d)
@@ -152,8 +147,7 @@ def brute_force_solve(v, cfg: ServerConfig, grid_step: float = 0.01) -> BruteFor
     for numerators in _composition_chunks(resolution, n):
         p = numerators / resolution
         dev = np.abs(p - share).sum(axis=1)
-        eps1, d1 = lagrangian_budget_split(p, v, 1.0, lam_iters=28, eps_iters=22,
-                                           bracket=(1e-9, 1e9))
+        eps1, d1 = lagrangian_budget_split(p, v, 1.0)
         a = cfg.q_coefficient * d1
         dev2 = dev * dev
 

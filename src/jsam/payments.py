@@ -1,4 +1,4 @@
-"""Payment rule and incentive audits for the selection mechanism.
+"""Payment rule for the selection mechanism.
 
 The allocation rule here is a client's interim privacy budget: its expected
 budget as a function of its own reported sensitivity, averaged over rivals'
@@ -19,7 +19,6 @@ moderate sample counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,57 +116,6 @@ def payment(c, interim: InterimAllocation) -> PaymentQuote:
             tail += float(_trapezoid(e[j + 1:], grid[j + 1:]))
     return PaymentQuote(amount=tail + c * e_at_c,
                         quadrature_error=interim.quadrature_error(lower=c))
-
-
-def verify_ir(c, payment_amount, budget, tol: float = 1e-6) -> bool:
-    """Participation is worthwhile: payment covers the privacy cost c*eps."""
-    return bool(payment_amount - c * budget >= -tol)
-
-
-@dataclass(frozen=True)
-class ICReport:
-    passed: bool
-    worst_gain: float      # best misreport utility minus truthful utility
-    tolerance: float
-    truthful_utility: float
-
-
-def verify_ic(c_true, misreports, interim: InterimAllocation,
-              tol: float | None = None) -> ICReport:
-    """Check that no sampled misreport beats truth-telling in utility.
-
-    tol defaults to the Monte-Carlo slack 3/sqrt(S) plus the curve's
-    quadrature error estimate.
-    """
-    if tol is None:
-        tol = 3.0 / math.sqrt(interim.samples) + interim.quadrature_error()
-    truth = payment(c_true, interim).amount - c_true * float(interim.at(c_true))
-    worst = -math.inf
-    for r in np.atleast_1d(np.asarray(misreports, dtype=float)):
-        u = payment(float(r), interim).amount - c_true * float(interim.at(r))
-        worst = max(worst, u - truth)
-    return ICReport(passed=bool(worst <= tol), worst_gain=float(worst),
-                    tolerance=float(tol), truthful_utility=float(truth))
-
-
-@dataclass(frozen=True)
-class MonotoneReport:
-    passed: bool
-    max_increase: float
-    tolerance: float
-    at_index: int | None
-
-
-def verify_monotone_allocation(interim: InterimAllocation,
-                               tol: float | None = None) -> MonotoneReport:
-    """Interim budgets must weakly decrease in the report, up to MC noise."""
-    if tol is None:
-        tol = 3.0 / math.sqrt(interim.samples)
-    rises = np.diff(interim.budgets)
-    worst = float(rises.max(initial=0.0))
-    idx = int(np.argmax(rises)) if rises.size else None
-    return MonotoneReport(passed=bool(worst <= tol), max_increase=worst,
-                          tolerance=float(tol), at_index=idx)
 
 
 def expost_payments(costs, budgets, support_upper, eps_of_report,

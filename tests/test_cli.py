@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import jsam
-from jsam import config
+from jsam import audit, config
 from jsam.cli import main
 from jsam.mechanism import verify_structure
 
@@ -213,11 +213,27 @@ def test_sweep_without_grid_is_a_config_error(tmp_path, capsys):
 # audit
 
 
+AUDIT_NAMES = ["budget-identity", "grid-vs-brute-force", "interim-monotone",
+               "incentive-compatibility", "individual-rationality",
+               "noise-calibration"]
+
+
 def test_audit_default_config_passes(capsys):
     assert main(["audit"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 6
+    assert [line.split()[1] for line in out] == AUDIT_NAMES
     assert all(line.startswith("ok:") for line in out)
+
+
+def test_audit_exits_1_when_a_verdict_fails(monkeypatch, capsys):
+    monkeypatch.setattr(audit, "interim_monotone",
+                        lambda interim: audit.Verdict("interim-monotone",
+                                                      1.0, 0.0))
+    assert main(["audit"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == \
+        ["ok", "ok", "FAIL", "ok", "ok", "ok"]
+    assert out[2].startswith("FAIL: interim-monotone (measured 1.000e+00")
 
 
 def test_audit_refuses_large_instances(tmp_path, capsys):

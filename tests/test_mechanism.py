@@ -269,7 +269,7 @@ def test_scalar_and_batched_budget_solvers_agree(pair, eta, q, data):
 
     hi = float(objective(1.0)[0]) + 1.0  # f(B) >= B, so B* < f(1)
     b_scalar, f_scalar = _golden_minimize(objective, np.array([1e-9]),
-                                          np.array([hi]), iters=80)
+                                          np.array([hi]))
     assert f_batch <= float(f_scalar[0]) * (1 + 1e-12)
     assert b_batch == pytest.approx(float(b_scalar[0]), rel=1e-6)
 

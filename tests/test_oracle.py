@@ -13,15 +13,13 @@ from jsam.mechanism import ServerConfig, optimal_epsilon
 from jsam.oracle import (brute_force_solve, cross_check,
                          lagrangian_budget_split, slack)
 
-PRECISE = dict(lam_iters=90, eps_iters=70, bracket=(1e-14, 1e14))
-
 
 @given(st.integers(1, 6), st.floats(0.1, 10.0), st.data())
 def test_lagrangian_split_reproduces_the_closed_form(n, budget, data):
     p = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
     p = p / p.sum()
     v = np.array(data.draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n)))
-    eps, _ = lagrangian_budget_split(p, v, budget, **PRECISE)
+    eps, _ = lagrangian_budget_split(p, v, budget)
     ref = optimal_epsilon(p, budget, v)
     assert np.max(np.abs(eps[0] - ref) / ref) <= 1e-5
 
@@ -31,7 +29,7 @@ def test_independent_search_never_beats_the_closed_form(n, budget, data):
     p = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
     p = p / p.sum()
     v = np.array(data.draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n)))
-    _, noise = lagrangian_budget_split(p, v, budget, **PRECISE)
+    _, noise = lagrangian_budget_split(p, v, budget)
     ref = optimal_epsilon(p, budget, v)
     closed = float(np.sum(p ** 2 / ref ** 2))
     assert float(noise[0]) >= closed * (1 - 1e-9)
@@ -41,7 +39,7 @@ def test_independent_search_never_beats_the_closed_form(n, budget, data):
 def test_lagrangian_split_handles_excluded_clients():
     p = np.array([0.7, 0.0, 0.3])
     v = np.array([0.5, 2.0, 1.0])
-    eps, _ = lagrangian_budget_split(p, v, 2.0, **PRECISE)
+    eps, _ = lagrangian_budget_split(p, v, 2.0)
     assert eps[0, 1] == 0.0
     assert np.max(np.abs(eps[0] - optimal_epsilon(p, 2.0, v))) <= 1e-6
 
@@ -51,6 +49,12 @@ def test_lagrangian_split_rejects_bad_inputs():
         lagrangian_budget_split(np.array([0.5, 0.5]), np.array([1.0, 1.0]), 0.0)
     with pytest.raises(ValueError):
         lagrangian_budget_split(np.array([0.5, 0.5]), np.array([1.0, -1.0]), 1.0)
+
+
+def test_lagrangian_split_fails_loudly_outside_its_bracket():
+    # the closed form gives eps_1 = 2.15e13, past the bracket's 1e12 end
+    with pytest.raises(ArithmeticError, match="bracket"):
+        lagrangian_budget_split([[0.5, 0.5]], [1e-40, 1.0], 1.0)
 
 
 def test_brute_force_single_client_budget():

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from jsam.audit import interim_monotone, truthfulness
 from jsam.costs import UniformCosts
 from jsam.mechanism import ServerConfig, solve_profiles
 from jsam.payments import (InterimAllocation, expost_payments,
-                           interim_allocation, payment, verify_ic, verify_ir,
-                           verify_monotone_allocation)
+                           interim_allocation, payment)
 
 # coarse solver grid keeps Monte-Carlo tests fast; fineness is orthogonal here
 FAST = ServerConfig(eta=1.0, q_coefficient=1.0, grid_delta=1e-2)
@@ -42,33 +42,39 @@ def test_payment_outside_the_grid_is_rejected():
 
 
 def test_ir_examples():
-    assert verify_ir(0.5, 0.375, 0.5)
-    assert verify_ir(0.9, 0.0, 0.0)
-    assert not verify_ir(0.5, 0.1, 0.5)
+    # IR fails only where the tail integral of the budget curve is negative
+    grid = np.linspace(0.0, 1.0, 101)
+    _, ir = truthfulness(_linear_rule(), [0.5, 0.9], [[], []])
+    assert ir.passed and ir.measured == pytest.approx(-0.005, abs=1e-9)
+    negative_tail = InterimAllocation(1, grid, 0.5 - grid, samples=10 ** 6, seed=0)
+    _, ir = truthfulness(negative_tail, [0.2], [[]])
+    # shortfall: -integral_{0.2}^1 (0.5 - z) dz = 0.08
+    assert not ir.passed and ir.measured == pytest.approx(0.08, abs=1e-9)
 
 
 def test_ic_hand_integration_of_the_linear_rule():
-    interim = _linear_rule()
-    report = verify_ic(0.5, [0.8], interim, tol=1e-9)
-    assert report.passed
-    assert report.truthful_utility == pytest.approx(0.125, abs=1e-9)
-    # misreport utility: integral_{0.8}^1 (1-z) dz + (0.8 - 0.5) * 0.2 = 0.08
-    assert report.worst_gain == pytest.approx(0.08 - 0.125, abs=1e-9)
+    ic, ir = truthfulness(_linear_rule(), [0.5], [[0.8]])
+    assert ic.passed and ic.tolerance == pytest.approx(0.003, abs=1e-12)
+    # truthful utility 0.125; misreport utility:
+    # integral_{0.8}^1 (1-z) dz + (0.8 - 0.5) * 0.2 = 0.08
+    assert ic.measured == pytest.approx(0.08 - 0.125, abs=1e-9)
+    assert ir.measured == pytest.approx(-0.125, abs=1e-9)
 
 
 def test_ic_constant_rule_is_report_independent():
     grid = np.linspace(0.0, 1.0, 51)
     interim = InterimAllocation(1, grid, np.full(51, 0.4), samples=10 ** 6, seed=0)
-    report = verify_ic(0.3, np.linspace(0.0, 1.0, 17), interim, tol=1e-12)
-    assert report.passed
-    assert report.worst_gain == pytest.approx(0.0, abs=1e-12)
+    ic, _ = truthfulness(interim, [0.3], [np.linspace(0.0, 1.0, 17)])
+    assert ic.passed
+    assert ic.measured == pytest.approx(0.0, abs=1e-12)
 
 
 def test_increasing_rule_fails_both_audits():
     grid = np.linspace(0.0, 1.0, 51)
     interim = InterimAllocation(1, grid, grid.copy(), samples=10 ** 6, seed=0)
-    assert not verify_monotone_allocation(interim, tol=1e-9).passed
-    assert not verify_ic(0.2, [0.9], interim, tol=1e-6).passed
+    assert not interim_monotone(interim).passed
+    ic, _ = truthfulness(interim, [0.2], [[0.9]])
+    assert not ic.passed
 
 
 def test_single_client_interim_is_the_deterministic_curve():
@@ -82,8 +88,8 @@ def test_single_client_interim_is_the_deterministic_curve():
 def test_interim_curve_is_monotone_and_lowest_at_the_top(uniform01):
     interim = interim_allocation(1, uniform01, 3, FAST, grid_size=40,
                                  samples=400, seed=9)
-    mono = verify_monotone_allocation(interim)
-    assert mono.passed, (mono.max_increase, mono.tolerance)
+    mono = interim_monotone(interim)
+    assert mono.passed, mono
     tol = 3.0 / np.sqrt(interim.samples)
     assert np.all(interim.budgets[-1] <= interim.budgets + tol)
 

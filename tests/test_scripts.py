@@ -53,18 +53,20 @@ def test_eta_sweep_writes_one_plan_row_per_eta_and_seed(tiny_config, tmp_path):
         assert float(r["total_payment"]) > 0
 
 
-def test_accuracy_vs_cost_matches_each_baseline_to_the_jsam_spend(tiny_config,
-                                                                  tmp_path):
+@pytest.mark.parametrize("mechanisms", ["jsam,usbm", "jsam,usbm,bbm"])
+def test_accuracy_vs_cost_matches_each_baseline_to_the_jsam_spend(
+        tiny_config, tmp_path, mechanisms):
     script = _load("accuracy_vs_cost")
     out = tmp_path / "accuracy.csv"
     assert script.main(["--config", str(tiny_config), "--eta", "30",
-                        "--mechanism", "jsam,usbm", "--seeds", "0",
+                        "--mechanism", mechanisms, "--seeds", "0",
                         "--out", str(out)]) == 0
     header, rows = _rows(out)
     assert header == script.HEADER.split(",")
-    assert [r["mechanism"] for r in rows] == ["jsam", "usbm"]
-    jsam, usbm = (float(r["total_payment"]) for r in rows)
-    assert usbm == pytest.approx(jsam, rel=1e-3)  # match_eta_to_cost's rel_tol
+    assert [r["mechanism"] for r in rows] == mechanisms.split(",")
+    jsam, *baselines = (float(r["total_payment"]) for r in rows)
+    for spend in baselines:  # within match_eta_to_cost's rel_tol
+        assert spend == pytest.approx(jsam, rel=1e-3)
     for r in rows:
         assert 0.0 <= float(r["final_test_accuracy"]) <= 1.0
         assert r["diverged"] == "0"
