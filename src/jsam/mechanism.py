@@ -14,7 +14,8 @@ subject to sum_k v_k eps_k = B. The eps minimization has the closed form in
 `optimal_epsilon`; substituting it reduces the noise term to Q*c/B^2 with
 c = (sum_k (v_k p_k)^{2/3})^3, and the remaining (p_1, p_h, B) search is a
 grid over (h, m) plus the closed-form minimizing B of the convex 1-D
-objective.
+objective. A lower bound of the objective on each block of m rules out most
+of the grid, so only the blocks that can still win are solved.
 
 `dev` is the L1 distance between p and the uniform distribution, which under
 the threshold structure equals 2*(p_1 - 1/N).
@@ -30,6 +31,9 @@ import numpy as np
 _TWO_THIRDS = 2.0 / 3.0
 _TWO_OVER_ROOT3 = 2.0 / math.sqrt(3.0)
 _HALF_THREE_ROOT3 = 1.5 * math.sqrt(3.0)
+# most m per bounded block (`_blocks`); relative margin on a bound for rounding
+_BLOCK = 32
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -154,10 +158,17 @@ def _budget_root_sq(dev2, a, eta):
 
 def _budget_and_objective(dev, a, eta):
     """B* and the objective eta*sqrt(dev^2 + a/B*^2) + eta*dev + B* at it."""
+    if not np.all(a > 0):
+        raise ValueError("noise coefficient Q*c is not positive: the virtual "
+                         "costs are too small (or not numbers) to plan with")
     dev2 = dev * dev
     bsq = _budget_root_sq(dev2, a, eta)
     b = np.sqrt(bsq)
-    return b, eta * np.sqrt(dev2 + a / bsq) + eta * dev + b
+    f = eta * np.sqrt(dev2 + a / bsq) + eta * dev + b
+    if not np.all(np.isfinite(f)):
+        raise ValueError("objective is not finite: eta, q_coefficient or the "
+                         "virtual costs overflow")
+    return b, f
 
 
 @dataclass
@@ -201,11 +212,12 @@ def solve_profiles(virtual_costs, cfg: ServerConfig,
     """Run the grid solver on a (B, N) batch of positive virtual costs.
 
     Clients are ranked by a stable argsort, so of two equal virtual costs
-    the lower index ranks first. Work proceeds in row chunks sized so no
-    intermediate exceeds `max_elements` floats (2 MB), which keeps each
-    chunk's arrays near the cache instead of streaming them through memory.
-    At eta = 0 every plan is the degenerate one: the cheapest client alone,
-    with B = 0 and no privacy budgets.
+    the lower index ranks first. Rows are solved in chunks of at most
+    `max_elements` (row, candidate) pairs. Each plan is the first minimiser
+    of the objective over the grid in h-, then m-ascending order, found with
+    a lower bound per block of m (`_blocks`) so that only blocks that can
+    still win are solved. At eta = 0 every plan is the degenerate one: the
+    cheapest client alone, with B = 0 and no privacy budgets.
     """
     v = np.atleast_2d(np.asarray(virtual_costs, dtype=float))
     batch, n = v.shape
@@ -223,6 +235,43 @@ def solve_profiles(virtual_costs, cfg: ServerConfig,
     return _solve_block(v, cfg, grid)
 
 
+def _blocks(vs, cfg: ServerConfig, grid):
+    """The grid in blocks for sorted rows `vs`, with a lower bound of f on each.
+
+    Block 0 is h = 1; each later one is up to `_BLOCK` consecutive m of one
+    h (its last m repeated to fill the width), in h-, then m-ascending order.
+    Returns the candidates `cand` (blocks, width); the bound, (B*, f) at each
+    (row, block)'s first-m dev and least c (exact for h = 1); and `solve`,
+    (r, j) -> (B*, f) of rows r over blocks j, per element as a dense
+    evaluation. min_B f rises with dev and with a = Q*c, dev with m, and
+    c^(1/3) is concave in m (p_1 + p_h is fixed for one h): least at an end.
+    """
+    batch, n = vs.shape
+    h, p1, ph = grid
+    steps = (h.size - 1) // max(n - 1, 1)
+    width = max(1, min(steps, _BLOCK))
+    m = np.minimum(np.arange(-(-steps // width) * width), steps - 1)
+    cand = np.concatenate([np.zeros((1, width), dtype=int),
+                           (1 + steps * np.arange(n - 1)[:, None] + m).reshape(-1, width)])
+    g = h[cand[:, 0]] - 1
+    dev = (2.0 * (p1 - 1.0 / n))[cand]
+    p1_23, ph_23 = (p1 ** _TWO_THIRDS)[cand], (ph ** _TWO_THIRDS)[cand]
+    # per (row, h): v_h^(2/3) (0 for h = 1) and the sum over clients at 1/N
+    v23 = vs ** _TWO_THIRDS
+    prefix = np.cumsum(v23, axis=1)
+    vh = np.concatenate([np.zeros((batch, 1)), v23[:, 1:]], axis=1)
+    mid = (prefix[:, np.maximum(np.arange(n) - 1, 0)] - prefix[:, :1]) / n ** _TWO_THIRDS
+
+    def solve(r, j):
+        inner = (v23[r, :1] * p1_23[j] + vh[r, g[j]][:, None] * ph_23[j]
+                 + mid[r, g[j]][:, None])
+        return _budget_and_objective(dev[j], cfg.q_coefficient * inner ** 3, cfg.eta)
+
+    low = np.minimum(*(v23[:, :1] * p1_23[:, e] + vh[:, g] * ph_23[:, e] + mid[:, g]
+                       for e in (0, -1)))
+    return cand, _budget_and_objective(dev[:, 0], cfg.q_coefficient * low ** 3, cfg.eta), solve
+
+
 def _solve_block(v, cfg: ServerConfig, grid) -> BatchSolution:
     batch, n = v.shape
     order = np.argsort(v, axis=1, kind="stable")
@@ -230,44 +279,44 @@ def _solve_block(v, cfg: ServerConfig, grid) -> BatchSolution:
 
     h, p1, ph = grid
     share = 1.0 / n
-    dev = 2.0 * (p1 - share)
-
-    # noise coefficient per (profile, candidate), cubed at the end
-    v23 = vs ** _TWO_THIRDS
-    prefix = np.concatenate([np.zeros((batch, 1)), np.cumsum(v23, axis=1)], axis=1)
-    first = v23[:, :1] * p1[None, :] ** _TWO_THIRDS
-    hterm = np.where(h == 1, 0.0,
-                     np.take_along_axis(v23, np.broadcast_to((h - 1)[None, :],
-                                                             (batch, h.size)), axis=1)
-                     * ph[None, :] ** _TWO_THIRDS)
-    mid = (prefix[:, np.maximum(h - 1, 1)] - prefix[:, 1:2]) / n ** _TWO_THIRDS
-    coef = (first + hterm + mid) ** 3
-
+    rows = np.arange(batch)
     if cfg.eta == 0:
         best = np.zeros(batch, dtype=int)  # ties at f = B = 0; h = 1 wins
-        b = f = np.zeros((batch, h.size))
+        b_star, f_star = np.zeros(batch), np.zeros(batch)
     else:
-        # `a` stays bound until the block returns: freeing it mid-block
-        # lets the allocator trim the heap, and payment curves then paid
-        # about 50% more page faults per make_plan
-        a = cfg.q_coefficient * coef
-        b, f = _budget_and_objective(dev, a, cfg.eta)
-        best = np.argmin(f, axis=1)
+        # h = 1 (its bound is exact) and the later block of least bound give
+        # the incumbent, then each block whose bound less the margin is <= it
+        # is solved. Per (row, block): least f, its B* and candidate.
+        cand, (b_tab, bound), solve = _blocks(vs, cfg, grid)
+        f_tab = np.where(np.arange(bound.shape[1]) == 0, bound, np.inf)
+        c_tab = np.zeros(bound.shape, dtype=int)
 
-    rows = np.arange(batch)
+        def settle(r, j):
+            b, f = solve(r, j)
+            m = np.argmin(f, axis=1)
+            k = np.arange(r.size)
+            f_tab[r, j], b_tab[r, j], c_tab[r, j] = f[k, m], b[k, m], cand[j, m]
+        if n > 1:
+            lead = 1 + np.argmin(bound[:, 1:], axis=1)
+            settle(rows, lead)
+            keep = bound * (1.0 - _PRUNE_MARGIN) <= f_tab.min(axis=1)[:, None]
+            keep[:, 0] = keep[rows, lead] = False
+            settle(*np.nonzero(keep))
+        pick = np.argmin(f_tab, axis=1)
+        best, b_star, f_star = (t[rows, pick] for t in (c_tab, b_tab, f_tab))
+
     h_star = h[best]
     idx = np.arange(n)[None, :]
     hcol = h_star[:, None]
     p_sorted = np.where(idx == 0, p1[best][:, None],
                         np.where(idx < hcol - 1, share,
                                  np.where(idx == hcol - 1, ph[best][:, None], 0.0)))
-    b_star = b[rows, best]
     eps_sorted = optimal_epsilon(p_sorted, b_star[:, None], vs)
 
     inverse = np.argsort(order, axis=1)
     p = np.take_along_axis(p_sorted, inverse, axis=1)
     eps = np.take_along_axis(eps_sorted, inverse, axis=1)
-    return BatchSolution(p, eps, b_star, h_star, f[rows, best])
+    return BatchSolution(p, eps, b_star, h_star, f_star)
 
 
 def fixed_probability_solve(p, v, cfg: ServerConfig):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,22 @@ def test_bare_fsbm_is_rejected(tmp_path, capsys):
 def test_missing_config_is_an_error(capsys):
     assert main(["solve"]) == 2
     assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mechanism", ["jsam", "usbm"])
+def test_underflowing_costs_are_one_error_line(tmp_path, capsys, mechanism):
+    # at costs near 1e-200 the noise coefficient Q*c underflows to 0, and a
+    # plan priced from it would carry NaN payments
+    doc = {"clients": 5, "server": {"eta": 1.0},
+           "costs": {"kind": "uniform", "lower": 0.0, "upper": 1e-200}}
+    path = _write_cfg(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", path, "--mechanism", mechanism]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: noise coefficient")
+    assert captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Solver unit tests: budget split, objective at a fixed p, grid search, structure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from jsam.mechanism import (ServerConfig, _candidate_grid,
+from jsam import mechanism
+from jsam.mechanism import (_TWO_THIRDS, BatchSolution, ServerConfig,
+                            _blocks, _budget_and_objective, _candidate_grid,
                             fixed_probability_solve, optimal_epsilon,
                             solve_profiles, verify_structure)
 from jsam.oracle import _golden_minimize
@@ -88,6 +91,72 @@ def validate_plan(p, eps, total_budget, v, degenerate=False):
 def _validate_row(sol, v, row=0, degenerate=False):
     validate_plan(sol.probabilities[row], sol.privacy_budgets[row],
                   float(sol.total_budget[row]), v, degenerate)
+
+
+def _dense_objectives(vs, cfg, grid):
+    """(B*, f) at every (row, candidate) of ascending rows `vs`, all evaluated."""
+    batch, n = vs.shape
+    h, p1, ph = grid
+    dev = 2.0 * (p1 - 1.0 / n)
+    v23 = vs ** _TWO_THIRDS
+    prefix = np.concatenate([np.zeros((batch, 1)), np.cumsum(v23, axis=1)], axis=1)
+    first = v23[:, :1] * p1[None, :] ** _TWO_THIRDS
+    hterm = np.where(h == 1, 0.0,
+                     np.take_along_axis(v23, np.broadcast_to((h - 1)[None, :],
+                                                             (batch, h.size)), axis=1)
+                     * ph[None, :] ** _TWO_THIRDS)
+    mid = (prefix[:, np.maximum(h - 1, 1)] - prefix[:, 1:2]) / n ** _TWO_THIRDS
+    coef = (first + hterm + mid) ** 3
+    return _budget_and_objective(dev, cfg.q_coefficient * coef, cfg.eta)
+
+
+def _dense_solve(v, cfg):
+    """solve_profiles by a dense argmin over every candidate of the grid.
+
+    The reference for the pruned kernel, which must agree with it bit for bit.
+    """
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    batch, n = v.shape
+    grid = h, p1, ph = _candidate_grid(n, cfg)
+    order = np.argsort(v, axis=1, kind="stable")
+    vs = np.take_along_axis(v, order, axis=1)
+    share = 1.0 / n
+    if cfg.eta == 0:
+        best = np.zeros(batch, dtype=int)
+        b = f = np.zeros((batch, h.size))
+    else:
+        b, f = _dense_objectives(vs, cfg, grid)
+        best = np.argmin(f, axis=1)
+    rows = np.arange(batch)
+    h_star = h[best]
+    idx = np.arange(n)[None, :]
+    hcol = h_star[:, None]
+    p_sorted = np.where(idx == 0, p1[best][:, None],
+                        np.where(idx < hcol - 1, share,
+                                 np.where(idx == hcol - 1, ph[best][:, None], 0.0)))
+    b_star = b[rows, best]
+    eps_sorted = optimal_epsilon(p_sorted, b_star[:, None], vs)
+    inverse = np.argsort(order, axis=1)
+    p = np.take_along_axis(p_sorted, inverse, axis=1)
+    eps = np.take_along_axis(eps_sorted, inverse, axis=1)
+    return BatchSolution(p, eps, b_star, h_star, f[rows, best])
+
+
+_FIELDS = ("probabilities", "privacy_budgets", "total_budget", "threshold",
+           "objective_value")
+
+
+def _assert_same_bytes(got, want, label=""):
+    for name in _FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), \
+            f"{name} differs {label}"
+
+
+def _curve_batch(rng, n, rows=200):
+    """A payment-curve batch: one client's cost swept, the others fixed."""
+    v = np.repeat(2.0 * rng.uniform(0.01, 1.0, size=(1, n)), rows, axis=0)
+    v[:, int(rng.integers(n))] = np.linspace(0.02, 2.0, rows)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +477,99 @@ def test_batch_solver_matches_single_profile_solves(rng, basic_cfg):
 
 
 def test_chunked_and_unchunked_batches_agree(basic_cfg, rng):
-    v = 2.0 * rng.uniform(0.05, 1.0, size=(50, 3))
-    whole = solve_profiles(v, basic_cfg)
-    chunked = solve_profiles(v, basic_cfg, max_elements=2000)
-    assert whole.probabilities.tobytes() == chunked.probabilities.tobytes()
-    assert whole.total_budget.tobytes() == chunked.total_budget.tobytes()
+    # the second input is an N = 100 payment curve cut into 7-row chunks
+    small = 2.0 * rng.uniform(0.05, 1.0, size=(50, 3))
+    curve = _curve_batch(rng, 100)
+    for v, max_elements in [(small, 2000), (curve, 7 * 991)]:
+        whole = solve_profiles(v, basic_cfg)
+        chunked = solve_profiles(v, basic_cfg, max_elements=max_elements)
+        assert whole.probabilities.tobytes() == chunked.probabilities.tobytes()
+        assert whole.total_budget.tobytes() == chunked.total_budget.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 100])
+def test_pruned_kernel_matches_the_dense_reference(n):
+    rng = np.random.default_rng(n)
+    for delta in [1e-3, 1e-2, 0.05, 0.3, 1.0]:
+        for eta in [0.0, 1e-6, 1.0, 1e3, 1e5]:
+            q = float(10.0 ** rng.uniform(-3.0, 5.0))
+            cfg = ServerConfig(eta=eta, q_coefficient=q, grid_delta=delta)
+            v = 2.0 * rng.uniform(0.01, 1.0, size=(24, n))
+            v[:4] = v[0]  # exact ties: repeated rows, a shared cost, all equal
+            v[1, -1] = v[1, 0]
+            v[2] = v[2, 0]
+            for batch in (v, _curve_batch(rng, n, rows=40)):
+                _assert_same_bytes(solve_profiles(batch, cfg), _dense_solve(batch, cfg),
+                                   f"at n={n}, delta={delta}, eta={eta}, q={q}")
+
+
+@pytest.mark.parametrize("n, delta", [(2, 1e-3), (3, 1e-2), (5, 0.05), (20, 1e-3)])
+def test_block_bounds_never_exceed_the_block_objective(n, delta):
+    rng = np.random.default_rng(n)
+    for eta in [1e-3, 1.0, 1e3]:
+        cfg = ServerConfig(eta=eta, q_coefficient=float(10.0 ** rng.uniform(-2, 4)),
+                           grid_delta=delta)
+        grid = _candidate_grid(n, cfg)
+        vs = np.sort(2.0 * rng.uniform(0.01, 1.0, size=(50, n)), axis=1)
+        cand, (_, bound), _ = _blocks(vs, cfg, grid)
+        _, f = _dense_objectives(vs, cfg, grid)
+        assert np.all(bound <= f[:, cand].min(axis=2))
+        assert np.array_equal(bound[:, 0], f[:, 0])  # h = 1 is solved exactly
+
+
+def test_near_tie_between_two_thresholds_goes_to_the_first(monkeypatch):
+    # bisect eta to where the best plans at h = 2 and h = 3 cost the same to
+    # 1e-12 relative; on each side the kernel must keep the dense argmin's
+    # choice, also when the bounds of h = 2, the first threshold, carry a
+    # rounding error the pruning margin has to absorb
+    v = np.array([[0.4, 1.3, 0.9]])
+    grid = _candidate_grid(3, ServerConfig(grid_delta=1e-2))
+
+    def group_minima(eta):
+        cfg = ServerConfig(eta=eta, q_coefficient=1.0, grid_delta=1e-2)
+        _, f = _dense_objectives(np.sort(v, axis=1), cfg, grid)
+        return cfg, f[0, grid[0] == 2].min(), f[0, grid[0] == 3].min()
+
+    lo, hi = 0.32, 0.56
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        _, f2, f3 = group_minima(mid)
+        lo, hi = (mid, hi) if f2 <= f3 else (lo, mid)
+
+    def rounded_bounds(vs, cfg, grid):
+        # the tightest valid bound, each block's own least f, 1e-10 relative
+        # too high on the blocks of h = 2
+        cand, (b, bound), solve = _blocks(vs, cfg, grid)
+        least = _dense_objectives(vs, cfg, grid)[1][:, cand].min(axis=2)
+        error = np.where(grid[0][cand[:, 0]] == 2, 1.0 + 1e-10, 1.0)
+        bound[:, 1:] = (least * error)[:, 1:]
+        return cand, (b, bound), solve
+
+    # the crossing and the etas a few ulps off it where the two are equal
+    near = [lo + k * np.spacing(lo) for k in range(-8, 9)]
+    ties = [eta for eta in near if group_minima(eta)[1] == group_minima(eta)[2]]
+    assert ties
+    for eta in [lo, hi, *ties]:
+        cfg, f2, f3 = group_minima(eta)
+        assert abs(f2 - f3) <= 1e-12 * f3
+        want = _dense_solve(v, cfg)
+        assert want.threshold[0] == (2 if f2 <= f3 else 3)
+        _assert_same_bytes(solve_profiles(v, cfg), want, f"at eta={eta}")
+        with monkeypatch.context() as patch:
+            patch.setattr(mechanism, "_blocks", rounded_bounds)
+            _assert_same_bytes(solve_profiles(v, cfg), want, f"at eta={eta}, rounded")
+
+
+def test_underflowing_noise_coefficient_is_an_error():
+    # v^(2/3) cubed underflows to 0 at v = 1e-200, so B* would be 0/0
+    cfg = ServerConfig(eta=1.0)
+    v = np.full((1, 5), 1e-200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="noise coefficient"):
+            solve_profiles(v, cfg)
+        with pytest.raises(ValueError, match="noise coefficient"):
+            fixed_probability_solve(np.full((1, 5), 0.2), v, cfg)
 
 
 # ---------------------------------------------------------------------------
