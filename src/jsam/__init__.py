@@ -4,10 +4,9 @@ from .costs import CostDistribution, TruncatedGaussianCosts, UniformCosts
 from .mechanism import (BatchSolution, ServerConfig, StructureReport,
                         fixed_probability_solve, optimal_epsilon,
                         solve_profiles, verify_structure)
-from .oracle import (BruteForceResult, CrossCheckReport, brute_force_solve,
-                     cross_check, lagrangian_budget_split)
-from .payments import (InterimAllocation, PaymentQuote, expost_payments,
-                       interim_allocation, payment)
+from .oracle import BruteForceResult, brute_force_solve, lagrangian_budget_split
+from .payments import (InterimAllocation, expost_payments, interim_allocation,
+                       payment)
 from .flsim import (PartitionPlan, RunRecord, SelectionPlan, SelectionSchedule,
                     SyntheticTask, TrainSettings, build_schedule,
                     initial_local_losses, local_noisy_gradient, make_plan,

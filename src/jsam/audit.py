@@ -9,9 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flsim import noise_sigma
-from .mechanism import optimal_epsilon
-from .oracle import cross_check
+from .mechanism import optimal_epsilon, solve_profiles, verify_structure
+from .oracle import brute_force_solve
 from .payments import InterimAllocation, payment
+
+_BRUTE_STEP = 0.01  # the brute-force oracle's simplex resolution
 
 
 @dataclass(frozen=True)
@@ -39,10 +41,21 @@ def budget_identity(rng) -> Verdict:
 
 
 def grid_vs_brute_force(instances) -> Verdict:
-    """Worst objective gap / allowance of `cross_check` over (virtual costs, cfg)
-    pairs; a brute-force optimum without the threshold structure measures inf."""
-    ratios = [r.objective_gap / r.tolerance if r.structure_ok else math.inf
-              for r in (cross_check(v, cfg) for v, cfg in instances)]
+    """Worst |grid - brute-force objective| / allowance over (virtual costs, cfg)
+    pairs of N <= 4, allowance = max(1% brute force, 4*(0.01 + grid_delta)*(eta + max v));
+    a brute-force optimum without the threshold structure measures inf."""
+    ratios = []
+    for v, cfg in instances:
+        v = np.asarray(v, dtype=float)
+        if v.size > 4:
+            raise ValueError("grid_vs_brute_force is guarded to N <= 4")
+        grid = float(solve_profiles(v[None, :], cfg).objective_value[0])
+        brute = brute_force_solve(v, cfg, _BRUTE_STEP)
+        allowance = max(0.01 * brute.objective, 4.0 * (_BRUTE_STEP + cfg.grid_delta)
+                        * (cfg.eta + float(v.max())))
+        structured = verify_structure(brute.probabilities, np.argsort(v, kind="stable") + 1,
+                                      tol=_BRUTE_STEP + 1e-9).passed
+        ratios.append(abs(grid - brute.objective) / allowance if structured else math.inf)
     return Verdict("grid-vs-brute-force", float(np.max(ratios)), 1.0)
 
 
@@ -57,14 +70,14 @@ def truthfulness(interim: InterimAllocation, costs, misreports):
 
     `misreports[i]` are the reports tried against true cost `costs[i]`. IC
     measures the best utility gain of a misreport over truth, within the
-    Monte-Carlo slack 3/sqrt(S) plus the curve's quadrature error; IR the
+    Monte-Carlo allowance 3/sqrt(S) plus the curve's quadrature error; IR the
     largest shortfall c*e(c) - pi(c), within 1e-6.
     """
     gains, shortfalls = [], []
     for c, reports in zip(costs, misreports):
-        truth = payment(c, interim).amount - c * float(interim.at(c))
+        truth = payment(c, interim) - c * float(interim.at(c))
         shortfalls.append(-truth)
-        gains.extend(payment(float(r), interim).amount - c * float(interim.at(r))
+        gains.extend(payment(float(r), interim) - c * float(interim.at(r))
                      - truth for r in np.atleast_1d(reports))
     gain = float(np.max(gains, initial=-math.inf))
     ic_tol = 3.0 / math.sqrt(interim.samples) + interim.quadrature_error()

@@ -54,9 +54,12 @@ def _plan_for(cfg, name, dist, costs, scfg, probe=None) -> SelectionPlan:
 def _write(text, path):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:

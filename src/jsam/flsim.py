@@ -27,6 +27,7 @@ from .mechanism import (BatchSolution, ServerConfig, fixed_probability_solve,
 from .payments import expost_payments
 
 MECHANISM_KINDS = ("jsam", "usbm", "fsbm", "bbm", "jsam_ci")
+_ETA_LO, _ETA_HI, _ETA_BISECTIONS = 1e-8, 1.0, 60  # match_eta_to_cost's search
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,10 @@ class SelectionPlan:
     payment_errors: np.ndarray
     objective: float | None = None
     threshold: int | None = None
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:  # eta = 0: no budget spent, nothing paid
+        return bool(self.eta == 0)
 
     @property
     def total_payment(self) -> float:
@@ -340,11 +344,10 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
         profiles[:, k] = dist.virtual(z)
         return rule(reports, profiles).privacy_budgets[:, k]
 
-    degenerate = cfg.eta == 0
     if kind == "jsam_ci":
         payments = costs * eps
         errors = np.zeros(n)
-    elif degenerate:
+    elif cfg.eta == 0:
         payments = np.zeros(n)
         errors = np.zeros(n)
     else:
@@ -354,20 +357,18 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
                          epsilons=eps, total_budget=float(sol.total_budget[0]),
                          payments=payments, payment_errors=errors,
                          objective=float(sol.objective_value[0]),
-                         threshold=None if sol.threshold is None else int(sol.threshold[0]),
-                         degenerate=degenerate)
+                         threshold=None if sol.threshold is None else int(sol.threshold[0]))
 
 
-def match_eta_to_cost(target_cost, plan_fn, lo=1e-8, hi=None, iters=60,
-                      rel_tol=1e-3):
+def match_eta_to_cost(target_cost, plan_fn, rel_tol=1e-3):
     """Find eta so plan_fn(eta).total_payment hits target_cost (monotone).
 
-    Returns (eta, plan). Bisection on log eta; the bracket top doubles until
+    Returns (eta, plan). Bisection on log eta; the bracket top grows 4x until
     the cost exceeds the target.
     """
     if target_cost <= 0:
         raise ValueError("target cost must be > 0")
-    hi = hi if hi is not None else 1.0
+    hi = _ETA_HI
     plan_hi = plan_fn(hi)
     for _ in range(200):
         if plan_hi.total_payment >= target_cost:
@@ -376,9 +377,9 @@ def match_eta_to_cost(target_cost, plan_fn, lo=1e-8, hi=None, iters=60,
         plan_hi = plan_fn(hi)
     else:
         raise ArithmeticError("could not bracket the target cost")
-    llo, lhi = math.log(lo), math.log(hi)
+    llo, lhi = math.log(_ETA_LO), math.log(hi)
     best = (hi, plan_hi)
-    for _ in range(iters):
+    for _ in range(_ETA_BISECTIONS):
         mid = 0.5 * (llo + lhi)
         plan = plan_fn(math.exp(mid))
         if abs(plan.total_payment - target_cost) <= rel_tol * target_cost:

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanism import (BatchSolution, ServerConfig, solve_profiles,
-                        verify_structure)
+from .mechanism import ServerConfig
 
 _BRACKET = (1e-12, 1e12)
 _REL_TOL = 1e-13
@@ -163,50 +162,3 @@ def brute_force_solve(v, cfg: ServerConfig, grid_step: float = 0.01) -> BruteFor
             best = (p[k].copy(), b_star[k] * eps1[k], float(b_star[k]))
     return BruteForceResult(best[0], best[1], best_f, best[2], grid_step,
                             total_points)
-
-
-@dataclass
-class CrossCheckReport:
-    passed: bool
-    objective_gap: float
-    tolerance: float
-    jsam_objective: float
-    brute_objective: float
-    structure_ok: bool
-    structure_clause: str | None
-    jsam: BatchSolution
-    brute: BruteForceResult
-
-
-def slack(grid_step, grid_delta, eta, v_max) -> float:
-    """Empirical Lipschitz-style allowance for the two search grids."""
-    return 4.0 * (grid_step + grid_delta) * (eta + v_max)
-
-
-def cross_check(v, cfg: ServerConfig, grid_step: float = 0.01) -> CrossCheckReport:
-    """Compare the grid solver against brute force on one small instance.
-
-    `v` holds the clients' virtual costs.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.size > 4:
-        raise ValueError("cross_check is guarded to N <= 4")
-    sol = solve_profiles(v[None, :], cfg)
-    jsam_objective = float(sol.objective_value[0])
-    brute = brute_force_solve(v, cfg, grid_step)
-    gap = abs(jsam_objective - brute.objective)
-    tol = max(0.01 * brute.objective, slack(grid_step, cfg.grid_delta, cfg.eta,
-                                            float(v.max())))
-    order = np.argsort(v, kind="stable") + 1
-    report = verify_structure(brute.probabilities, order, tol=grid_step + 1e-9)
-    return CrossCheckReport(
-        passed=bool(gap <= tol and report.passed),
-        objective_gap=float(gap),
-        tolerance=float(tol),
-        jsam_objective=jsam_objective,
-        brute_objective=brute.objective,
-        structure_ok=report.passed,
-        structure_clause=report.clause,
-        jsam=sol,
-        brute=brute,
-    )

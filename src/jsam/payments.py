@@ -29,6 +29,11 @@ from .mechanism import ServerConfig, solve_profiles
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
+def _envelope(z, e) -> float:
+    """pi(z[0]) = integral of e over z + z[0] * e[0], by the trapezoid rule."""
+    return float(_trapezoid(e, z)) + float(z[0]) * float(e[0])
+
+
 def _trapezoid_error(e, step) -> float:
     """Composite-trapezoid error estimate step * sum|second differences| / 12."""
     if e.size < 3:
@@ -50,10 +55,10 @@ class InterimAllocation:
         """Piecewise-linear interpolation of the curve."""
         return np.interp(report, self.grid, self.budgets)
 
-    def quadrature_error(self, lower=None) -> float:
+    def quadrature_error(self) -> float:
         """Composite-trapezoid error estimate from second differences."""
-        e = self.budgets if lower is None else self.budgets[self.grid >= lower]
-        return _trapezoid_error(e, (self.grid[-1] - self.grid[0]) / (self.grid.size - 1))
+        return _trapezoid_error(self.budgets,
+                                (self.grid[-1] - self.grid[0]) / (self.grid.size - 1))
 
 
 def interim_allocation(k, dist: CostDistribution, n_clients, cfg: ServerConfig,
@@ -91,31 +96,15 @@ def interim_allocation(k, dist: CostDistribution, n_clients, cfg: ServerConfig,
                              samples=samples, seed=seed)
 
 
-@dataclass(frozen=True)
-class PaymentQuote:
-    amount: float
-    quadrature_error: float
-
-
-def payment(c, interim: InterimAllocation) -> PaymentQuote:
-    """Envelope payment for a report c, integrating the interim curve's tail.
-
-    Exact for the piecewise-linear interpolant of the estimated curve; the
-    quoted quadrature error bounds the gap to the underlying smooth curve.
-    """
+def payment(c, interim: InterimAllocation) -> float:
+    """Envelope payment for a report c, exact for the interim curve's
+    interpolant; `interim.quadrature_error()` bounds the gap to the curve."""
     grid, e = interim.grid, interim.budgets
     if not grid[0] <= c <= grid[-1]:
         raise ValueError("report outside the interim grid range")
-    e_at_c = float(np.interp(c, grid, e))
-    j = int(np.searchsorted(grid, c, side="right")) - 1
-    if j >= grid.size - 1:
-        tail = 0.0
-    else:
-        tail = 0.5 * (e_at_c + e[j + 1]) * (grid[j + 1] - c)
-        if j + 2 <= grid.size - 1:
-            tail += float(_trapezoid(e[j + 1:], grid[j + 1:]))
-    return PaymentQuote(amount=tail + c * e_at_c,
-                        quadrature_error=interim.quadrature_error(lower=c))
+    j = int(np.searchsorted(grid, c, side="right"))
+    return _envelope(np.concatenate(([c], grid[j:])),
+                     np.concatenate(([np.interp(c, grid, e)], e[j:])))
 
 
 def expost_payments(costs, budgets, support_upper, eps_of_report,
@@ -149,6 +138,6 @@ def expost_payments(costs, budgets, support_upper, eps_of_report,
     for k in np.nonzero(budgets != 0)[0]:
         z = np.linspace(costs[k], support_upper, grid_size)
         e = np.asarray(eps_of_report(k, z), dtype=float)
-        pis[k] = float(_trapezoid(e, z)) + costs[k] * float(e[0])
+        pis[k] = _envelope(z, e)
         errs[k] = _trapezoid_error(e, (support_upper - costs[k]) / (grid_size - 1))
     return pis, errs

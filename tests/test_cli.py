@@ -131,6 +131,13 @@ def test_malformed_json_is_a_config_error(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def test_undecodable_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["solve", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config is not valid JSON")
+
+
 def test_bare_fsbm_is_rejected(tmp_path, capsys):
     path = _write_cfg(tmp_path, SMALL_SIM)
     assert main(["solve", "--config", path, "--mechanism", "fsbm"]) == 2
@@ -140,6 +147,27 @@ def test_bare_fsbm_is_rejected(tmp_path, capsys):
 def test_missing_config_is_an_error(capsys):
     assert main(["solve"]) == 2
     assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, reason", [("missing.json", "No such file"),
+                                          (".", "Is a directory")])
+def test_unreadable_config_is_one_config_error_line(tmp_path, capsys, name, reason):
+    path = str(tmp_path / name)
+    assert main(["solve", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot read config {path!r}")
+    assert reason in captured.err and captured.err.count("\n") == 1
+
+
+def test_unwritable_out_is_one_error_line(tmp_path, capsys):
+    path = _write_cfg(tmp_path, dict(SMALL_SIM, clients=2))
+    out = str(tmp_path / "missing" / "plan.json")
+    assert main(["solve", "--config", path, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out!r}")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("mechanism", ["jsam", "usbm"])

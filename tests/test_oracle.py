@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jsam.oracle
+from jsam import audit
+from jsam.audit import grid_vs_brute_force
 from jsam.cli import main
 from jsam.costs import UniformCosts
-from jsam.mechanism import ServerConfig, optimal_epsilon
-from jsam.oracle import (brute_force_solve, cross_check,
-                         lagrangian_budget_split, slack)
+from jsam.mechanism import (ServerConfig, optimal_epsilon, solve_profiles,
+                            verify_structure)
+from jsam.oracle import (BruteForceResult, brute_force_solve,
+                         lagrangian_budget_split)
 
 
 @given(st.integers(1, 6), st.floats(0.1, 10.0), st.data())
@@ -73,15 +77,16 @@ def test_brute_force_eta_zero_costs_nothing():
     assert result.total_budget == 0.0
 
 
-def test_cross_check_passes_at_eta_zero_with_the_cheapest_client_not_last():
+def test_brute_force_matches_the_plan_at_eta_zero_with_the_cheapest_client_not_last():
     # every p ties at f = B = 0; the oracle must still report the plan with
     # the threshold structure, all mass on the cheapest client
     cfg = ServerConfig(eta=0.0, q_coefficient=1.0)
     for v in ([1.0, 0.4, 2.0], [2.0, 1.5, 0.5, 1.0], [0.7, 0.7, 0.3]):
-        report = cross_check(v, cfg, grid_step=0.05)
-        assert report.passed and report.structure_ok, report.structure_clause
-        assert report.brute.probabilities.tolist() == \
-            report.jsam.probabilities[0].tolist()
+        brute = brute_force_solve(np.array(v), cfg, grid_step=0.05)
+        plan = solve_profiles([v], cfg)
+        assert brute.probabilities.tolist() == plan.probabilities[0].tolist()
+        verdict = grid_vs_brute_force([(v, cfg)])
+        assert verdict.passed and verdict.measured == 0.0
 
 
 def test_audit_passes_at_eta_zero(tmp_path):
@@ -118,37 +123,69 @@ def test_brute_force_evaluation_count():
 def test_two_client_example_brackets_the_solver(uniform01):
     cfg = ServerConfig(eta=1.0, q_coefficient=1.0)
     v = uniform01.virtual([0.2, 1.0])  # (0.4, 2.0)
-    report = cross_check(v, cfg, grid_step=0.01)
-    assert report.passed
-    assert report.structure_ok
-    assert report.brute_objective <= report.jsam_objective + report.tolerance
+    brute = brute_force_solve(v, cfg, grid_step=0.01)
+    assert verify_structure(brute.probabilities, [1, 2], tol=0.01 + 1e-9).passed
+    verdict = grid_vs_brute_force([(v, cfg)])
+    assert verdict.passed and verdict.measured <= 1.0
 
 
 def test_near_tie_instance_is_deterministic():
     cfg = ServerConfig(eta=1.0, q_coefficient=1.0)
     dist = UniformCosts(0.0, 10.0)
     v = dist.virtual([0.5, 0.5 + 5e-10, 2.5])  # (1, 1+1e-9, 5)
-    first = cross_check(v, cfg, grid_step=0.02)
-    second = cross_check(v, cfg, grid_step=0.02)
-    assert first.passed and second.passed
-    assert first.brute.probabilities.tobytes() == second.brute.probabilities.tobytes()
+    first = brute_force_solve(v, cfg, grid_step=0.02)
+    second = brute_force_solve(v, cfg, grid_step=0.02)
+    assert first.probabilities.tobytes() == second.probabilities.tobytes()
+    verdict = grid_vs_brute_force([(v, cfg), (v, cfg)])
+    assert verdict.passed
 
 
-def test_cross_check_rejects_large_instances(uniform01, basic_cfg):
+def test_grid_vs_brute_force_rejects_large_instances(uniform01, basic_cfg):
     with pytest.raises(ValueError, match="N <= 4"):
-        cross_check(uniform01.virtual([0.1] * 5), basic_cfg)
+        grid_vs_brute_force([(uniform01.virtual([0.1] * 5), basic_cfg)])
 
 
-def test_slack_formula():
-    assert slack(0.01, 1e-3, 2.0, 1.5) == pytest.approx(4 * 0.011 * 3.5)
+def _brute_force_returning(monkeypatch, probabilities, objective):
+    def fake(v, cfg, grid_step):
+        assert grid_step == 0.01
+        return BruteForceResult(np.array(probabilities), np.zeros(len(v)),
+                                objective, 1.0, grid_step, 1)
+    monkeypatch.setattr(audit, "brute_force_solve", fake)
+
+
+def test_grid_vs_brute_force_allowance_formula(monkeypatch):
+    v = np.array([0.5, 1.5])
+    cfg = ServerConfig(eta=2.0, q_coefficient=1.0, grid_delta=1e-3)
+    grid = float(solve_profiles([v], cfg).objective_value[0])
+    cell = 4 * (0.01 + 1e-3) * (2.0 + 1.5)  # exceeds 1% of a small optimum
+    _brute_force_returning(monkeypatch, [1.0, 0.0], grid - 0.5 * cell)
+    assert grid_vs_brute_force([(v, cfg)]).measured == pytest.approx(0.5, rel=1e-9)
+    # 1% of a large optimum exceeds the grid-cell term
+    _brute_force_returning(monkeypatch, [1.0, 0.0], 1000.0)
+    assert grid_vs_brute_force([(v, cfg)]).measured == \
+        pytest.approx((1000.0 - grid) / 10.0, rel=1e-9)
+
+
+def test_unstructured_brute_force_optimum_measures_inf(monkeypatch):
+    # all mass on the costlier client: the cheapest sits below 1/N
+    _brute_force_returning(monkeypatch, [0.0, 1.0], 1.0)
+    cfg = ServerConfig(eta=1.0, q_coefficient=1.0)
+    verdict = grid_vs_brute_force([(np.array([0.5, 1.5]), cfg)])
+    assert verdict.measured == math.inf and not verdict.passed
+
+
+def test_oracle_binds_none_of_the_solver():
+    bound = {"solve_profiles", "optimal_epsilon", "verify_structure"} & set(vars(jsam.oracle))
+    assert not bound
 
 
 def test_brute_force_tracks_the_solver_on_random_instances(uniform01, rng):
+    instances = []
     for _ in range(4):
         n = int(rng.integers(2, 4))
         costs = rng.uniform(0.05, 1.0, n)
         cfg = ServerConfig(eta=float(rng.uniform(0.3, 2.5)),
                            q_coefficient=float(rng.uniform(0.3, 2.5)))
-        report = cross_check(uniform01.virtual(costs), cfg, grid_step=0.02)
-        assert report.passed, (report.objective_gap, report.tolerance,
-                               report.structure_clause)
+        instances.append((uniform01.virtual(costs), cfg))
+    verdict = grid_vs_brute_force(instances)
+    assert verdict.passed, verdict

@@ -20,20 +20,20 @@ def _linear_rule(grid_size=101, samples=10 ** 6):
 
 
 def test_payment_of_a_linear_rule_is_exact():
-    quote = payment(0.5, _linear_rule())
-    assert quote.amount == pytest.approx(0.375, abs=1e-12)
-    assert quote.quadrature_error == pytest.approx(0.0, abs=1e-15)
+    interim = _linear_rule()
+    assert payment(0.5, interim) == pytest.approx(0.375, abs=1e-12)
+    assert interim.quadrature_error() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_payment_off_grid_report_uses_the_interpolant():
-    quote = payment(0.503, _linear_rule())
     # closed form for the exact rule 1 - z: (1-c)^2/2 + c(1-c)
     c = 0.503
-    assert quote.amount == pytest.approx((1 - c) ** 2 / 2 + c * (1 - c), abs=1e-9)
+    assert payment(c, _linear_rule()) == \
+        pytest.approx((1 - c) ** 2 / 2 + c * (1 - c), abs=1e-9)
 
 
 def test_payment_at_the_top_of_the_support_is_zero():
-    assert payment(1.0, _linear_rule()).amount == 0.0
+    assert payment(1.0, _linear_rule()) == 0.0
 
 
 def test_payment_outside_the_grid_is_rejected():
@@ -121,8 +121,8 @@ def test_payment_converges_under_grid_refinement(uniform01):
                                 samples=200, seed=13)
     fine = interim_allocation(1, uniform01, 3, FAST, grid_size=2000,
                               samples=200, seed=13)
-    pc = payment(0.2, coarse).amount
-    pf = payment(0.2, fine).amount
+    pc = payment(0.2, coarse)
+    pf = payment(0.2, fine)
     assert pc == pytest.approx(pf, rel=5e-3)
 
 
