@@ -178,6 +178,10 @@ def validate(cfg: ExperimentConfig) -> None:
         _require(cfg.costs.std > 0, "costs.std must be > 0")
     elif cfg.costs.kind != "uniform":
         raise ConfigError(f"costs.kind must be uniform or gaussian, got {cfg.costs.kind!r}")
+    try:
+        cfg.costs.build()
+    except ValueError as exc:
+        raise ConfigError(f"costs: {exc}") from None
 
     srv = cfg.server
     _require(srv.eta >= 0, "eta must be >= 0")

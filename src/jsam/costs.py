@@ -17,7 +17,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 REGULARITY_GRID_POINTS = 1000
 
@@ -104,7 +103,13 @@ class TruncatedGaussianCosts(CostDistribution):
 
     @functools.cached_property
     def _frozen(self):
-        """The scipy distribution, built once per instance."""
+        """The scipy distribution, built once per instance.
+
+        scipy.stats is imported here, not at module level: only this prior
+        needs it, and its first import takes about 1 s and 60 MB (2 vCPUs).
+        """
+        from scipy import stats
+
         a = (self.lower - self.mean) / self.std
         b = (self.upper - self.mean) / self.std
         return stats.truncnorm(a, b, loc=self.mean, scale=self.std)

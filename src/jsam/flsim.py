@@ -99,7 +99,8 @@ def _mean_nll(scores, y):
     """
     shifted = scores - scores.max(axis=0)
     log_norm = np.log(np.exp(np.maximum(shifted, -700.0)).sum(axis=0))
-    return float(-(shifted[y, np.arange(y.size)] - log_norm).mean())
+    # one gather on the flat view: about half the time of shifted[y, arange]
+    return float(-(shifted.ravel()[y * y.size + np.arange(y.size)] - log_norm).mean())
 
 
 def model_loss(w, x, y, classes) -> float:
@@ -152,7 +153,8 @@ def local_noisy_gradient(w, x, y, classes, clip_c, sigma, rng,
         raise ValueError("empty shard")
     xt, x_norms = _augment(x) if augmented is None else augmented
     errors = np.exp(_log_softmax(_scores(w, x, classes)))
-    errors[np.arange(k)[:, None], np.arange(m), y] -= 1.0
+    # minus the one-hot labels, indexed on the flat view (errors is C-ordered)
+    errors.reshape(-1)[np.arange(k * m) * classes + y.ravel()] -= 1.0
     if not noiseless:
         norms = np.linalg.norm(errors, axis=-1) * x_norms
         with np.errstate(divide="ignore"):

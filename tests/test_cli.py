@@ -186,6 +186,18 @@ def test_underflowing_costs_are_one_error_line(tmp_path, capsys, mechanism):
     assert captured.err.count("\n") == 1
 
 
+def test_irregular_cost_prior_is_a_named_config_error(tmp_path, capsys):
+    # a mean far above the support leaves the truncated density at 0 there
+    doc = {"clients": 5, "costs": {"kind": "gaussian", "mean": 5, "std": 0.01,
+                                   "lower": 0, "upper": 1}}
+    path = _write_cfg(tmp_path, doc)
+    assert main(["solve", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: costs: density must be positive and "
+                            "finite on the support\n")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -320,3 +332,36 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     got = json.loads(proc.stdout)
     assert len(got["probabilities"]) == 2
+
+
+_COLD_START = """
+import json, sys
+import jsam, jsam.cli
+
+uniform, gaussian, out = sys.argv[1:]
+steps = {"import": "scipy.stats" in sys.modules}
+steps["solve"] = (jsam.cli.main(["solve", "--config", uniform, "--out", out]),
+                  "scipy.stats" in sys.modules)
+steps["audit"] = (jsam.cli.main(["audit", "--out", out]),
+                  "scipy.stats" in sys.modules)
+jsam.config.load(gaussian)
+steps["gaussian"] = "scipy.stats" in sys.modules
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_stats_loads_only_for_a_gaussian_prior(tmp_path):
+    # scipy.stats costs about 1 s at import; only the truncated Gaussian uses it
+    uniform = _write_cfg(tmp_path, {"clients": 100, "mechanisms": ["jsam"]},
+                         "uniform.json")
+    gaussian = _write_cfg(tmp_path, {"costs": {"kind": "gaussian"}}, "gaussian.json")
+    src = str(Path(jsam.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, uniform, gaussian,
+         str(tmp_path / "out.txt")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import": False, "solve": [0, False],
+                                       "audit": [0, False], "gaussian": True}

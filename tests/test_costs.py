@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from jsam import costs as costs_module
 from jsam.costs import CostDistribution, TruncatedGaussianCosts, UniformCosts
 from jsam.flsim import make_plan
 from jsam.mechanism import ServerConfig, solve_profiles, verify_structure
@@ -49,7 +48,7 @@ def test_gaussian_builds_its_scipy_distribution_once(monkeypatch):
         builds.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(costs_module.stats, "truncnorm", counting_truncnorm)
+    monkeypatch.setattr(stats, "truncnorm", counting_truncnorm)
     dist = TruncatedGaussianCosts(mean=0.5, std=0.2, lower=0.05, upper=1.0)
     grid = np.linspace(0.05, 1.0, 7)
     got = [dist.cdf(grid), dist.pdf(grid), dist.virtual(grid),
