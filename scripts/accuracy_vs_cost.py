@@ -10,8 +10,9 @@ an accuracy-vs-cost scatter.
 import argparse
 import sys
 
-from jsam.cli import probe_inputs, sample_costs, simulate_one
-from jsam.config import from_dict, load, server_config, validate
+from jsam.cli import (exit_code, probe_inputs, sample_costs, simulate_one,
+                      write_output)
+from jsam.config import from_dict, load, server_config
 from jsam.flsim import initial_local_losses, make_plan, match_eta_to_cost
 
 DEFAULTS = {
@@ -27,7 +28,8 @@ HEADER = ("eta,mechanism,seed,matched_eta,total_payment,selected_count,"
           "final_test_accuracy,final_test_loss,diverged")
 
 
-def run(cfg, etas, mechanisms, out):
+def run(cfg, etas, out):
+    mechanisms = cfg.mechanisms
     dist = cfg.costs.build()
     lines = [HEADER]
     for eta in etas:
@@ -57,12 +59,7 @@ def run(cfg, etas, mechanisms, out):
                     f"{float(plan.total_payment)!r},{plan.selected_count},"
                     f"{float(record.test_accuracy[-1])!r},"
                     f"{float(record.test_loss[-1])!r},{int(record.diverged)}")
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_output("\n".join(lines) + "\n", out)
 
 
 def main(argv=None):
@@ -79,12 +76,16 @@ def main(argv=None):
     parser.add_argument("--out", help="output CSV path (default stdout)")
     args = parser.parse_args(argv)
 
-    cfg = load(args.config) if args.config else from_dict(dict(DEFAULTS))
-    cfg.seeds = args.seeds
-    validate(cfg)
     mechanisms = [m.strip() for m in args.mechanism.split(",") if m.strip()]
-    run(cfg, args.eta, mechanisms, args.out)
-    return 0
+    overrides = {"seeds": args.seeds, "mechanisms": mechanisms}
+
+    def body():
+        cfg = (load(args.config, **overrides) if args.config
+               else from_dict(DEFAULTS, **overrides))
+        run(cfg, args.eta, args.out)
+        return 0
+
+    return exit_code(body)
 
 
 if __name__ == "__main__":

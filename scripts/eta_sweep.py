@@ -11,8 +11,8 @@ import sys
 
 import numpy as np
 
-from jsam.cli import sample_costs
-from jsam.config import from_dict, load, server_config, validate
+from jsam.cli import exit_code, sample_costs, write_output
+from jsam.config import from_dict, load, server_config
 from jsam.flsim import make_plan
 
 DEFAULTS = {
@@ -45,12 +45,7 @@ def run(cfg, etas, out):
                 f"{plan.threshold},{float(plan.total_budget)!r},"
                 f"{float(plan.total_payment)!r},{float(plan.objective)!r},"
                 f"{eps_lo!r},{eps_hi!r},{int(plan.degenerate)}")
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_output("\n".join(lines) + "\n", out)
 
 
 def main(argv=None):
@@ -63,11 +58,13 @@ def main(argv=None):
     parser.add_argument("--out", help="output CSV path (default stdout)")
     args = parser.parse_args(argv)
 
-    cfg = load(args.config) if args.config else from_dict(dict(DEFAULTS))
-    cfg.seeds = args.seeds
-    validate(cfg)
-    run(cfg, args.eta, args.out)
-    return 0
+    def body():
+        cfg = (load(args.config, seeds=args.seeds) if args.config
+               else from_dict(DEFAULTS, seeds=args.seeds))
+        run(cfg, args.eta, args.out)
+        return 0
+
+    return exit_code(body)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,7 @@ import sys
 import numpy as np
 
 from . import audit, seeding
-from .config import (ConfigError, ExperimentConfig, from_dict, load,
-                     server_config, validate)
+from .config import ConfigError, ExperimentConfig, from_dict, load, server_config
 from .flsim import (RunRecord, SelectionPlan, build_schedule,
                     initial_local_losses, make_plan, make_task,
                     partition_noniid, train)
@@ -34,9 +33,7 @@ def probe_inputs(cfg: ExperimentConfig, seed):
     task = make_task(cfg.task.feature_dim, cfg.task.classes,
                      cfg.clients * cfg.task.samples_per_client,
                      cfg.task.test_size, cfg.task.samples_per_client,
-                     seeding.derive(seed, seeding.TASK),
-                     center_spread=cfg.task.center_spread,
-                     noise=cfg.task.noise)
+                     seeding.derive(seed, seeding.TASK))
     shards = partition_noniid(task, cfg.clients, cfg.train.similarity,
                               seeding.derive(seed, seeding.PARTITION)).shards
     w0 = seeding.derive(seed, seeding.INIT).normal(0.0, 0.01,
@@ -51,7 +48,8 @@ def _plan_for(cfg, name, dist, costs, scfg, probe=None) -> SelectionPlan:
                      payment_grid=cfg.payment_grid)
 
 
-def _write(text, path):
+def write_output(text, path):
+    """Write `text` to `path`, or to stdout if it is None; a ValueError if unwritable."""
     if path is None:
         sys.stdout.write(text)
         return
@@ -87,7 +85,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         "selected_count": plan.selected_count,
         "degenerate": plan.degenerate,
     }
-    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+    write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
     return 0
 
 
@@ -124,7 +122,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             if record.diverged:
                 print(f"warning: run {record.run_id} diverged", file=sys.stderr)
             lines.extend(record.rows())
-    _write("\n".join(lines) + "\n", cfg.out)
+    write_output("\n".join(lines) + "\n", cfg.out)
     return 0
 
 
@@ -143,7 +141,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                     f"{float(plan.total_payment)!r},{plan.selected_count},"
                     f"{float(record.test_accuracy[-1])!r},"
                     f"{float(record.test_loss[-1])!r}")
-    _write("\n".join(lines) + "\n", cfg.out)
+    write_output("\n".join(lines) + "\n", cfg.out)
     return 0
 
 
@@ -165,9 +163,9 @@ def cmd_audit(cfg: ExperimentConfig) -> int:
                 *audit.truthfulness(interim, *zip(*draws)),
                 audit.noise_calibration(seeding.derive(seed, seeding.COSTS, 7),
                                         cfg.train.delta, cfg.train.c2)]
-    _write("".join(f"{'ok' if v.passed else 'FAIL'}: {v.name} (measured "
-                   f"{v.measured:.3e}, tolerance {v.tolerance:.3e})\n"
-                   for v in verdicts), cfg.out)
+    write_output("".join(f"{'ok' if v.passed else 'FAIL'}: {v.name} (measured "
+                         f"{v.measured:.3e}, tolerance {v.tolerance:.3e})\n"
+                         for v in verdicts), cfg.out)
     return 0 if all(v.passed for v in verdicts) else 1
 
 
@@ -196,31 +194,37 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def main(argv=None) -> int:
-    args = _parse_args(argv)
+def exit_code(body) -> int:
+    """Run `body()` and return its exit code, the error boundary of `jsam`
+    and the scripts: a ConfigError or ValueError becomes one
+    `config error:` or `error:` line on stderr and exit code 2."""
     try:
-        if args.config is not None:
-            cfg = load(args.config)
-        elif args.command == "audit":
-            cfg = from_dict(_AUDIT_DEFAULT)
-        else:
-            raise ConfigError("--config is required")
-        if args.seed is not None:
-            cfg.seeds = [args.seed]
-        if args.mechanism is not None:
-            cfg.mechanisms = [m.strip() for m in args.mechanism.split(",") if m.strip()]
-        if args.out is not None:
-            cfg.out = args.out
-        validate(cfg)
-        handler = {"solve": cmd_solve, "simulate": cmd_simulate,
-                   "audit": cmd_audit, "sweep": cmd_sweep}[args.command]
-        return handler(cfg)
+        return body()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    args = _parse_args(argv)
+    mechanisms = (None if args.mechanism is None else
+                  [m.strip() for m in args.mechanism.split(",") if m.strip()])
+    overrides = {"seeds": None if args.seed is None else [args.seed],
+                 "mechanisms": mechanisms, "out": args.out}
+    handler = {"solve": cmd_solve, "simulate": cmd_simulate,
+               "audit": cmd_audit, "sweep": cmd_sweep}[args.command]
+
+    def body():
+        if args.config is not None:
+            return handler(load(args.config, **overrides))
+        if args.command == "audit":
+            return handler(from_dict(_AUDIT_DEFAULT, **overrides))
+        raise ConfigError("--config is required")
+
+    return exit_code(body)
 
 
 if __name__ == "__main__":

@@ -41,8 +41,6 @@ class TaskSpec:
     classes: int = 5
     samples_per_client: int = 60
     test_size: int = 400
-    center_spread: float = 2.5
-    noise: float = 1.0
 
     @property
     def weight_dim(self) -> int:
@@ -53,7 +51,6 @@ class TaskSpec:
 class ServerSpec:
     eta: float = 1.0
     q_coefficient: float | None = None  # None: derive from the noise model
-    smoothness: float = 1.0
     grid_delta: float = 1e-3
 
 
@@ -76,11 +73,16 @@ _NESTED = {"costs": CostSpec, "server": ServerSpec, "train": TrainSettings,
            "task": TaskSpec}
 
 
-def from_dict(data: dict) -> ExperimentConfig:
-    """Strict construction: unknown keys are errors naming their path."""
+def from_dict(data: dict, **overrides) -> ExperimentConfig:
+    """The validated config for `data`, whose top-level fields the `overrides`
+    that are not None (a command's flags) replace first. Unknown keys and bad
+    values are ConfigErrors naming their field."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    return _build(ExperimentConfig, data, path="")
+    data = {**data, **{k: v for k, v in overrides.items() if v is not None}}
+    cfg = _build(ExperimentConfig, data, path="")
+    validate(cfg)
+    return cfg
 
 
 def _build(cls, data, path):
@@ -108,7 +110,8 @@ def dumps(cfg: ExperimentConfig) -> str:
     return json.dumps(to_dict(cfg), indent=2, sort_keys=True)
 
 
-def load(path) -> ExperimentConfig:
+def load(path, **overrides) -> ExperimentConfig:
+    """Read a JSON config file and build it with `from_dict`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -116,9 +119,7 @@ def load(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    cfg = from_dict(data)
-    validate(cfg)
-    return cfg
+    return from_dict(data, **overrides)
 
 
 def _require(cond, message):
@@ -130,9 +131,8 @@ _INTEGER_FIELDS = ("clients", "payment_grid", "train.rounds", "train.per_round",
                    "train.similarity", "task.feature_dim", "task.classes",
                    "task.samples_per_client", "task.test_size")
 _REAL_FIELDS = ("costs.lower", "costs.upper", "costs.mean", "costs.std",
-                "server.eta", "server.smoothness", "server.grid_delta",
-                "train.clip", "train.learning_rate", "train.delta", "train.c2",
-                "task.center_spread", "task.noise")
+                "server.eta", "server.grid_delta", "train.clip",
+                "train.learning_rate", "train.delta", "train.c2")
 # list field -> (element type, plural noun, may be null)
 _LIST_FIELDS = {"seeds": (numbers.Integral, "integers", False),
                 "mechanisms": (str, "strings", False),
@@ -168,27 +168,22 @@ def _check_types(cfg: ExperimentConfig) -> None:
     _require(cfg.out is None or isinstance(cfg.out, str), "out must be a path string")
 
 
+def _named(prefix, make):
+    """make(), with a ValueError it raises re-raised as a ConfigError under `prefix`."""
+    try:
+        return make()
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}: {exc}") from None
+
+
 def validate(cfg: ExperimentConfig) -> None:
+    """Raise a ConfigError naming the first bad field; ranges that the cost
+    prior and `ServerConfig` check themselves are checked by building them."""
     _check_types(cfg)
     _require(cfg.clients >= 1, "clients must be an integer >= 1")
-    _require(cfg.costs.lower >= 0, "costs.lower must be >= 0")
-    _require(cfg.costs.upper > cfg.costs.lower,
-             "costs.upper must exceed costs.lower")
-    if cfg.costs.kind == "gaussian":
-        _require(cfg.costs.std > 0, "costs.std must be > 0")
-    elif cfg.costs.kind != "uniform":
-        raise ConfigError(f"costs.kind must be uniform or gaussian, got {cfg.costs.kind!r}")
-    try:
-        cfg.costs.build()
-    except ValueError as exc:
-        raise ConfigError(f"costs: {exc}") from None
-
-    srv = cfg.server
-    _require(srv.eta >= 0, "eta must be >= 0")
-    _require(srv.q_coefficient is None or srv.q_coefficient > 0,
-             "q_coefficient must be > 0 when given")
-    _require(srv.smoothness > 0, "smoothness must be > 0")
-    _require(0 < srv.grid_delta <= 1, "grid_delta must lie in (0, 1]")
+    _named("costs", cfg.costs.build)
 
     tr = cfg.train
     _require(tr.rounds >= 1, "train.rounds must be >= 1")
@@ -204,13 +199,11 @@ def validate(cfg: ExperimentConfig) -> None:
     _require(task.feature_dim >= 1, "task.feature_dim must be >= 1")
     _require(task.samples_per_client >= 1, "task.samples_per_client must be >= 1")
     _require(task.test_size >= 1, "task.test_size must be >= 1")
+    _named("server", lambda: server_config(cfg))
 
     _require(bool(cfg.mechanisms), "mechanisms must be nonempty")
     for name in cfg.mechanisms:
-        try:
-            parse_mechanism(name)
-        except ValueError as exc:
-            raise ConfigError(f"mechanisms: {exc}") from None
+        _named("mechanisms", functools.partial(parse_mechanism, name))
 
     _require(bool(cfg.seeds), "seeds must be nonempty")
     for s in cfg.seeds:
@@ -240,4 +233,4 @@ def server_config(cfg: ExperimentConfig, eta: float | None = None) -> ServerConf
     return ServerConfig.from_noise_model(
         eta=eta, c2=cfg.train.c2, delta=cfg.train.delta,
         dimension=cfg.task.weight_dim, iterations=cfg.train.rounds,
-        smoothness=cfg.server.smoothness, grid_delta=cfg.server.grid_delta)
+        grid_delta=cfg.server.grid_delta)

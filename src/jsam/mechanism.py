@@ -31,9 +31,11 @@ import numpy as np
 _TWO_THIRDS = 2.0 / 3.0
 _TWO_OVER_ROOT3 = 2.0 / math.sqrt(3.0)
 _HALF_THREE_ROOT3 = 1.5 * math.sqrt(3.0)
-# most m per bounded block (`_blocks`); relative margin on a bound for rounding
+# most m per bounded block (`_blocks`); relative margin on a bound for rounding;
+# most (row, candidate) pairs solved at once (`solve_profiles` chunks rows)
 _BLOCK = 32
 _PRUNE_MARGIN = 1e-9
+_MAX_ELEMENTS = 262_144
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class ServerConfig:
             raise ValueError("grid_delta must lie in (0, 1]")
 
     @classmethod
-    def from_noise_model(cls, eta, c2, delta, dimension, iterations, smoothness,
+    def from_noise_model(cls, eta, c2, delta, dimension, iterations, smoothness=1.0,
                          grid_delta=1e-3):
         """Build the config with Q = 2*c2^2*ln(1/delta)*D*sqrt(T)*L."""
         if not 0 < delta < 1:
@@ -207,13 +209,12 @@ def _candidate_grid(n, cfg: ServerConfig):
             np.concatenate([[share], share - m * cfg.grid_delta]))
 
 
-def solve_profiles(virtual_costs, cfg: ServerConfig,
-                   max_elements: int = 262_144) -> BatchSolution:
+def solve_profiles(virtual_costs, cfg: ServerConfig) -> BatchSolution:
     """Run the grid solver on a (B, N) batch of positive virtual costs.
 
     Clients are ranked by a stable argsort, so of two equal virtual costs
     the lower index ranks first. Rows are solved in chunks of at most
-    `max_elements` (row, candidate) pairs. Each plan is the first minimiser
+    `_MAX_ELEMENTS` (row, candidate) pairs. Each plan is the first minimiser
     of the objective over the grid in h-, then m-ascending order, found with
     a lower bound per block of m (`_blocks`) so that only blocks that can
     still win are solved. At eta = 0 every plan is the degenerate one: the
@@ -226,7 +227,7 @@ def solve_profiles(virtual_costs, cfg: ServerConfig,
     if np.any(v <= 0):
         raise ValueError("virtual costs must be positive")
     grid = _candidate_grid(n, cfg)
-    rows_per_chunk = max(1, max_elements // grid[0].size)
+    rows_per_chunk = max(1, _MAX_ELEMENTS // grid[0].size)
     if batch > rows_per_chunk:
         parts = [_solve_block(v[i:i + rows_per_chunk], cfg, grid)
                  for i in range(0, batch, rows_per_chunk)]

@@ -45,11 +45,9 @@ def _trapezoid_error(e, step) -> float:
 class InterimAllocation:
     """Monte-Carlo estimate of one client's report -> expected budget curve."""
 
-    client: int          # 1-based index
     grid: np.ndarray     # (G,) ascending reports
     budgets: np.ndarray  # (G,) estimated expected budgets
     samples: int
-    seed: int
 
     def at(self, report):
         """Piecewise-linear interpolation of the curve."""
@@ -92,8 +90,7 @@ def interim_allocation(k, dist: CostDistribution, n_clients, cfg: ServerConfig,
     virtuals = dist.virtual(profiles)
     sol = solve_profiles(virtuals, cfg)
     curve = sol.privacy_budgets[:, col].reshape(grid_size, samples).mean(axis=1)
-    return InterimAllocation(client=k, grid=grid, budgets=curve,
-                             samples=samples, seed=seed)
+    return InterimAllocation(grid=grid, budgets=curve, samples=samples)
 
 
 def payment(c, interim: InterimAllocation) -> float:

@@ -94,9 +94,31 @@ def test_negative_eta_is_a_config_error(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("patch, message", [
+    ({"costs": {"kind": "uniform", "lower": -1.0}},
+     "costs: support lower bound must be >= 0"),
+    ({"costs": {"kind": "x"}}, "costs.kind must be uniform or gaussian, got 'x'"),
+    ({"costs": {"kind": "gaussian", "std": 0.0}}, "costs: std must be positive"),
+    ({"server": {"eta": 1.0, "grid_delta": 2.0}},
+     "server: grid_delta must lie in (0, 1]"),
+    ({"server": {"eta": -1.0}}, "server: eta must be >= 0"),
+])
+def test_out_of_range_config_value_is_one_config_error_line(tmp_path, capsys,
+                                                             patch, message):
+    # the cost prior and ServerConfig check these ranges; validation builds both
+    path = _write_cfg(tmp_path, dict(SMALL_SIM, **patch))
+    assert main(["solve", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("patch, field", [
     ({"path": "/tmp/x"}, "path"),
     ({"server": {"objective_form": "exact_l1"}}, "server.objective_form"),
+    ({"server": {"smoothness": 1.0}}, "server.smoothness"),
+    ({"task": {"center_spread": 2.5}}, "task.center_spread"),
+    ({"task": {"noise": 1.0}}, "task.noise"),
 ])
 def test_unknown_config_field_is_named(tmp_path, capsys, patch, field):
     path = _write_cfg(tmp_path, dict(SMALL_SIM, **patch))
@@ -136,6 +158,13 @@ def test_undecodable_config_is_a_config_error(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe{}")
     assert main(["solve", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error: config is not valid JSON")
+
+
+def test_non_object_config_root_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert main(["solve", "--config", str(path), "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "config error: config root must be an object\n"
 
 
 def test_bare_fsbm_is_rejected(tmp_path, capsys):
@@ -196,6 +225,24 @@ def test_irregular_cost_prior_is_a_named_config_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("config error: costs: density must be positive and "
                             "finite on the support\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "audit"])
+def test_each_command_validates_its_config_once(tmp_path, monkeypatch, command):
+    # flags are applied before the config is built, so nothing re-validates it;
+    # every jsam name bound to validate is counted, not only the defining one
+    calls = []
+    real = config.validate
+    for module in [m for name, m in sys.modules.items() if name.startswith("jsam")]:
+        if getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate",
+                                lambda cfg: calls.append(cfg) or real(cfg))
+    argv = [command, "--seed", "1", "--out", str(tmp_path / "out")]
+    if command != "audit":
+        argv += ["--config", _write_cfg(tmp_path, SMALL_SIM)]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert calls[0].seeds == [1] and calls[0].out == str(tmp_path / "out")
 
 
 # ---------------------------------------------------------------------------

@@ -476,13 +476,15 @@ def test_batch_solver_matches_single_profile_solves(rng, basic_cfg):
             float(single.total_budget[0]), rel=1e-8)
 
 
-def test_chunked_and_unchunked_batches_agree(basic_cfg, rng):
+def test_chunked_and_unchunked_batches_agree(basic_cfg, rng, monkeypatch):
     # the second input is an N = 100 payment curve cut into 7-row chunks
     small = 2.0 * rng.uniform(0.05, 1.0, size=(50, 3))
     curve = _curve_batch(rng, 100)
     for v, max_elements in [(small, 2000), (curve, 7 * 991)]:
         whole = solve_profiles(v, basic_cfg)
-        chunked = solve_profiles(v, basic_cfg, max_elements=max_elements)
+        with monkeypatch.context() as patch:
+            patch.setattr(mechanism, "_MAX_ELEMENTS", max_elements)
+            chunked = solve_profiles(v, basic_cfg)
         assert whole.probabilities.tobytes() == chunked.probabilities.tobytes()
         assert whole.total_budget.tobytes() == chunked.total_budget.tobytes()
 

@@ -15,8 +15,7 @@ FAST = ServerConfig(eta=1.0, q_coefficient=1.0, grid_delta=1e-2)
 
 def _linear_rule(grid_size=101, samples=10 ** 6):
     grid = np.linspace(0.0, 1.0, grid_size)
-    return InterimAllocation(client=1, grid=grid, budgets=1.0 - grid,
-                             samples=samples, seed=0)
+    return InterimAllocation(grid=grid, budgets=1.0 - grid, samples=samples)
 
 
 def test_payment_of_a_linear_rule_is_exact():
@@ -46,7 +45,7 @@ def test_ir_examples():
     grid = np.linspace(0.0, 1.0, 101)
     _, ir = truthfulness(_linear_rule(), [0.5, 0.9], [[], []])
     assert ir.passed and ir.measured == pytest.approx(-0.005, abs=1e-9)
-    negative_tail = InterimAllocation(1, grid, 0.5 - grid, samples=10 ** 6, seed=0)
+    negative_tail = InterimAllocation(grid, 0.5 - grid, samples=10 ** 6)
     _, ir = truthfulness(negative_tail, [0.2], [[]])
     # shortfall: -integral_{0.2}^1 (0.5 - z) dz = 0.08
     assert not ir.passed and ir.measured == pytest.approx(0.08, abs=1e-9)
@@ -63,7 +62,7 @@ def test_ic_hand_integration_of_the_linear_rule():
 
 def test_ic_constant_rule_is_report_independent():
     grid = np.linspace(0.0, 1.0, 51)
-    interim = InterimAllocation(1, grid, np.full(51, 0.4), samples=10 ** 6, seed=0)
+    interim = InterimAllocation(grid, np.full(51, 0.4), samples=10 ** 6)
     ic, _ = truthfulness(interim, [0.3], [np.linspace(0.0, 1.0, 17)])
     assert ic.passed
     assert ic.measured == pytest.approx(0.0, abs=1e-12)
@@ -71,7 +70,7 @@ def test_ic_constant_rule_is_report_independent():
 
 def test_increasing_rule_fails_both_audits():
     grid = np.linspace(0.0, 1.0, 51)
-    interim = InterimAllocation(1, grid, grid.copy(), samples=10 ** 6, seed=0)
+    interim = InterimAllocation(grid, grid.copy(), samples=10 ** 6)
     assert not interim_monotone(interim).passed
     ic, _ = truthfulness(interim, [0.2], [[0.9]])
     assert not ic.passed

@@ -70,3 +70,27 @@ def test_accuracy_vs_cost_matches_each_baseline_to_the_jsam_spend(
     for r in rows:
         assert 0.0 <= float(r["final_test_accuracy"]) <= 1.0
         assert r["diverged"] == "0"
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("eta_sweep", "config"), ("eta_sweep", "out"),
+    ("accuracy_vs_cost", "config"), ("accuracy_vs_cost", "out"),
+    ("accuracy_vs_cost", "mechanism"),
+])
+def test_bad_script_input_is_one_error_line(tiny_config, tmp_path, capsys,
+                                            name, bad):
+    # eta_sweep plans jsam alone and has no --mechanism flag
+    missing, out = str(tmp_path / "missing.json"), str(tmp_path / "no" / "out.csv")
+    argv = {"config": ["--config", missing],
+            "out": ["--config", str(tiny_config), "--out", out],
+            "mechanism": ["--config", str(tiny_config), "--mechanism", "jsam,foo"]}[bad]
+    if name == "accuracy_vs_cost" and bad != "mechanism":
+        argv += ["--mechanism", "jsam"]
+    assert _load(name).main([*argv, "--eta", "30", "--seeds", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == {
+        "config": f"config error: cannot read config {missing!r}: "
+                  "No such file or directory\n",
+        "out": f"error: cannot write {out!r}: No such file or directory\n",
+        "mechanism": "config error: mechanisms: unknown mechanism 'foo'\n"}[bad]
