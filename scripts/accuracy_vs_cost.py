@@ -10,52 +10,20 @@ an accuracy-vs-cost scatter.
 import argparse
 import sys
 
-from jsam.cli import (exit_code, probe_inputs, sample_costs, simulate_one,
-                      write_output)
-from jsam.config import from_dict, load, server_config
-from jsam.flsim import initial_local_losses, make_plan, match_eta_to_cost
-
-DEFAULTS = {
-    "clients": 10,
-    "costs": {"kind": "uniform", "lower": 0.1, "upper": 1.0},
-    "train": {"rounds": 150, "per_round": 5, "similarity": 30},
-    "task": {"feature_dim": 16, "classes": 5, "samples_per_client": 60,
-             "test_size": 400},
-    "payment_grid": 100,
-}
+from jsam.cli import check_writable, exit_code, matched_spend_runs, write_output
+from jsam.config import DESK, from_dict, load
 
 HEADER = ("eta,mechanism,seed,matched_eta,total_payment,selected_count,"
           "final_test_accuracy,final_test_loss,diverged")
 
 
 def run(cfg, etas, out):
-    mechanisms = cfg.mechanisms
-    dist = cfg.costs.build()
     lines = [HEADER]
     for eta in etas:
         for seed in cfg.seeds:
-            costs = sample_costs(cfg, dist, seed)
-            bbm_losses = (initial_local_losses(*probe_inputs(cfg, seed))
-                          if "bbm" in mechanisms else None)
-            anchor = make_plan("jsam", costs, dist,
-                               server_config(cfg, eta=eta),
-                               bbm_losses=bbm_losses,
-                               payment_grid=cfg.payment_grid)
-            for name in mechanisms:
-                if name == "jsam":
-                    used_eta = eta
-                else:
-                    def plan_at(e, _name=name):
-                        return make_plan(_name, costs, dist,
-                                         server_config(cfg, eta=e),
-                                         bbm_losses=bbm_losses,
-                                         payment_grid=cfg.payment_grid)
-
-                    used_eta, _ = match_eta_to_cost(anchor.total_payment,
-                                                    plan_at)
-                record, plan = simulate_one(cfg, name, seed, eta=used_eta)
+            for plan, record in matched_spend_runs(cfg, eta, seed):
                 lines.append(
-                    f"{float(eta)!r},{name},{seed},{float(used_eta)!r},"
+                    f"{float(eta)!r},{plan.kind},{seed},{float(plan.eta)!r},"
                     f"{float(plan.total_payment)!r},{plan.selected_count},"
                     f"{float(record.test_accuracy[-1])!r},"
                     f"{float(record.test_loss[-1])!r},{int(record.diverged)}")
@@ -81,7 +49,8 @@ def main(argv=None):
 
     def body():
         cfg = (load(args.config, **overrides) if args.config
-               else from_dict(DEFAULTS, **overrides))
+               else from_dict(DESK, **overrides))
+        check_writable(args.out)
         run(cfg, args.eta, args.out)
         return 0
 

@@ -11,32 +11,18 @@ import sys
 
 import numpy as np
 
-from jsam.cli import exit_code, sample_costs, write_output
-from jsam.config import from_dict, load, server_config
-from jsam.flsim import make_plan
-
-DEFAULTS = {
-    "clients": 10,
-    "costs": {"kind": "uniform", "lower": 0.1, "upper": 1.0},
-    "train": {"rounds": 150, "per_round": 5, "similarity": 30},
-    "task": {"feature_dim": 16, "classes": 5, "samples_per_client": 60,
-             "test_size": 400},
-    "payment_grid": 100,
-}
+from jsam.cli import check_writable, exit_code, plan_for, write_output
+from jsam.config import DESK, from_dict, load
 
 HEADER = ("eta,seed,selected_count,threshold,total_budget,total_payment,"
           "objective,min_selected_eps,max_selected_eps,degenerate")
 
 
 def run(cfg, etas, out):
-    dist = cfg.costs.build()
     lines = [HEADER]
     for eta in etas:
         for seed in cfg.seeds:
-            costs = sample_costs(cfg, dist, seed)
-            plan = make_plan("jsam", costs, dist,
-                             server_config(cfg, eta=eta),
-                             payment_grid=cfg.payment_grid)
+            plan = plan_for(cfg, "jsam", seed, eta)
             selected = plan.epsilons[plan.epsilons > 0]
             eps_lo = float(selected.min()) if selected.size else 0.0
             eps_hi = float(selected.max()) if selected.size else 0.0
@@ -60,7 +46,8 @@ def main(argv=None):
 
     def body():
         cfg = (load(args.config, seeds=args.seeds) if args.config
-               else from_dict(DEFAULTS, seeds=args.seeds))
+               else from_dict(DESK, seeds=args.seeds))
+        check_writable(args.out)
         run(cfg, args.eta, args.out)
         return 0
 

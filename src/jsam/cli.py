@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -12,20 +13,18 @@ from . import audit, seeding
 from .config import ConfigError, ExperimentConfig, from_dict, load, server_config
 from .flsim import (RunRecord, SelectionPlan, build_schedule,
                     initial_local_losses, make_plan, make_task,
-                    partition_noniid, train)
+                    match_eta_to_cost, partition_noniid, train)
 from .payments import interim_allocation
 
 
-def sample_costs(cfg: ExperimentConfig, dist, seed):
-    """The clients' sensitivities: `cfg.sensitivities` if given, else drawn.
-
-    Draws come from `dist` with the seed's cost stream, so every command
-    and script sees the same costs for the same seed.
-    """
+def sample_costs(cfg: ExperimentConfig, seed):
+    """The clients' sensitivities: `cfg.sensitivities` if given, else drawn
+    from the config's prior with the seed's cost stream, the same for every
+    command and script."""
     if cfg.sensitivities is not None:
         return np.asarray(cfg.sensitivities, dtype=float)
     rng = seeding.derive(seed, seeding.COSTS)
-    return dist.sample(rng, size=cfg.clients)
+    return cfg.prior.sample(rng, size=cfg.clients)
 
 
 def probe_inputs(cfg: ExperimentConfig, seed):
@@ -41,40 +40,92 @@ def probe_inputs(cfg: ExperimentConfig, seed):
     return task, shards, w0
 
 
-def _plan_for(cfg, name, dist, costs, scfg, probe=None) -> SelectionPlan:
-    """make_plan with the config's payment grid; bbm's losses come from `probe`."""
-    bbm_losses = initial_local_losses(*probe) if name == "bbm" else None
-    return make_plan(name, costs, dist, scfg, bbm_losses=bbm_losses,
+def plan_for(cfg: ExperimentConfig, name, seed, eta=None, probe=None) -> SelectionPlan:
+    """Mechanism `name`'s plan for the seed's costs at accuracy weight `eta`
+    (default: the config's). bbm's probe losses come from `probe`, the
+    seed's `probe_inputs`, built here if bbm needs it and none is given."""
+    bbm_losses = None
+    if name == "bbm":
+        bbm_losses = initial_local_losses(*(probe or probe_inputs(cfg, seed)))
+    return make_plan(name, sample_costs(cfg, seed), cfg.prior,
+                     server_config(cfg, eta=eta), bbm_losses=bbm_losses,
                      payment_grid=cfg.payment_grid)
+
+
+def train_under(cfg: ExperimentConfig, plan: SelectionPlan, seed, probe) -> RunRecord:
+    """Train under `plan`, whose eta must be > 0, on the seed's `probe_inputs`."""
+    if plan.degenerate:
+        raise ConfigError("eta must be > 0 to simulate")
+    task, shards, w0 = probe
+    tag = seeding.mechanism_tag(plan.kind)
+    schedule = build_schedule(plan.probabilities, cfg.train.rounds,
+                              cfg.train.per_round,
+                              seeding.derive(seed, seeding.SCHEDULE, tag))
+    run_id = f"{plan.kind}-s{cfg.train.similarity}-eta{plan.eta:g}-seed{seed}"
+    return train(task, shards, plan, schedule, cfg.train,
+                 seeding.derive(seed, seeding.NOISE, tag), w0=w0,
+                 run_id=run_id, seed=seed)
+
+
+def simulate_one(cfg: ExperimentConfig, name, seed, eta=None):
+    """(RunRecord, SelectionPlan) of mechanism `name` for one seed at accuracy
+    weight `eta`: the loop body of `jsam simulate` and `jsam sweep`."""
+    probe = probe_inputs(cfg, seed)
+    plan = plan_for(cfg, name, seed, eta, probe)
+    return train_under(cfg, plan, seed, probe), plan
+
+
+def matched_spend_runs(cfg: ExperimentConfig, eta, seed):
+    """(SelectionPlan, RunRecord) of each of the config's mechanisms for one
+    seed, all at the spend of jsam's plan at `eta`.
+
+    Every other mechanism's eta is bisected until its total payment matches
+    jsam's (`match_eta_to_cost`); its plan's `eta` is the matched one. Each
+    mechanism is trained once, under the plan it was matched with.
+    """
+    probe = probe_inputs(cfg, seed)
+    anchor = plan_for(cfg, "jsam", seed, eta, probe)
+    plans = [anchor if name == "jsam" else match_eta_to_cost(
+        anchor.total_payment, functools.partial(plan_for, cfg, name, seed,
+                                                probe=probe))[1]
+             for name in cfg.mechanisms]
+    return [(plan, train_under(cfg, plan, seed, probe)) for plan in plans]
+
+
+def check_writable(path):
+    """Raise `write_output`'s error for `path` before any work is done. A
+    missing file is created empty; an existing one keeps its content."""
+    if path is not None:
+        _write(path, "", "a")
 
 
 def write_output(text, path):
     """Write `text` to `path`, or to stdout if it is None; a ValueError if unwritable."""
     if path is None:
         sys.stdout.write(text)
-        return
+    else:
+        _write(path, text, "w")
+
+
+def _write(path, text, mode):
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
-    seed = cfg.seeds[0]
-    name = cfg.mechanisms[0]
-    dist = cfg.costs.build()
-    costs = sample_costs(cfg, dist, seed)
-    scfg = server_config(cfg)
-    probe = probe_inputs(cfg, seed) if name == "bbm" else None
-    plan = _plan_for(cfg, name, dist, costs, scfg, probe)
+    seed, name = cfg.seeds[0], cfg.mechanisms[0]
+    costs, scfg = sample_costs(cfg, seed), server_config(cfg)
+    plan = plan_for(cfg, name, seed)
     doc = {
         "mechanism": name,
         "seed": seed,
         "eta": scfg.eta,
         "q_coefficient": scfg.q_coefficient,
         "sensitivities": [float(c) for c in costs],
-        "virtual_costs": [float(v) for v in np.atleast_1d(dist.virtual(costs))],
+        "virtual_costs": [float(v) for v in np.atleast_1d(cfg.prior.virtual(costs))],
         "probabilities": [float(x) for x in plan.probabilities],
         "privacy_budgets": [float(x) for x in plan.epsilons],
         "payments": [float(x) for x in plan.payments],
@@ -87,31 +138,6 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     }
     write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
     return 0
-
-
-def simulate_one(cfg: ExperimentConfig, name, seed, eta=None):
-    """Plan mechanism `name` for one seed, then train under it.
-
-    `eta` overrides the config's accuracy weight, which must be > 0. Returns
-    (RunRecord, SelectionPlan); `jsam simulate` and `jsam sweep` are loops
-    over this call.
-    """
-    dist = cfg.costs.build()
-    costs = sample_costs(cfg, dist, seed)
-    scfg = server_config(cfg, eta=eta)
-    if scfg.eta == 0:
-        raise ConfigError("eta must be > 0 to simulate")
-    task, shards, w0 = probe = probe_inputs(cfg, seed)
-    plan = _plan_for(cfg, name, dist, costs, scfg, probe)
-    tag = seeding.mechanism_tag(name)
-    schedule = build_schedule(plan.probabilities, cfg.train.rounds,
-                              cfg.train.per_round,
-                              seeding.derive(seed, seeding.SCHEDULE, tag))
-    run_id = f"{name}-s{cfg.train.similarity}-eta{scfg.eta:g}-seed{seed}"
-    record = train(task, shards, plan, schedule, cfg.train,
-                   seeding.derive(seed, seeding.NOISE, tag), w0=w0,
-                   run_id=run_id, seed=seed)
-    return record, plan
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -148,7 +174,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 def cmd_audit(cfg: ExperimentConfig) -> int:
     if cfg.clients > 4:
         raise ConfigError("clients must be <= 4 for audit (oracle guard)")
-    seed, dist, scfg = cfg.seeds[0], cfg.costs.build(), server_config(cfg)
+    seed, dist, scfg = cfg.seeds[0], cfg.prior, server_config(cfg)
     instances = [(dist.virtual(dist.sample(seeding.derive(seed, seeding.COSTS, 10 + i),
                                            size=cfg.clients)), scfg) for i in range(3)]
     mc_seed = int(seeding.derive(seed, seeding.INTERIM).integers(2 ** 31))
@@ -219,10 +245,13 @@ def main(argv=None) -> int:
 
     def body():
         if args.config is not None:
-            return handler(load(args.config, **overrides))
-        if args.command == "audit":
-            return handler(from_dict(_AUDIT_DEFAULT, **overrides))
-        raise ConfigError("--config is required")
+            cfg = load(args.config, **overrides)
+        elif args.command == "audit":
+            cfg = from_dict(_AUDIT_DEFAULT, **overrides)
+        else:
+            raise ConfigError("--config is required")
+        check_writable(cfg.out)
+        return handler(cfg)
 
     return exit_code(body)
 

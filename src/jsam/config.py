@@ -68,6 +68,20 @@ class ExperimentConfig:
     payment_grid: int = 200
     out: str | None = None
 
+    @functools.cached_property
+    def prior(self) -> CostDistribution:
+        """The cost prior, built once, by `validate`."""
+        return self.costs.build()
+
+
+# The desk-scale experiment: the scripts' default and acceptance criterion 7's.
+DESK = {
+    "clients": 10,
+    "costs": {"kind": "uniform", "lower": 0.1, "upper": 1.0},
+    "train": {"rounds": 150, "per_round": 5, "similarity": 30},
+    "payment_grid": 100,
+}
+
 
 _NESTED = {"costs": CostSpec, "server": ServerSpec, "train": TrainSettings,
            "task": TaskSpec}
@@ -183,7 +197,7 @@ def validate(cfg: ExperimentConfig) -> None:
     prior and `ServerConfig` check themselves are checked by building them."""
     _check_types(cfg)
     _require(cfg.clients >= 1, "clients must be an integer >= 1")
-    _named("costs", cfg.costs.build)
+    _named("costs", lambda: cfg.prior)
 
     tr = cfg.train
     _require(tr.rounds >= 1, "train.rounds must be >= 1")

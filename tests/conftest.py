@@ -4,6 +4,7 @@ import hypothesis
 import numpy as np
 import pytest
 
+import jsam.cli
 from jsam.costs import UniformCosts
 from jsam.mechanism import ServerConfig
 
@@ -35,3 +36,13 @@ def basic_cfg():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Planning and training raise, so a test can show that a command did neither."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    monkeypatch.setattr(jsam.cli, "make_plan", forbidden)
+    monkeypatch.setattr(jsam.cli, "train", forbidden)

@@ -14,10 +14,10 @@ import numpy as np
 
 from jsam.audit import (budget_identity, grid_vs_brute_force,
                         interim_monotone, truthfulness)
-from jsam.cli import main, sample_costs, simulate_one
-from jsam.config import from_dict, server_config
+from jsam.cli import main, matched_spend_runs, plan_for
+from jsam.config import DESK, from_dict
 from jsam.costs import UniformCosts
-from jsam.flsim import make_plan, match_eta_to_cost, noise_sigma
+from jsam.flsim import noise_sigma
 from jsam.mechanism import ServerConfig, optimal_epsilon
 from jsam.oracle import lagrangian_budget_split
 from jsam.payments import interim_allocation
@@ -139,45 +139,22 @@ def test_criterion_6_noise_calibration_exact():
                     f"{worst:.2e} (tol 5e-15)")
 
 
-_DESK = {
-    "clients": 10,
-    "costs": {"kind": "uniform", "lower": 0.1, "upper": 1.0},
-    "server": {"eta": 1.0},
-    "train": {"rounds": 150, "per_round": 5, "clip": 6.0,
-              "learning_rate": 0.3, "similarity": 30},
-    "task": {"feature_dim": 16, "classes": 5, "samples_per_client": 60,
-             "test_size": 400},
-    "payment_grid": 100,
-}
 _ETA_LOW = 30.0
 _ETA_HIGH = 1e5
 _ETA_GRID = (30.0, 100.0, 300.0, 1000.0, 3000.0, 10_000.0, 30_000.0, 1e5)
 _SEEDS = (0, 1, 2, 3, 4)
 
 
-def _matched_pair_accuracies(cfg, dist, eta, seed):
-    costs = sample_costs(cfg, dist, seed)
-    jsam_plan = make_plan("jsam", costs, dist, server_config(cfg, eta=eta),
-                          payment_grid=cfg.payment_grid)
-
-    def usbm_at(e):
-        return make_plan("usbm", costs, dist, server_config(cfg, eta=e),
-                         payment_grid=cfg.payment_grid)
-
-    usbm_eta, _ = match_eta_to_cost(jsam_plan.total_payment, usbm_at)
-    jsam_rec, _ = simulate_one(cfg, "jsam", seed, eta=eta)
-    usbm_rec, _ = simulate_one(cfg, "usbm", seed, eta=usbm_eta)
-    return jsam_rec.test_accuracy[-1], usbm_rec.test_accuracy[-1]
-
-
 def test_criterion_7_desk_scale_directional_checks():
     t0 = time.perf_counter()
-    cfg = from_dict(dict(_DESK))
-    dist = cfg.costs.build()
+    cfg = from_dict(DESK, mechanisms=["jsam", "usbm"])
 
     gaps = {}
     for eta in (_ETA_LOW, _ETA_HIGH):
-        pairs = [_matched_pair_accuracies(cfg, dist, eta, s) for s in _SEEDS]
+        # per seed: (jsam, usbm) accuracies, usbm at jsam's spend
+        pairs = [[record.test_accuracy[-1]
+                  for _, record in matched_spend_runs(cfg, eta, s)]
+                 for s in _SEEDS]
         jsam_mean = float(np.mean([a for a, _ in pairs]))
         usbm_mean = float(np.mean([b for _, b in pairs]))
         gaps[eta] = jsam_mean - usbm_mean
@@ -186,10 +163,7 @@ def test_criterion_7_desk_scale_directional_checks():
 
     count_ok = payment_ok = True
     for seed in _SEEDS:
-        costs = sample_costs(cfg, dist, seed)
-        plans = [make_plan("jsam", costs, dist, server_config(cfg, eta=eta),
-                           payment_grid=cfg.payment_grid)
-                 for eta in _ETA_GRID]
+        plans = [plan_for(cfg, "jsam", seed, eta) for eta in _ETA_GRID]
         counts = [p.selected_count for p in plans]
         pays = [p.total_payment for p in plans]
         count_ok &= all(a <= b for a, b in zip(counts, counts[1:]))

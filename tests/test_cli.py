@@ -13,6 +13,7 @@ import pytest
 import jsam
 from jsam import audit, config
 from jsam.cli import main
+from jsam.costs import TruncatedGaussianCosts
 from jsam.mechanism import verify_structure
 
 SMALL_SIM = {
@@ -189,14 +190,24 @@ def test_unreadable_config_is_one_config_error_line(tmp_path, capsys, name, reas
     assert reason in captured.err and captured.err.count("\n") == 1
 
 
-def test_unwritable_out_is_one_error_line(tmp_path, capsys):
-    path = _write_cfg(tmp_path, dict(SMALL_SIM, clients=2))
+@pytest.mark.parametrize("command", ["solve", "simulate", "sweep"])
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, no_work, command):
+    path = _write_cfg(tmp_path, dict(SMALL_SIM, clients=2, eta_grid=[1.0]))
     out = str(tmp_path / "missing" / "plan.json")
-    assert main(["solve", "--config", path, "--out", out]) == 2
+    assert main([command, "--config", path, "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot write {out!r}")
-    assert captured.err.count("\n") == 1
+    assert captured.err == f"error: cannot write {out!r}: No such file or directory\n"
+
+
+def test_out_is_kept_when_the_work_fails(tmp_path, no_work):
+    # --out is checked before the work, but written only after it succeeds
+    out = tmp_path / "out.csv"
+    out.write_text("earlier results\n")
+    with pytest.raises(AssertionError, match="work ran"):
+        main(["simulate", "--config", _write_cfg(tmp_path, SMALL_SIM),
+              "--out", str(out)])
+    assert out.read_text() == "earlier results\n"
 
 
 @pytest.mark.parametrize("mechanism", ["jsam", "usbm"])
@@ -227,7 +238,7 @@ def test_irregular_cost_prior_is_a_named_config_error(tmp_path, capsys):
                             "finite on the support\n")
 
 
-@pytest.mark.parametrize("command", ["solve", "simulate", "audit"])
+@pytest.mark.parametrize("command", ["solve", "simulate", "audit", "sweep"])
 def test_each_command_validates_its_config_once(tmp_path, monkeypatch, command):
     # flags are applied before the config is built, so nothing re-validates it;
     # every jsam name bound to validate is counted, not only the defining one
@@ -239,10 +250,24 @@ def test_each_command_validates_its_config_once(tmp_path, monkeypatch, command):
                                 lambda cfg: calls.append(cfg) or real(cfg))
     argv = [command, "--seed", "1", "--out", str(tmp_path / "out")]
     if command != "audit":
-        argv += ["--config", _write_cfg(tmp_path, SMALL_SIM)]
+        argv += ["--config", _write_cfg(tmp_path, dict(SMALL_SIM, eta_grid=[1.0]))]
     assert main(argv) == 0
     assert len(calls) == 1
     assert calls[0].seeds == [1] and calls[0].out == str(tmp_path / "out")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_each_command_builds_its_cost_prior_once(tmp_path, monkeypatch, command):
+    # validation builds the prior and the config keeps it for every run
+    builds = []
+    real = TruncatedGaussianCosts.__post_init__
+    monkeypatch.setattr(TruncatedGaussianCosts, "__post_init__",
+                        lambda self: builds.append(self) or real(self))
+    doc = dict(SMALL_SIM, costs={"kind": "gaussian", "lower": 0.1, "upper": 1.0},
+               mechanisms=["jsam", "usbm"], eta_grid=[1.0, 2.0])
+    assert main([command, "--config", _write_cfg(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------

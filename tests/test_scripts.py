@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under scripts/ on a tiny config."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -72,13 +73,35 @@ def test_accuracy_vs_cost_matches_each_baseline_to_the_jsam_spend(
         assert r["diverged"] == "0"
 
 
+# sha256 of each script's CSV on TINY, so that any change to the scripts'
+# output, down to the last digit of a float, fails here
+GOLDEN = [
+    ("eta_sweep", ["--eta", "1", "100", "--seeds", "0", "1"],
+     "67a29a2c9a21d6669104ac97ee8f9db67de4a649180299572256cd40b0cacd46"),
+    ("accuracy_vs_cost", ["--eta", "30", "--mechanism", "jsam,usbm,bbm",
+                          "--seeds", "0"],
+     "3cc9ddc7eda58ccbc108067644909b80b280da470b834e7bedb9e81670f8549e"),
+]
+
+
+@pytest.mark.parametrize("name, argv, digest", GOLDEN,
+                         ids=[name for name, _, _ in GOLDEN])
+def test_script_output_matches_its_golden(tiny_config, tmp_path, name, argv,
+                                          digest):
+    out = tmp_path / "out.csv"
+    assert _load(name).main(["--config", str(tiny_config), *argv,
+                             "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("name, bad", [
     ("eta_sweep", "config"), ("eta_sweep", "out"),
     ("accuracy_vs_cost", "config"), ("accuracy_vs_cost", "out"),
     ("accuracy_vs_cost", "mechanism"),
 ])
 def test_bad_script_input_is_one_error_line(tiny_config, tmp_path, capsys,
-                                            name, bad):
+                                            no_work, name, bad):
+    # every bad input is reported before any planning or training
     # eta_sweep plans jsam alone and has no --mechanism flag
     missing, out = str(tmp_path / "missing.json"), str(tmp_path / "no" / "out.csv")
     argv = {"config": ["--config", missing],
