@@ -10,14 +10,14 @@ an accuracy-vs-cost scatter.
 import argparse
 import sys
 
-from jsam.cli import check_writable, exit_code, matched_spend_runs, write_output
-from jsam.config import DESK, from_dict, load
+from jsam.cli import matched_spend_runs, run_command, write_output
+from jsam.config import DESK
 
 HEADER = ("eta,mechanism,seed,matched_eta,total_payment,selected_count,"
           "final_test_accuracy,final_test_loss,diverged")
 
 
-def run(cfg, etas, out):
+def run(cfg, etas):
     lines = [HEADER]
     for eta in etas:
         for seed in cfg.seeds:
@@ -27,7 +27,8 @@ def run(cfg, etas, out):
                     f"{float(plan.total_payment)!r},{plan.selected_count},"
                     f"{float(record.test_accuracy[-1])!r},"
                     f"{float(record.test_loss[-1])!r},{int(record.diverged)}")
-    write_output("\n".join(lines) + "\n", out)
+    write_output("\n".join(lines) + "\n", cfg.out)
+    return 0
 
 
 def main(argv=None):
@@ -41,20 +42,12 @@ def main(argv=None):
                         help="comma-separated mechanisms; non-jsam entries "
                              "are cost-matched to the jsam spend")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    parser.add_argument("--out", help="output CSV path (default stdout)")
+    parser.add_argument("--out", help="output CSV path (default: the "
+                                      "config's out, else stdout)")
     args = parser.parse_args(argv)
-
     mechanisms = [m.strip() for m in args.mechanism.split(",") if m.strip()]
-    overrides = {"seeds": args.seeds, "mechanisms": mechanisms}
-
-    def body():
-        cfg = (load(args.config, **overrides) if args.config
-               else from_dict(DESK, **overrides))
-        check_writable(args.out)
-        run(cfg, args.eta, args.out)
-        return 0
-
-    return exit_code(body)
+    return run_command(lambda cfg: run(cfg, args.eta), args.config, DESK,
+                       seeds=args.seeds, mechanisms=mechanisms, out=args.out)
 
 
 if __name__ == "__main__":

@@ -11,14 +11,14 @@ import sys
 
 import numpy as np
 
-from jsam.cli import check_writable, exit_code, plan_for, write_output
-from jsam.config import DESK, from_dict, load
+from jsam.cli import plan_for, run_command, write_output
+from jsam.config import DESK
 
 HEADER = ("eta,seed,selected_count,threshold,total_budget,total_payment,"
           "objective,min_selected_eps,max_selected_eps,degenerate")
 
 
-def run(cfg, etas, out):
+def run(cfg, etas):
     lines = [HEADER]
     for eta in etas:
         for seed in cfg.seeds:
@@ -31,7 +31,8 @@ def run(cfg, etas, out):
                 f"{plan.threshold},{float(plan.total_budget)!r},"
                 f"{float(plan.total_payment)!r},{float(plan.objective)!r},"
                 f"{eps_lo!r},{eps_hi!r},{int(plan.degenerate)}")
-    write_output("\n".join(lines) + "\n", out)
+    write_output("\n".join(lines) + "\n", cfg.out)
+    return 0
 
 
 def main(argv=None):
@@ -41,17 +42,11 @@ def main(argv=None):
     parser.add_argument("--eta", type=float, nargs="+",
                         default=list(np.geomspace(1.0, 1e5, 21)))
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
-    parser.add_argument("--out", help="output CSV path (default stdout)")
+    parser.add_argument("--out", help="output CSV path (default: the "
+                                      "config's out, else stdout)")
     args = parser.parse_args(argv)
-
-    def body():
-        cfg = (load(args.config, seeds=args.seeds) if args.config
-               else from_dict(DESK, seeds=args.seeds))
-        check_writable(args.out)
-        run(cfg, args.eta, args.out)
-        return 0
-
-    return exit_code(body)
+    return run_command(lambda cfg: run(cfg, args.eta), args.config, DESK,
+                       seeds=args.seeds, out=args.out)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from .flsim import (PartitionPlan, RunRecord, SelectionPlan, SelectionSchedule,
 from .audit import (Verdict, budget_identity, grid_vs_brute_force,
                     interim_monotone, noise_calibration, truthfulness)
 from .config import (ConfigError, CostSpec, ExperimentConfig, ServerSpec,
-                     TaskSpec, from_dict, load, server_config, to_dict,
-                     validate)
+                     TaskSpec, from_dict, load, server_config, validate)
 
 __version__ = "0.1.0"

@@ -92,13 +92,6 @@ def matched_spend_runs(cfg: ExperimentConfig, eta, seed):
     return [(plan, train_under(cfg, plan, seed, probe)) for plan in plans]
 
 
-def check_writable(path):
-    """Raise `write_output`'s error for `path` before any work is done. A
-    missing file is created empty; an existing one keeps its content."""
-    if path is not None:
-        _write(path, "", "a")
-
-
 def write_output(text, path):
     """Write `text` to `path`, or to stdout if it is None; a ValueError if unwritable."""
     if path is None:
@@ -220,12 +213,23 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def exit_code(body) -> int:
-    """Run `body()` and return its exit code, the error boundary of `jsam`
-    and the scripts: a ConfigError or ValueError becomes one
-    `config error:` or `error:` line on stderr and exit code 2."""
+def run_command(command, config_path, default=None, **overrides) -> int:
+    """The entry of `jsam` and the scripts: build the config from the file at
+    `config_path`, else from the `default` dict, with the `overrides` that are
+    not None (the command's flags) applied; reject an unwritable `out` before
+    any work; return `command(cfg)`'s exit code. A ConfigError or ValueError
+    becomes one `config error:` or `error:` line on stderr and exit code 2."""
     try:
-        return body()
+        if config_path is not None:
+            cfg = load(config_path, **overrides)
+        elif default is not None:
+            cfg = from_dict(default, **overrides)
+        else:
+            raise ConfigError("--config is required")
+        if cfg.out is not None:
+            # a missing file is created empty; an existing one keeps its content
+            _write(cfg.out, "", "a")
+        return command(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -238,22 +242,12 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     mechanisms = (None if args.mechanism is None else
                   [m.strip() for m in args.mechanism.split(",") if m.strip()])
-    overrides = {"seeds": None if args.seed is None else [args.seed],
-                 "mechanisms": mechanisms, "out": args.out}
     handler = {"solve": cmd_solve, "simulate": cmd_simulate,
                "audit": cmd_audit, "sweep": cmd_sweep}[args.command]
-
-    def body():
-        if args.config is not None:
-            cfg = load(args.config, **overrides)
-        elif args.command == "audit":
-            cfg = from_dict(_AUDIT_DEFAULT, **overrides)
-        else:
-            raise ConfigError("--config is required")
-        check_writable(cfg.out)
-        return handler(cfg)
-
-    return exit_code(body)
+    return run_command(handler, args.config,
+                       _AUDIT_DEFAULT if args.command == "audit" else None,
+                       seeds=None if args.seed is None else [args.seed],
+                       mechanisms=mechanisms, out=args.out)
 
 
 if __name__ == "__main__":

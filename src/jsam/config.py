@@ -116,14 +116,6 @@ def _build(cls, data, path):
     return cls(**kwargs)
 
 
-def to_dict(cfg: ExperimentConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
-def dumps(cfg: ExperimentConfig) -> str:
-    return json.dumps(to_dict(cfg), indent=2, sort_keys=True)
-
-
 def load(path, **overrides) -> ExperimentConfig:
     """Read a JSON config file and build it with `from_dict`."""
     try:
@@ -239,12 +231,13 @@ def validate(cfg: ExperimentConfig) -> None:
 
 
 def server_config(cfg: ExperimentConfig, eta: float | None = None) -> ServerConfig:
-    """Materialize the solver config, deriving Q from the noise model if unset."""
-    eta = cfg.server.eta if eta is None else eta
-    if cfg.server.q_coefficient is not None:
-        return ServerConfig(eta=eta, q_coefficient=cfg.server.q_coefficient,
-                            grid_delta=cfg.server.grid_delta)
-    return ServerConfig.from_noise_model(
-        eta=eta, c2=cfg.train.c2, delta=cfg.train.delta,
-        dimension=cfg.task.weight_dim, iterations=cfg.train.rounds,
-        grid_delta=cfg.server.grid_delta)
+    """Materialize the solver config, deriving an unset Q from the noise model,
+    Q = 2*c2^2*ln(1/delta)*D*sqrt(T) with smoothness L = 1; `validate` checks
+    the training and task fields it reads before it first calls this."""
+    q = cfg.server.q_coefficient
+    if q is None:
+        tr = cfg.train
+        q = (2.0 * tr.c2 ** 2 * math.log(1.0 / tr.delta) * cfg.task.weight_dim
+             * math.sqrt(tr.rounds))
+    return ServerConfig(eta=cfg.server.eta if eta is None else eta,
+                        q_coefficient=q, grid_delta=cfg.server.grid_delta)

@@ -39,7 +39,6 @@ class SyntheticTask:
     feature_dim: int
     classes: int
     samples_per_client: int
-    centers: np.ndarray
     pool_x: np.ndarray
     pool_y: np.ndarray
     test_x: np.ndarray
@@ -66,8 +65,8 @@ def make_task(feature_dim, classes, pool_size, test_size, samples_per_client,
 
     pool_x, pool_y = blob(pool_size)
     test_x, test_y = blob(test_size)
-    return SyntheticTask(feature_dim, classes, samples_per_client, centers,
-                         pool_x, pool_y, test_x, test_y)
+    return SyntheticTask(feature_dim, classes, samples_per_client, pool_x,
+                         pool_y, test_x, test_y)
 
 
 def _scores(w, x, classes):
@@ -241,7 +240,6 @@ class SelectionPlan:
     epsilons: np.ndarray
     total_budget: float
     payments: np.ndarray
-    payment_errors: np.ndarray
     objective: float | None = None
     threshold: int | None = None
 
@@ -348,17 +346,14 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
 
     if kind == "jsam_ci":
         payments = costs * eps
-        errors = np.zeros(n)
     elif cfg.eta == 0:
         payments = np.zeros(n)
-        errors = np.zeros(n)
     else:
-        payments, errors = expost_payments(costs, eps, dist.upper, eps_of_report,
-                                           grid_size=payment_grid)
+        payments = expost_payments(costs, eps, dist.upper, eps_of_report,
+                                   grid_size=payment_grid)[0]
     return SelectionPlan(kind=name, eta=cfg.eta, probabilities=sol.probabilities[0],
                          epsilons=eps, total_budget=float(sol.total_budget[0]),
-                         payments=payments, payment_errors=errors,
-                         objective=float(sol.objective_value[0]),
+                         payments=payments, objective=float(sol.objective_value[0]),
                          threshold=None if sol.threshold is None else int(sol.threshold[0]))
 
 

@@ -58,17 +58,6 @@ class ServerConfig:
         if not 0 < self.grid_delta <= 1:
             raise ValueError("grid_delta must lie in (0, 1]")
 
-    @classmethod
-    def from_noise_model(cls, eta, c2, delta, dimension, iterations, smoothness=1.0,
-                         grid_delta=1e-3):
-        """Build the config with Q = 2*c2^2*ln(1/delta)*D*sqrt(T)*L."""
-        if not 0 < delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if c2 <= 0 or dimension <= 0 or iterations <= 0 or smoothness <= 0:
-            raise ValueError("c2, dimension, iterations, smoothness must be > 0")
-        q = 2.0 * c2 ** 2 * math.log(1.0 / delta) * dimension * math.sqrt(iterations) * smoothness
-        return cls(eta=eta, q_coefficient=q, grid_delta=grid_delta)
-
 
 @dataclass(frozen=True)
 class StructureReport:

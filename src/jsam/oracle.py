@@ -87,7 +87,6 @@ class BruteForceResult:
     budgets: np.ndarray
     objective: float
     total_budget: float
-    grid_step: float
     evaluations: int
 
 
@@ -138,7 +137,7 @@ def brute_force_solve(v, cfg: ServerConfig, grid_step: float = 0.01) -> BruteFor
     if cfg.eta == 0:
         p = np.zeros(n)
         p[np.argmin(v)] = 1.0
-        return BruteForceResult(p, np.zeros(n), 0.0, 0.0, grid_step, total_points)
+        return BruteForceResult(p, np.zeros(n), 0.0, 0.0, total_points)
 
     share = 1.0 / n
     best_f = math.inf
@@ -160,5 +159,4 @@ def brute_force_solve(v, cfg: ServerConfig, grid_step: float = 0.01) -> BruteFor
         if f_star[k] < best_f:
             best_f = float(f_star[k])
             best = (p[k].copy(), b_star[k] * eps1[k], float(b_star[k]))
-    return BruteForceResult(best[0], best[1], best_f, best[2], grid_step,
-                            total_points)
+    return BruteForceResult(best[0], best[1], best_f, best[2], total_points)

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, exercised in process via main(argv)."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -103,6 +104,7 @@ def test_negative_eta_is_a_config_error(tmp_path, capsys):
     ({"server": {"eta": 1.0, "grid_delta": 2.0}},
      "server: grid_delta must lie in (0, 1]"),
     ({"server": {"eta": -1.0}}, "server: eta must be >= 0"),
+    ({"train": {"delta": 2.0}}, "train.delta must lie in (0, 1)"),
 ])
 def test_out_of_range_config_value_is_one_config_error_line(tmp_path, capsys,
                                                              patch, message):
@@ -377,7 +379,7 @@ def test_audit_refuses_large_instances(tmp_path, capsys):
 
 def test_config_round_trips_through_json():
     cfg = config.from_dict(SMALL_SIM)
-    again = config.from_dict(json.loads(config.dumps(cfg)))
+    again = config.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert again == cfg
 
 
@@ -437,3 +439,29 @@ def test_scipy_stats_loads_only_for_a_gaussian_prior(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"import": False, "solve": [0, False],
                                        "audit": [0, False], "gaussian": True}
+
+
+# ---------------------------------------------------------------------------
+# what the benchmark tracer reads
+
+
+def test_results_keep_what_the_benchmark_tracer_reads(uniform01, basic_cfg):
+    # benchmarks/tracing.py counts work from these results (its COUNTERS)
+    # and the benchmark's tests read jsam.cli.make_plan; a change to one of
+    # them fails here, not only in a traced benchmark run
+    from jsam.mechanism import fixed_probability_solve
+    from jsam.oracle import brute_force_solve
+    from jsam.payments import expost_payments, interim_allocation
+
+    p = np.full((2, 3), 1.0 / 3)
+    v = np.array([[0.2, 0.5, 0.9], [0.3, 0.4, 0.8]])
+    assert fixed_probability_solve(p, v, basic_cfg)[1].shape == (2,)
+    costs = np.array([0.2, 0.5, 0.9])
+    paid = expost_payments(costs, np.ones(3), 1.0,
+                           lambda k, z: np.ones(z.size), grid_size=5)
+    assert paid[0].shape == (3,)
+    assert brute_force_solve(v[0], basic_cfg, grid_step=0.5).evaluations > 0
+    interim = interim_allocation(1, uniform01, 2, basic_cfg, grid_size=3,
+                                 samples=4)
+    assert interim.grid.size == 3 and interim.samples == 4
+    assert callable(jsam.cli.make_plan)

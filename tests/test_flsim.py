@@ -102,7 +102,7 @@ def test_clip_norm_bound(seed, classes, dim, n, clip_c, spread):
 def _uniform_plan(n, eps=1.0):
     return SelectionPlan(kind="usbm", eta=1.0, probabilities=np.full(n, 1.0 / n),
                          epsilons=np.full(n, eps), total_budget=1.0,
-                         payments=np.zeros(n), payment_errors=np.zeros(n))
+                         payments=np.zeros(n))
 
 
 def test_a_batch_equals_single_client_calls(rng):
@@ -446,8 +446,7 @@ def _toy_run(rng, plan_eps, rounds=6, noiseless=False, lr=0.3):
                          probabilities=np.full(n, 0.25),
                          epsilons=np.full(n, plan_eps),
                          total_budget=1.0,
-                         payments=np.full(n, 0.25),
-                         payment_errors=np.zeros(n))
+                         payments=np.full(n, 0.25))
     settings = TrainSettings(rounds=rounds, per_round=2, clip=6.0,
                              learning_rate=lr, similarity=100,
                              noiseless=noiseless)

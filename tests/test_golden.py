@@ -4,10 +4,11 @@ against the plan it prices.
 
 `golden_solve.json` holds the plans of the pinned configs below as written
 before the closed-form budget root, the payment-curve skip and the
-duplicate-free candidate grid. Every float field must agree at GOLDEN_RTOL;
-`threshold` is checked against the count of positive probabilities instead,
-because the stored values could name a zero-probability client. Regenerate
-(only for a deliberate, documented change of numerics) with
+duplicate-free candidate grid; the N=30 bbm and jsam_ci plans were added
+later. Every float field must agree at GOLDEN_RTOL; `threshold` is checked
+against the count of positive probabilities instead, because the stored
+values could name a zero-probability client. Regenerate (only for a
+deliberate, documented change of numerics) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -41,6 +42,10 @@ CASES = {
                                      "server": {"eta": 1000.0},
                                      "mechanisms": ["fsbm-10"]},
     "n3-eta1": {"clients": 3, "server": {"eta": 1.0, "q_coefficient": 1.0}},
+    "n30-uniform-bbm-eta300": {"clients": 30, "server": {"eta": 300.0},
+                               "mechanisms": ["bbm"]},
+    "n30-uniform-jsamci-eta300": {"clients": 30, "server": {"eta": 300.0},
+                                  "mechanisms": ["jsam_ci"]},
 }
 
 
@@ -71,7 +76,7 @@ def test_solve_matches_the_golden_plan(case, tmp_path):
         if field != "threshold":
             _assert_close(field, got[field], want[field])
     positive = int(np.count_nonzero(np.asarray(got["probabilities"]) > 0))
-    if got["mechanism"] == "jsam":
+    if got["mechanism"] in ("jsam", "jsam_ci"):
         assert got["threshold"] == positive
     else:
         assert got["threshold"] is None

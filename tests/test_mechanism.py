@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from jsam import mechanism
+from jsam import config, mechanism
 from jsam.mechanism import (_TWO_THIRDS, BatchSolution, ServerConfig,
                             _blocks, _budget_and_objective, _candidate_grid,
                             fixed_probability_solve, optimal_epsilon,
@@ -628,11 +628,10 @@ def test_server_config_validation_messages():
 
 
 def test_noise_model_coefficient():
-    cfg = ServerConfig.from_noise_model(eta=1.0, c2=1.0, delta=1e-5,
-                                        dimension=4, iterations=100,
-                                        smoothness=0.5)
+    # an unset q_coefficient is 2*c2^2*ln(1/delta)*D*sqrt(T)*L with L = 1;
+    # two classes of one feature give D = 2*(1+1) = 4
+    cfg = config.server_config(config.from_dict({
+        "train": {"c2": 1.0, "delta": 1e-5, "rounds": 100},
+        "task": {"feature_dim": 1, "classes": 2}}))
     assert cfg.q_coefficient == pytest.approx(
-        2.0 * math.log(1e5) * 4 * 10.0 * 0.5, rel=1e-12)
-    with pytest.raises(ValueError, match="delta"):
-        ServerConfig.from_noise_model(eta=1.0, c2=1.0, delta=2.0, dimension=4,
-                                      iterations=100, smoothness=0.5)
+        2.0 * math.log(1e5) * 4 * 10.0, rel=1e-12)

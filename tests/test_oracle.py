@@ -149,7 +149,7 @@ def _brute_force_returning(monkeypatch, probabilities, objective):
     def fake(v, cfg, grid_step):
         assert grid_step == 0.01
         return BruteForceResult(np.array(probabilities), np.zeros(len(v)),
-                                objective, 1.0, grid_step, 1)
+                                objective, 1.0, 1)
     monkeypatch.setattr(audit, "brute_force_solve", fake)
 
 

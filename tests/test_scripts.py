@@ -94,6 +94,31 @@ def test_script_output_matches_its_golden(tiny_config, tmp_path, name, argv,
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+_QUICK = {"eta_sweep": ["--eta", "1", "--seeds", "0"],
+          "accuracy_vs_cost": ["--eta", "30", "--mechanism", "jsam",
+                               "--seeds", "0"]}
+
+
+@pytest.mark.parametrize("flag", [False, True], ids=["config-out", "flag-out"])
+@pytest.mark.parametrize("name", sorted(_QUICK))
+def test_script_writes_the_configs_out_unless_out_overrides_it(
+        tmp_path, capsys, name, flag):
+    # the scripts enter through cli.run_command, as jsam does, so a config's
+    # `out` is where the CSV goes and `--out` replaces it
+    script = _load(name)
+    from_config, from_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+    cfg = tmp_path / "out.json"
+    cfg.write_text(json.dumps(dict(TINY, out=str(from_config))))
+    argv = ["--config", str(cfg), *_QUICK[name]]
+    if flag:
+        argv += ["--out", str(from_flag)]
+    assert script.main(argv) == 0
+    assert capsys.readouterr().out == ""
+    written, unwritten = (from_flag, from_config) if flag else (from_config, from_flag)
+    assert written.read_text().startswith(script.HEADER + "\n")
+    assert not unwritten.exists()
+
+
 @pytest.mark.parametrize("name, bad", [
     ("eta_sweep", "config"), ("eta_sweep", "out"),
     ("accuracy_vs_cost", "config"), ("accuracy_vs_cost", "out"),
