@@ -7,6 +7,7 @@ import functools
 import json
 import math
 import numbers
+import typing
 from dataclasses import dataclass, field
 
 from .costs import CostDistribution, TruncatedGaussianCosts, UniformCosts
@@ -61,10 +62,10 @@ class ExperimentConfig:
     server: ServerSpec = field(default_factory=ServerSpec)
     train: TrainSettings = field(default_factory=TrainSettings)
     task: TaskSpec = field(default_factory=TaskSpec)
-    mechanisms: list = field(default_factory=lambda: ["jsam"])
-    seeds: list = field(default_factory=lambda: [0])
-    eta_grid: list | None = None
-    sensitivities: list | None = None
+    mechanisms: list[str] = field(default_factory=lambda: ["jsam"])
+    seeds: list[int] = field(default_factory=lambda: [0])
+    eta_grid: list[float] | None = None
+    sensitivities: list[float] | None = None
     payment_grid: int = 200
     out: str | None = None
 
@@ -83,10 +84,6 @@ DESK = {
 }
 
 
-_NESTED = {"costs": CostSpec, "server": ServerSpec, "train": TrainSettings,
-           "task": TaskSpec}
-
-
 def from_dict(data: dict, **overrides) -> ExperimentConfig:
     """The validated config for `data`, whose top-level fields the `overrides`
     that are not None (a command's flags) replace first. Unknown keys and bad
@@ -94,24 +91,31 @@ def from_dict(data: dict, **overrides) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     data = {**data, **{k: v for k, v in overrides.items() if v is not None}}
-    cfg = _build(ExperimentConfig, data, path="")
+    cfg = _build(ExperimentConfig, data)
     validate(cfg)
     return cfg
 
 
-def _build(cls, data, path):
-    names = {f.name for f in dataclasses.fields(cls)}
+def _build(cls, data, path=""):
+    """The dataclass `cls` built from the JSON object `data`, each value checked,
+    in declaration order, against the type its field declares; `path` is the
+    dotted prefix that names the fields of `data` in messages."""
+    hints = _hints(cls)
     for key in data:
-        if key not in names:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown field {where!r}")
-        if key in _NESTED and path == "" and not isinstance(data[key], dict):
-            raise ConfigError(f"field {key!r} must be an object")
+        if key not in hints:
+            raise ConfigError(f"unknown field {path + key!r}")
     kwargs = {}
-    for key, value in data.items():
-        if path == "" and key in _NESTED:
-            kwargs[key] = _build(_NESTED[key], value, key)
+    for key, hint in hints.items():
+        if key not in data:
+            continue
+        value = data[key]
+        if dataclasses.is_dataclass(hint):
+            if not isinstance(value, dict):
+                raise ConfigError(f"field {path + key!r} must be an object")
+            kwargs[key] = _build(hint, value, f"{path}{key}.")
         else:
+            noun, fits = _json_type(hint)
+            _require(fits(value), f"{path}{key} must be {noun}, got {value!r}")
             kwargs[key] = value
     return cls(**kwargs)
 
@@ -133,19 +137,6 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-_INTEGER_FIELDS = ("clients", "payment_grid", "train.rounds", "train.per_round",
-                   "train.similarity", "task.feature_dim", "task.classes",
-                   "task.samples_per_client", "task.test_size")
-_REAL_FIELDS = ("costs.lower", "costs.upper", "costs.mean", "costs.std",
-                "server.eta", "server.grid_delta", "train.clip",
-                "train.learning_rate", "train.delta", "train.c2")
-# list field -> (element type, plural noun, may be null)
-_LIST_FIELDS = {"seeds": (numbers.Integral, "integers", False),
-                "mechanisms": (str, "strings", False),
-                "eta_grid": (numbers.Real, "finite numbers", True),
-                "sensitivities": (numbers.Real, "finite numbers", True)}
-
-
 def _is(value, kind) -> bool:
     # JSON true/false parse to bool, which Python counts as an integer, and
     # JSON 1e999 parses to inf
@@ -154,24 +145,30 @@ def _is(value, kind) -> bool:
     return not isinstance(value, numbers.Real) or math.isfinite(value)
 
 
-def _check_types(cfg: ExperimentConfig) -> None:
-    """Each field holds the JSON type it needs, so later checks cannot raise TypeError."""
-    for names, kind, noun in ((_INTEGER_FIELDS, numbers.Integral, "an integer"),
-                              (_REAL_FIELDS, numbers.Real, "a finite number")):
-        for name in names:
-            value = functools.reduce(getattr, name.split("."), cfg)
-            _require(_is(value, kind), f"{name} must be {noun}, got {value!r}")
-    q = cfg.server.q_coefficient
-    _require(q is None or _is(q, numbers.Real),
-             f"server.q_coefficient must be a finite number or null, got {q!r}")
-    for name, (kind, noun, nullable) in _LIST_FIELDS.items():
-        value = getattr(cfg, name)
-        _require((value is None and nullable)
-                 or (isinstance(value, list) and all(_is(x, kind) for x in value)),
-                 f"{name} must be a list of {noun}, got {value!r}")
-    _require(isinstance(cfg.train.noiseless, bool),
-             "train.noiseless must be true or false")
-    _require(cfg.out is None or isinstance(cfg.out, str), "out must be a path string")
+_hints = functools.cache(typing.get_type_hints)
+
+# declared scalar type -> (noun, plural noun, test) of the JSON values it takes
+_SCALARS = {
+    bool: ("true or false", "booleans", lambda v: isinstance(v, bool)),
+    int: ("an integer", "integers", lambda v: _is(v, numbers.Integral)),
+    float: ("a finite number", "finite numbers", lambda v: _is(v, numbers.Real)),
+    str: ("a string", "strings", lambda v: isinstance(v, str)),
+}
+
+
+def _json_type(hint):
+    """(noun, test) of the JSON values that a field declared `hint` takes:
+    a scalar, `list[scalar]`, or either as `X | None`."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        noun, fits = _json_type(args[0])
+        return f"{noun} or null", lambda v: v is None or fits(v)
+    if typing.get_origin(hint) is list:
+        _, plural, fits = _SCALARS[args[0]]
+        return (f"a list of {plural}",
+                lambda v: isinstance(v, list) and all(map(fits, v)))
+    noun, _, fits = _SCALARS[hint]
+    return noun, fits
 
 
 def _named(prefix, make):
@@ -187,7 +184,6 @@ def _named(prefix, make):
 def validate(cfg: ExperimentConfig) -> None:
     """Raise a ConfigError naming the first bad field; ranges that the cost
     prior and `ServerConfig` check themselves are checked by building them."""
-    _check_types(cfg)
     _require(cfg.clients >= 1, "clients must be an integer >= 1")
     _named("costs", lambda: cfg.prior)
 
@@ -209,7 +205,9 @@ def validate(cfg: ExperimentConfig) -> None:
 
     _require(bool(cfg.mechanisms), "mechanisms must be nonempty")
     for name in cfg.mechanisms:
-        _named("mechanisms", functools.partial(parse_mechanism, name))
+        _, subset = _named("mechanisms", functools.partial(parse_mechanism, name))
+        _require(subset is None or subset <= cfg.clients,
+                 "mechanisms: fsbm subset larger than the client count")
 
     _require(bool(cfg.seeds), "seeds must be nonempty")
     for s in cfg.seeds:

@@ -209,21 +209,14 @@ def partition_noniid(task: SyntheticTask, n_clients, similarity,
                          stage1_count=n1)
 
 
-@dataclass
-class SelectionSchedule:
-    rounds: np.ndarray   # (T, m) client indices, 0-based
-    counts: np.ndarray   # realized participation per client
-
-
-def build_schedule(p, rounds, per_round, rng: np.random.Generator) -> SelectionSchedule:
-    """Pre-draw all per-round client multisets i.i.d. from p, with replacement."""
+def build_schedule(p, rounds, per_round, rng: np.random.Generator) -> np.ndarray:
+    """Pre-draw all per-round client multisets i.i.d. from p, with replacement:
+    the (rounds, per_round) 0-based client indices."""
     p = np.asarray(p, dtype=float)
     if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
         raise ValueError("p must lie on the simplex")
-    draws = rng.choice(p.size, size=(rounds, per_round), replace=True,
-                       p=p / p.sum())
-    counts = np.bincount(draws.ravel(), minlength=p.size)
-    return SelectionSchedule(rounds=draws, counts=counts)
+    return rng.choice(p.size, size=(rounds, per_round), replace=True,
+                      p=p / p.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -443,25 +436,27 @@ def _stack_shards(task: SyntheticTask, shards):
 
 
 def train(task: SyntheticTask, shards, plan: SelectionPlan,
-          schedule: SelectionSchedule, settings: TrainSettings,
+          schedule: np.ndarray, settings: TrainSettings,
           rng: np.random.Generator, w0=None, run_id="run", seed=0) -> RunRecord:
     """Run the full pre-scheduled DP-FL protocol and record per-round metrics.
 
-    The shards must be non-empty and of equal size; they are stacked once,
-    and each round is one `local_noisy_gradient` call over the scheduled
+    `schedule` holds one row of client indices per round, as `build_schedule`
+    draws it. The shards must be non-empty and of equal size; they are stacked
+    once, and each round is one `local_noisy_gradient` call over the scheduled
     clients (a client drawn twice in a round counts twice) with one noise
-    draw. Noise scales come
-    from realized participation counts; a scheduled client with a zero budget
-    is a configuration error. Train and test metrics are evaluated every
-    round. Divergence (non-finite loss) is recorded in the output, not raised.
+    draw. Noise scales come from the participation counts of the schedule
+    itself; a scheduled client with a zero budget is a configuration error.
+    Train and test metrics are evaluated every round. Divergence (non-finite
+    loss) is recorded in the output, not raised.
     """
     x, y = _stack_shards(task, shards)
     xt, x_norms = _augment(x)
     n = len(shards)
+    counts = np.bincount(schedule.ravel(), minlength=n)
     sigma = np.zeros(n)
     for k in range(n):
-        if schedule.counts[k] > 0 and not settings.noiseless:
-            sigma[k] = noise_sigma(schedule.counts[k], plan.epsilons[k],
+        if counts[k] > 0 and not settings.noiseless:
+            sigma[k] = noise_sigma(counts[k], plan.epsilons[k],
                                    settings.delta, settings.c2)
     w = np.zeros(task.weight_dim) if w0 is None else np.asarray(w0, dtype=float).copy()
     # the pool in shard order; transposed once so the classes-first loss
@@ -470,12 +465,12 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
     py = y.ravel()
     tx = np.ascontiguousarray(task.test_x.T).T
 
-    t_rounds = schedule.rounds.shape[0]
+    t_rounds = schedule.shape[0]
     train_loss = np.zeros(t_rounds)
     test_loss = np.zeros(t_rounds)
     test_acc = np.zeros(t_rounds)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, ks in enumerate(schedule.rounds):
+        for t, ks in enumerate(schedule):
             grads = local_noisy_gradient(w, x[ks], y[ks], task.classes,
                                          settings.clip, sigma[ks], rng,
                                          noiseless=settings.noiseless,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 import warnings
 from pathlib import Path
 
@@ -129,6 +130,23 @@ def test_unknown_config_field_is_named(tmp_path, capsys, patch, field):
     assert f"unknown field {field!r}" in capsys.readouterr().err
 
 
+def _leaf_fields(cls=config.ExperimentConfig, path=""):
+    """(dotted name, declared type) of each settable config value."""
+    for name, hint in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(hint):
+            yield from _leaf_fields(hint, f"{path}{name}.")
+        else:
+            yield path + name, hint
+
+
+def _wrong_type_patch(name, hint):
+    """A config patch that sets field `name` to a value of the wrong JSON type."""
+    value = 5 if str in (hint, *typing.get_args(hint)) else "x"
+    for key in reversed(name.split(".")):
+        value = {key: value}
+    return value
+
+
 @pytest.mark.parametrize("patch, field", [
     ({"server": {"eta": "1"}}, "server.eta"),
     ({"clients": True}, "clients"),
@@ -141,12 +159,32 @@ def test_unknown_config_field_is_named(tmp_path, capsys, patch, field):
     ({"seeds": 0}, "seeds"),
     ({"mechanisms": [1]}, "mechanisms"),
     ({"sensitivities": [0.2, "0.5", 0.9]}, "sensitivities"),
+    # one wrong-typed value for each field the config declares
+    *[(_wrong_type_patch(name, hint), name) for name, hint in _leaf_fields()],
 ])
 def test_wrongly_typed_config_value_is_named(tmp_path, capsys, patch, field):
     path = _write_cfg(tmp_path, dict(SMALL_SIM, **patch))
     assert main(["solve", "--config", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {field} must be"), err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {field} must be"), captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"eta_grid": [1.0, float("nan")]},
+     "eta_grid must be a list of finite numbers or null, got [1.0, nan]"),
+    ({"sensitivities": [0.2, "0.5", 0.9]},
+     "sensitivities must be a list of finite numbers or null, got [0.2, '0.5', 0.9]"),
+    ({"train": {"noiseless": 1}}, "train.noiseless must be true or false, got 1"),
+    ({"out": 5}, "out must be a string or null, got 5"),
+    ({"costs": {"kind": 5}}, "costs.kind must be a string, got 5"),
+])
+def test_type_error_names_the_declared_type_and_the_value(tmp_path, capsys,
+                                                          patch, message):
+    path = _write_cfg(tmp_path, dict(SMALL_SIM, **patch))
+    assert main(["solve", "--config", path]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_malformed_json_is_a_config_error(tmp_path, capsys):
@@ -174,6 +212,18 @@ def test_bare_fsbm_is_rejected(tmp_path, capsys):
     path = _write_cfg(tmp_path, SMALL_SIM)
     assert main(["solve", "--config", path, "--mechanism", "fsbm"]) == 2
     assert "fsbm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_fsbm_subset_larger_than_the_population_is_rejected_before_work(
+        tmp_path, capsys, no_work, command):
+    doc = dict(SMALL_SIM, clients=4, mechanisms=["usbm", "fsbm-5"], eta_grid=[1.0])
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", _write_cfg(tmp_path, doc),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: mechanisms: fsbm subset "
+                                       "larger than the client count\n")
+    assert not out.exists()
 
 
 def test_missing_config_is_an_error(capsys):
@@ -392,6 +442,12 @@ def test_config_defaults_match_the_documented_protocol():
     assert cfg.train.delta == 1e-5
     assert cfg.costs.kind == "uniform"
     config.validate(cfg)
+
+
+def test_readme_config_block_shows_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    assert config.from_dict(json.loads(block)) == config.from_dict({})
 
 
 def test_module_entry_point(tmp_path):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jsam.costs import UniformCosts
-from jsam.flsim import (RunRecord, SelectionPlan, SelectionSchedule,
-                        TrainSettings, _stack_shards, build_schedule,
+from jsam.flsim import (RunRecord, SelectionPlan, TrainSettings,
+                        _stack_shards, build_schedule,
                         initial_local_losses, local_noisy_gradient,
                         make_plan, make_task, match_eta_to_cost, model_loss,
                         noise_sigma, parse_mechanism, partition_noniid, train)
@@ -327,24 +327,25 @@ def test_partition_guards(rng):
 
 def test_point_mass_schedule_hits_one_client(rng):
     sched = build_schedule(np.array([1.0, 0.0, 0.0]), 50, 4, rng)
-    assert sched.counts[0] == 200
-    assert np.all(sched.counts[1:] == 0)
+    assert sched.shape == (50, 4)
+    assert np.all(sched == 0)
 
 
 def test_uniform_schedule_concentrates(rng):
     n, t, m = 10, 1000, 10
-    sched = build_schedule(np.full(n, 1.0 / n), t, m, rng)
-    assert sched.counts.sum() == t * m
+    counts = np.bincount(build_schedule(np.full(n, 1.0 / n), t, m, rng).ravel(),
+                         minlength=n)
+    assert counts.sum() == t * m
     expect = t * m / n
     band = 5 * math.sqrt(t * m * (1 / n) * (1 - 1 / n))
-    assert np.all(np.abs(sched.counts - expect) <= band)
+    assert np.all(np.abs(counts - expect) <= band)
 
 
 def test_schedule_is_seed_deterministic():
     p = np.array([0.25, 0.5, 0.25])
     a = build_schedule(p, 30, 3, np.random.default_rng(11))
     b = build_schedule(p, 30, 3, np.random.default_rng(11))
-    assert a.rounds.tobytes() == b.rounds.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_schedule_rejects_non_simplex_p(rng):
@@ -466,8 +467,7 @@ def test_one_noiseless_round_is_a_plain_gradient_step(rng):
     task = _small_task(rng)
     shards = partition_noniid(task, 4, 100, rng).shards
     plan = _uniform_plan(4)
-    schedule = SelectionSchedule(rounds=np.array([[0, 2]]),
-                                 counts=np.bincount([0, 2], minlength=4))
+    schedule = np.array([[0, 2]])
     settings = TrainSettings(rounds=1, per_round=2, learning_rate=0.5,
                              similarity=100, noiseless=True)
     w0 = rng.normal(0, 0.2, task.weight_dim)
@@ -492,13 +492,33 @@ def test_one_noiseless_round_is_a_plain_gradient_step(rng):
     assert record.train_loss[0] == pytest.approx(want, abs=1e-8)
 
 
+def test_noise_is_calibrated_from_the_schedule_that_is_trained(rng):
+    # one round of clients 0 and 1: each took part once, so each adds
+    # noise_sigma(1, eps) -- the schedule is the only source of the counts
+    task = _small_task(rng)
+    shards = partition_noniid(task, 4, 100, rng).shards
+    plan = _uniform_plan(4, eps=1e-3)
+    settings = TrainSettings(rounds=1, per_round=2, similarity=100)
+    w0 = rng.normal(0, 0.2, task.weight_dim)
+    record = train(task, shards, plan, np.array([[0, 1]]), settings,
+                   np.random.default_rng(5), w0=w0)
+
+    x, y = _stack_shards(task, shards)
+    sigma = noise_sigma(1, 1e-3, settings.delta, settings.c2)
+    grads = local_noisy_gradient(w0, x[:2], y[:2], task.classes, settings.clip,
+                                 np.full(2, sigma), np.random.default_rng(5))
+    w1 = w0 - settings.learning_rate * grads.mean(axis=0)
+    pool = np.concatenate(shards)
+    want = model_loss(w1, task.pool_x[pool], task.pool_y[pool], task.classes)
+    assert record.train_loss[0] == pytest.approx(want, rel=1e-12)
+
+
 def test_full_participation_noiseless_matches_centralized(rng):
     task = _small_task(rng, n_clients=4, m=30)
     shards = partition_noniid(task, 4, 100, rng).shards
     plan = _uniform_plan(4)
     t = 50
-    schedule = SelectionSchedule(rounds=np.tile(np.arange(4), (t, 1)),
-                                 counts=np.full(4, t))
+    schedule = np.tile(np.arange(4), (t, 1))
     settings = TrainSettings(rounds=t, per_round=4, learning_rate=0.4,
                              similarity=100, noiseless=True)
     record = train(task, shards, plan, schedule, settings,
@@ -539,8 +559,7 @@ def test_train_rejects_an_empty_shard(rng):
     shards[2] = shards[2][:0]
     plan = _uniform_plan(4)
     # client 2 is never scheduled, so only an up-front check can see it
-    schedule = SelectionSchedule(rounds=np.array([[0, 1]]),
-                                 counts=np.bincount([0, 1], minlength=4))
+    schedule = np.array([[0, 1]])
     with pytest.raises(ValueError, match="client 2 is empty"):
         train(task, shards, plan, schedule, TrainSettings(rounds=1, per_round=2),
               rng)
