@@ -138,11 +138,14 @@ def _require(cond, message):
 
 
 def _is(value, kind) -> bool:
-    # JSON true/false parse to bool, which Python counts as an integer, and
-    # JSON 1e999 parses to inf
+    # JSON true/false parse to bool, which Python counts as an integer, JSON
+    # 1e999 parses to inf, and an integer literal may lie beyond float range
     if isinstance(value, bool) or not isinstance(value, kind):
         return False
-    return not isinstance(value, numbers.Real) or math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 _hints = functools.cache(typing.get_type_hints)

@@ -8,12 +8,13 @@ The server optimizes against the information-rent-adjusted *virtual cost*
 where F and f are the sensitivity distribution's CDF and density. All
 distributions here have bounded support with positive density, and are
 required to yield a strictly increasing v (regularity); construction fails
-otherwise.
+otherwise. Both have closed forms: the uniform in numpy alone, the truncated
+Gaussian in `scipy.special`, which only that prior imports.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,16 @@ class CostDistribution:
     def in_support(self, c) -> bool:
         return bool(np.all((c >= self.lower) & (c <= self.upper)))
 
-    def virtual(self, c):
-        """Vectorized v(c) = c + F(c)/f(c). `c` must lie in the support."""
+    def _in_support_array(self, c):
+        """`c` as a float array, which must lie in the support."""
         c = np.asarray(c, dtype=float)
         if not self.in_support(c):
             raise ValueError(f"sensitivity outside support [{self.lower}, {self.upper}]")
+        return c
+
+    def virtual(self, c):
+        """Vectorized v(c) = c + F(c)/f(c). `c` must lie in the support."""
+        c = self._in_support_array(c)
         return c + self.cdf(c) / self.pdf(c)
 
     def _check_regularity(self) -> None:
@@ -78,18 +84,38 @@ class UniformCosts(CostDistribution):
         return np.full_like(np.asarray(c, dtype=float), 1.0 / (self.upper - self.lower))
 
     def virtual(self, c):
-        c = np.asarray(c, dtype=float)
-        if not self.in_support(c):
-            raise ValueError(f"sensitivity outside support [{self.lower}, {self.upper}]")
-        return 2.0 * c - self.lower
+        return 2.0 * self._in_support_array(c) - self.lower
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(self.lower, self.upper, size=size)
 
 
+def _log_mass(lo: float, hi):
+    """log(Phi(hi) - Phi(lo)) of the standard normal, for a scalar lo <= hi.
+
+    Where lo > 0 the interval is mirrored to (-hi, -lo): log_ndtr keeps its
+    precision in the left tail only, and a far-tail mass stays finite there.
+    """
+    from scipy.special import log_ndtr
+
+    if lo > 0:
+        lo, hi = -hi, -lo
+    log_hi = log_ndtr(hi)
+    with np.errstate(divide="ignore"):  # hi == lo: zero mass, log 0 = -inf
+        return log_hi + np.log(-np.expm1(log_ndtr(lo) - log_hi))
+
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
 @dataclass(frozen=True)
 class TruncatedGaussianCosts(CostDistribution):
-    """Gaussian sensitivities truncated to [lower, upper]; v via numeric F, f."""
+    """Gaussian sensitivities truncated to [lower, upper], in closed form.
+
+    With x = (c - mean)/std, alpha = x(lower) and Z = Phi(x(upper)) - Phi(alpha),
+    F and f are evaluated in log space; Z cancels in F/f, so
+    v(c) = c + std*sqrt(2 pi)*(Phi(x) - Phi(alpha))*exp(x^2/2).
+    """
 
     mean: float = 0.5
     std: float = 0.2
@@ -101,25 +127,34 @@ class TruncatedGaussianCosts(CostDistribution):
             raise ValueError("std must be positive")
         self._check_regularity()
 
-    @functools.cached_property
-    def _frozen(self):
-        """The scipy distribution, built once per instance.
+    def _x(self, c):
+        return (np.asarray(c, dtype=float) - self.mean) / self.std
 
-        scipy.stats is imported here, not at module level: only this prior
-        needs it, and its first import takes about 1 s and 60 MB (2 vCPUs).
-        """
-        from scipy import stats
-
-        a = (self.lower - self.mean) / self.std
-        b = (self.upper - self.mean) / self.std
-        return stats.truncnorm(a, b, loc=self.mean, scale=self.std)
+    def _log_z(self):
+        return _log_mass(self._x(self.lower), self._x(self.upper))
 
     def cdf(self, c):
-        return self._frozen.cdf(np.asarray(c, dtype=float))
+        return np.exp(_log_mass(self._x(self.lower), self._x(c)) - self._log_z())
 
     def pdf(self, c):
-        return self._frozen.pdf(np.asarray(c, dtype=float))
+        x = self._x(c)
+        return np.exp(-x ** 2 / 2.0 - _LOG_SQRT_2PI - self._log_z()) / self.std
+
+    def virtual(self, c):
+        c = self._in_support_array(c)
+        x = self._x(c)
+        return c + self.std * np.exp(_log_mass(self._x(self.lower), x) + x ** 2 / 2.0
+                                     + _LOG_SQRT_2PI)
 
     def sample(self, rng: np.random.Generator, size=None):
-        return self._frozen.rvs(size=size, random_state=rng)
+        """Inverse-transform draws, one uniform each, on the same stream as
+        scipy's generic `rvs`: a seed gives scipy's truncnorm draws."""
+        from scipy.special import log_ndtr, ndtri_exp
 
+        alpha, beta = self._x(self.lower), self._x(self.upper)
+        u = rng.uniform(size=size)
+        if alpha < 0:
+            x = ndtri_exp(np.logaddexp(log_ndtr(alpha), np.log(u) + self._log_z()))
+        else:  # mirrored into the left tail, as in _log_mass
+            x = -ndtri_exp(np.logaddexp(log_ndtr(-beta), np.log1p(-u) + self._log_z()))
+        return np.clip(self.mean + self.std * x, self.lower, self.upper)

@@ -37,6 +37,14 @@ def _write_cfg(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+def _child_env():
+    """The environment of a child Python that imports the package this test
+    imported, installed or not."""
+    src = str(Path(jsam.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _solve_json(tmp_path, doc, extra=()):
     path = _write_cfg(tmp_path, doc)
     out = tmp_path / "solve.json"
@@ -161,6 +169,9 @@ def _wrong_type_patch(name, hint):
     ({"sensitivities": [0.2, "0.5", 0.9]}, "sensitivities"),
     # one wrong-typed value for each field the config declares
     *[(_wrong_type_patch(name, hint), name) for name, hint in _leaf_fields()],
+    # a JSON integer beyond float range, in an integer and in a float field
+    ({"clients": 10 ** 400}, "clients"),
+    ({"server": {"eta": 10 ** 400}}, "server.eta"),
 ])
 def test_wrongly_typed_config_value_is_named(tmp_path, capsys, patch, field):
     path = _write_cfg(tmp_path, dict(SMALL_SIM, **patch))
@@ -288,6 +299,20 @@ def test_irregular_cost_prior_is_a_named_config_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("config error: costs: density must be positive and "
                             "finite on the support\n")
+
+
+def test_irregular_cost_prior_prints_one_stderr_line_in_a_real_process(tmp_path):
+    # capsys misses Python warnings; a numpy warning raised while the prior is
+    # checked would reach a real stderr
+    doc = {"costs": {"kind": "gaussian", "mean": 5, "std": 0.01,
+                     "lower": 0, "upper": 1}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "jsam", "solve", "--config", _write_cfg(tmp_path, doc)],
+        capture_output=True, text=True, timeout=120, env=_child_env())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("config error: costs: density must be positive and "
+                           "finite on the support\n")
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate", "audit", "sweep"])
@@ -452,13 +477,10 @@ def test_readme_config_block_shows_the_defaults():
 
 def test_module_entry_point(tmp_path):
     path = _write_cfg(tmp_path, dict(SMALL_SIM, clients=2))
-    # the child imports the package this test imported, installed or not
-    src = str(Path(jsam.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "jsam", "solve", "--config", path],
         capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=pythonpath))
+        env=_child_env())
     assert proc.returncode == 0
     got = json.loads(proc.stdout)
     assert len(got["probabilities"]) == 2
@@ -468,33 +490,37 @@ _COLD_START = """
 import json, sys
 import jsam, jsam.cli
 
+def loaded(prefix):
+    return any(name == prefix or name.startswith(prefix + ".") for name in sys.modules)
+
 uniform, gaussian, out = sys.argv[1:]
-steps = {"import": "scipy.stats" in sys.modules}
+steps = {"import": loaded("scipy")}
 steps["solve"] = (jsam.cli.main(["solve", "--config", uniform, "--out", out]),
-                  "scipy.stats" in sys.modules)
-steps["audit"] = (jsam.cli.main(["audit", "--out", out]),
-                  "scipy.stats" in sys.modules)
+                  loaded("scipy"))
+steps["audit"] = (jsam.cli.main(["audit", "--out", out]), loaded("scipy"))
 jsam.config.load(gaussian)
-steps["gaussian"] = "scipy.stats" in sys.modules
+steps["gaussian"] = (jsam.cli.main(["simulate", "--config", gaussian, "--out", out]),
+                     loaded("scipy.stats"))
 print(json.dumps(steps))
 """
 
 
-def test_scipy_stats_loads_only_for_a_gaussian_prior(tmp_path):
-    # scipy.stats costs about 1 s at import; only the truncated Gaussian uses it
+def test_no_scipy_for_a_uniform_prior_and_no_scipy_stats_at_all(tmp_path):
+    # scipy.special costs about 0.3 s at import and only the truncated Gaussian
+    # uses it; scipy.stats (about 1 s) is used by no command
     uniform = _write_cfg(tmp_path, {"clients": 100, "mechanisms": ["jsam"]},
                          "uniform.json")
-    gaussian = _write_cfg(tmp_path, {"costs": {"kind": "gaussian"}}, "gaussian.json")
-    src = str(Path(jsam.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    gaussian = _write_cfg(
+        tmp_path, dict(SMALL_SIM, costs={"kind": "gaussian"}, mechanisms=["usbm"]),
+        "gaussian.json")
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START, uniform, gaussian,
          str(tmp_path / "out.txt")],
         capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=pythonpath))
+        env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"import": False, "solve": [0, False],
-                                       "audit": [0, False], "gaussian": True}
+                                       "audit": [0, False], "gaussian": [0, False]}
 
 
 # ---------------------------------------------------------------------------
