@@ -314,8 +314,9 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
     """Build the selection plan and its payments for any mechanism kind.
 
     The plan is the mechanism's allocation rule on the truthful profile, and
-    each client's payment curve is the same rule with that client's report
-    varied and the rivals' virtual costs computed once. Payments are envelope
+    the payment curves are the same rule, the rivals' virtual costs computed
+    once: eps_of_reports(ks, z) is client ks[i]'s budget at report z[i] (a
+    scalar k broadcasts), so one batch can mix clients. Payments are envelope
     payments against the realized rival reports (their expectation over
     rivals is the interim rule), except jsam_ci, which pays the reported cost
     outright: c_k * eps_k, leaving no information rent.
@@ -330,19 +331,20 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
     sol = rule(costs[None, :], virtuals[None, :])
     eps = sol.privacy_budgets[0]
 
-    def eps_of_report(k, z):
+    def eps_of_reports(ks, z):
+        rows = np.arange(z.size)
         reports = np.tile(costs, (z.size, 1))
-        reports[:, k] = z
+        reports[rows, ks] = z
         profiles = np.tile(virtuals, (z.size, 1))
-        profiles[:, k] = dist.virtual(z)
-        return rule(reports, profiles).privacy_budgets[:, k]
+        profiles[rows, ks] = dist.virtual(z)
+        return rule(reports, profiles).privacy_budgets[rows, ks]
 
     if kind == "jsam_ci":
         payments = costs * eps
     elif cfg.eta == 0:
         payments = np.zeros(n)
     else:
-        payments = expost_payments(costs, eps, dist.upper, eps_of_report,
+        payments = expost_payments(costs, eps, dist.upper, eps_of_reports,
                                    grid_size=payment_grid)[0]
     return SelectionPlan(kind=name, eta=cfg.eta, probabilities=sol.probabilities[0],
                          epsilons=eps, total_budget=float(sol.total_budget[0]),

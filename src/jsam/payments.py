@@ -27,6 +27,7 @@ from .costs import CostDistribution
 from .mechanism import ServerConfig, solve_profiles
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
+_COARSE_STRIDE = 8  # the first pass evaluates every 8th node of a payment curve
 
 
 def _envelope(z, e) -> float:
@@ -104,19 +105,25 @@ def payment(c, interim: InterimAllocation) -> float:
                      np.concatenate(([np.interp(c, grid, e)], e[j:])))
 
 
-def expost_payments(costs, budgets, support_upper, eps_of_report,
+def _evaluate(eps_of_reports, ks, z, rows):
+    """eps_of_reports(ks, z), fed to the rule `rows` reports at a time."""
+    e = np.empty(z.size)
+    for s in range(0, z.size, rows):
+        e[s:s + rows] = eps_of_reports(ks[s:s + rows], z[s:s + rows])
+    return e
+
+
+def expost_payments(costs, budgets, support_upper, eps_of_reports,
                     grid_size: int = 200):
     """Envelope payments with rivals' reports held fixed at their realization.
 
-    eps_of_report(k, z_array) -> client k's budgets when reporting each z,
+    eps_of_reports(ks, z) -> client ks[i]'s budget when it reports z[i],
     rivals fixed. Averaging this payment over rival draws recovers the interim
     rule, so totals are comparable across mechanisms. Returns (payments,
     quadrature error estimates).
 
-    `budgets` are the truthful budgets, eps_of_report(k, costs[k]) for each
-    k. A client whose truthful budget is exactly 0 is paid 0 with error 0 and
-    its curve is not evaluated, because every z >= c_k also gives it budget 0
-    under the rules priced here:
+    `budgets` are the truthful budgets. A client whose budget is exactly 0 at
+    a report z gets 0 at every report above z under the rules priced here:
 
     - jsam: the grid objective of a candidate (h, m) depends only on the h
       cheapest virtual costs and is weakly increasing in each of them.
@@ -125,16 +132,28 @@ def expost_payments(costs, budgets, support_upper, eps_of_report,
       argmin keeps its first minimiser and the client stays out.
     - fsbm-M: the client is not among the M cheapest reports, and raising
       its report keeps it out.
-    - usbm and bbm give every client a positive budget, so nothing is
-      skipped.
+    - usbm and bbm give every client a positive budget.
+
+    So a client with a zero truthful budget is paid 0 with error 0. The other
+    curves, on linspace(c_k, support_upper, grid_size), are evaluated together,
+    at most `grid_size` reports per call: every _COARSE_STRIDE-th node, then
+    the nodes below the first node found at 0, above which every node is 0;
+    the payments equal those of evaluating every node.
     """
     costs = np.asarray(costs, dtype=float)
-    budgets = np.asarray(budgets, dtype=float)
-    pis = np.zeros(costs.size)
-    errs = np.zeros(costs.size)
-    for k in np.nonzero(budgets != 0)[0]:
-        z = np.linspace(costs[k], support_upper, grid_size)
-        e = np.asarray(eps_of_report(k, z), dtype=float)
-        pis[k] = _envelope(z, e)
-        errs[k] = _trapezoid_error(e, (support_upper - costs[k]) / (grid_size - 1))
+    pis, errs = np.zeros(costs.size), np.zeros(costs.size)
+    paid = np.nonzero(np.asarray(budgets, dtype=float) != 0)[0]
+    z = np.array([np.linspace(costs[k], support_upper, grid_size)
+                  for k in paid]).reshape(-1, grid_size)
+    ks = np.broadcast_to(paid[:, None], z.shape)
+    e = np.zeros(z.shape)
+    coarse = np.broadcast_to(np.arange(grid_size) % _COARSE_STRIDE == 0, z.shape)
+    e[coarse] = _evaluate(eps_of_reports, ks[coarse], z[coarse], grid_size)
+    zero = e[:, ::_COARSE_STRIDE] == 0
+    end = np.where(zero.any(axis=1), zero.argmax(axis=1) * _COARSE_STRIDE, grid_size)
+    fine = ~coarse & (np.arange(grid_size) < end[:, None])
+    e[fine] = _evaluate(eps_of_reports, ks[fine], z[fine], grid_size)
+    for k, zk, ek in zip(paid, z, e):
+        pis[k] = _envelope(zk, ek)
+        errs[k] = _trapezoid_error(ek, (support_upper - costs[k]) / (grid_size - 1))
     return pis, errs

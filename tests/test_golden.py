@@ -1,6 +1,6 @@
 """Golden `jsam solve` outputs, the budget root against its Newton reference,
-the payment-curve skip against computing every curve, and each payment curve
-against the plan it prices.
+the payments against evaluating every curve at every node, and each payment
+curve against the plan it prices.
 
 `golden_solve.json` holds the plans of the pinned configs below as written
 before the closed-form budget root, the payment-curve skip and the
@@ -24,7 +24,7 @@ from jsam.cli import main
 from jsam.costs import TruncatedGaussianCosts, UniformCosts
 from jsam.flsim import make_plan
 from jsam.mechanism import ServerConfig, _budget_root_sq
-from jsam.payments import expost_payments
+from jsam.payments import _envelope, _trapezoid_error, expost_payments
 
 GOLDEN = Path(__file__).with_name("golden_solve.json")
 GOLDEN_RTOL = 1e-12
@@ -113,21 +113,25 @@ def test_closed_form_root_matches_newton_across_branches():
             np.testing.assert_allclose(got, want, rtol=ROOT_RTOL, atol=0.0)
 
 
-def priced_plan(monkeypatch, mechanism, seed, grid=200):
-    """(costs, dist, plan, the eps_of_report curve make_plan passed to expost_payments)."""
-    if mechanism == "jsam":
-        dist = UniformCosts(0.0, 1.0)
-    else:
-        dist = TruncatedGaussianCosts(0.5, 0.2, 0.05, 1.0)
+UNIFORM = UniformCosts(0.0, 1.0)
+GAUSSIAN = TruncatedGaussianCosts(0.5, 0.2, 0.05, 1.0)
+
+
+def priced_plan(monkeypatch, mechanism, seed, grid=200, dist=None):
+    """(costs, dist, plan, the eps_of_reports curve make_plan passed to
+    expost_payments); jsam defaults to the uniform prior, the rest to the
+    Gaussian."""
+    if dist is None:
+        dist = UNIFORM if mechanism == "jsam" else GAUSSIAN
     cfg = ServerConfig(eta=1000.0, q_coefficient=6e4)
     rng = np.random.default_rng(seed)
     costs = dist.sample(rng, size=30)
     losses = rng.uniform(0.5, 2.0, size=30) if mechanism == "bbm" else None
     curves = []
 
-    def capture(costs, budgets, support_upper, eps_of_report, grid_size):
-        curves.append(eps_of_report)
-        return expost_payments(costs, budgets, support_upper, eps_of_report,
+    def capture(costs, budgets, support_upper, eps_of_reports, grid_size):
+        curves.append(eps_of_reports)
+        return expost_payments(costs, budgets, support_upper, eps_of_reports,
                                grid_size=grid_size)
 
     monkeypatch.setattr(flsim, "expost_payments", capture)
@@ -135,6 +139,17 @@ def priced_plan(monkeypatch, mechanism, seed, grid=200):
                      payment_grid=grid)
     (eps_fn,) = curves
     return costs, dist, plan, eps_fn
+
+
+def every_node_payments(costs, upper, eps_fn, grid):
+    """The reference: every client's curve evaluated at every grid node."""
+    pis, errs = np.zeros(costs.size), np.zeros(costs.size)
+    for k in range(costs.size):
+        z = np.linspace(costs[k], upper, grid)
+        e = eps_fn(k, z)
+        pis[k] = _envelope(z, e)
+        errs[k] = _trapezoid_error(e, (upper - costs[k]) / (grid - 1))
+    return pis, errs
 
 
 @pytest.mark.parametrize("mechanism", ["jsam", "fsbm-10"])
@@ -149,10 +164,39 @@ def test_skipped_payment_curves_are_exactly_zero(mechanism, seed, monkeypatch):
         z = np.linspace(costs[k], dist.upper, grid)
         assert np.all(eps_fn(k, z) == 0.0)
 
-    everyone = np.ones(costs.size)  # no zero budget, so no curve is skipped
-    full = expost_payments(costs, everyone, dist.upper, eps_fn, grid_size=grid)
+    full = every_node_payments(costs, dist.upper, eps_fn, grid)
     fast = expost_payments(costs, budgets, dist.upper, eps_fn, grid_size=grid)
     assert full[0].tobytes() == fast[0].tobytes()
+    assert full[1].tobytes() == fast[1].tobytes()
+
+
+@pytest.mark.parametrize("mechanism", ["jsam", "fsbm-10", "usbm", "bbm"])
+@pytest.mark.parametrize("dist", [UNIFORM, GAUSSIAN], ids=["uniform", "gaussian"])
+def test_two_pass_payments_equal_every_node_evaluation(mechanism, dist, monkeypatch):
+    grid = 200
+    rows = []
+
+    def counted(solver):
+        def solve(batch, *args):
+            rows.append(len(batch))
+            return solver(batch, *args)
+        return solve
+
+    monkeypatch.setattr(flsim, "solve_profiles", counted(flsim.solve_profiles))
+    monkeypatch.setattr(flsim, "fixed_probability_solve",
+                        counted(flsim.fixed_probability_solve))
+    costs, _, plan, eps_fn = priced_plan(monkeypatch, mechanism, 0, grid, dist)
+    curve_rows = rows[1:]  # the first call is the truthful profile
+    assert max(curve_rows) <= grid
+    paid = np.count_nonzero(plan.epsilons)
+    if mechanism in ("usbm", "bbm"):
+        assert sum(curve_rows) == paid * grid  # no curve reaches 0
+    elif mechanism == "jsam":
+        assert sum(curve_rows) < paid * grid  # paid clients drop out below the top
+
+    full = every_node_payments(costs, dist.upper, eps_fn, grid)
+    assert full[0].tobytes() == plan.payments.tobytes()
+    fast = expost_payments(costs, plan.epsilons, dist.upper, eps_fn, grid_size=grid)
     assert full[1].tobytes() == fast[1].tobytes()
 
 

@@ -129,10 +129,11 @@ def test_expost_payments_cover_costs(uniform01, rng):
     costs = rng.uniform(0.05, 0.95, 3)
     sol = solve_profiles(2.0 * costs[None, :], FAST)
 
-    def eps_fn(k, z):
+    def eps_fn(ks, z):
+        rows = np.arange(z.size)
         profiles = np.tile(costs, (z.size, 1))
-        profiles[:, k] = z
-        return solve_profiles(2.0 * profiles, FAST).privacy_budgets[:, k]
+        profiles[rows, ks] = z
+        return solve_profiles(2.0 * profiles, FAST).privacy_budgets[rows, ks]
 
     pis, errs = expost_payments(costs, sol.privacy_budgets[0], 1.0, eps_fn,
                                  grid_size=120)
@@ -148,10 +149,11 @@ def test_total_payments_match_virtual_surrogate_spend(rng):
     for _ in range(trials):
         costs = dist.sample(rng, n)
 
-        def eps_fn(k, z, costs=costs):
+        def eps_fn(ks, z, costs=costs):
+            rows = np.arange(z.size)
             profiles = np.tile(costs, (z.size, 1))
-            profiles[:, k] = z
-            return solve_profiles(dist.virtual(profiles), FAST).privacy_budgets[:, k]
+            profiles[rows, ks] = z
+            return solve_profiles(dist.virtual(profiles), FAST).privacy_budgets[rows, ks]
 
         sol = solve_profiles(dist.virtual(costs)[None, :], FAST)
         pis, errs = expost_payments(costs, sol.privacy_budgets[0], dist.upper,
