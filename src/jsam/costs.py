@@ -95,14 +95,17 @@ def _log_mass(lo: float, hi):
 
     Where lo > 0 the interval is mirrored to (-hi, -lo): log_ndtr keeps its
     precision in the left tail only, and a far-tail mass stays finite there.
+    Where lo <= 0 < hi the mass is log1p(-Phi(lo) - Phi(-hi)), which keeps
+    its precision as the mass nears 1; these are scipy truncnorm's cases.
     """
-    from scipy.special import log_ndtr
+    from scipy.special import log_ndtr, ndtr
 
     if lo > 0:
         lo, hi = -hi, -lo
     log_hi = log_ndtr(hi)
     with np.errstate(divide="ignore"):  # hi == lo: zero mass, log 0 = -inf
-        return log_hi + np.log(-np.expm1(log_ndtr(lo) - log_hi))
+        return np.where(hi > 0, np.log1p(-ndtr(lo) - ndtr(-hi)),
+                        log_hi + np.log(-np.expm1(log_ndtr(lo) - log_hi)))
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from jsam.costs import CostDistribution, TruncatedGaussianCosts, UniformCosts
@@ -72,6 +72,7 @@ def test_gaussian_matches_scipy_truncnorm(seed, prior):
 
 
 @settings(max_examples=40, deadline=None)
+@example(mean=0.0, std=1.0, lower=0.0, width=1.0, seed=66)  # a central mass (lo <= 0 < hi)
 @given(st.floats(-1.0, 2.0), st.floats(0.1, 2.0), st.floats(0.0, 0.5),
        st.floats(0.1, 1.0), st.integers(0, 2 ** 32 - 1))
 def test_gaussian_matches_scipy_truncnorm_on_random_priors(mean, std, lower, width,
