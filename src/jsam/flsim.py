@@ -313,10 +313,11 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
               bbm_losses=None, payment_grid: int = 200) -> SelectionPlan:
     """Build the selection plan and its payments for any mechanism kind.
 
-    The plan is the mechanism's allocation rule on the truthful profile, and
-    the payment curves are the same rule, the rivals' virtual costs computed
-    once: eps_of_reports(ks, z) is client ks[i]'s budget at report z[i] (a
-    scalar k broadcasts), so one batch can mix clients. Payments are envelope
+    The plan is the mechanism's allocation rule on the truthful profile. The
+    payment curves are the same rule: eps_of_reports(ks, z) is client ks[i]'s
+    budget at report z[i], rivals fixed (a scalar k broadcasts), batched across
+    clients by `expost_payments`, which ends each curve at its first zero
+    because a client out at one report stays out above it. Payments are envelope
     payments against the realized rival reports (their expectation over
     rivals is the interim rule), except jsam_ci, which pays the reported cost
     outright: c_k * eps_k, leaving no information rent.
