@@ -41,21 +41,22 @@ def budget_identity(rng) -> Verdict:
 
 
 def grid_vs_brute_force(instances) -> Verdict:
-    """Worst |grid - brute-force objective| / allowance over (virtual costs, cfg)
-    pairs of N <= 4, allowance = max(1% brute force, 4*(0.01 + grid_delta)*(eta + max v));
-    a brute-force optimum without the threshold structure measures inf."""
+    """Worst |solver - brute-force objective| / allowance over (virtual costs, cfg)
+    pairs of N <= 4, allowance = max(1% brute force, 4*0.01*(eta + max v)) for
+    the brute force's 0.01 simplex step; a brute-force optimum without the
+    threshold structure measures inf."""
     ratios = []
     for v, cfg in instances:
         v = np.asarray(v, dtype=float)
         if v.size > 4:
             raise ValueError("grid_vs_brute_force is guarded to N <= 4")
-        grid = float(solve_profiles(v[None, :], cfg).objective_value[0])
+        solved = float(solve_profiles(v[None, :], cfg).objective_value[0])
         brute = brute_force_solve(v, cfg, _BRUTE_STEP)
-        allowance = max(0.01 * brute.objective, 4.0 * (_BRUTE_STEP + cfg.grid_delta)
-                        * (cfg.eta + float(v.max())))
+        allowance = max(0.01 * brute.objective,
+                        4.0 * _BRUTE_STEP * (cfg.eta + float(v.max())))
         structured = verify_structure(brute.probabilities, np.argsort(v, kind="stable") + 1,
                                       tol=_BRUTE_STEP + 1e-9).passed
-        ratios.append(abs(grid - brute.objective) / allowance if structured else math.inf)
+        ratios.append(abs(solved - brute.objective) / allowance if structured else math.inf)
     return Verdict("grid-vs-brute-force", float(np.max(ratios)), 1.0)
 
 

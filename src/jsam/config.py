@@ -52,7 +52,7 @@ class TaskSpec:
 class ServerSpec:
     eta: float = 1.0
     q_coefficient: float | None = None  # None: derive from the noise model
-    grid_delta: float = 1e-3
+    grid_delta: float = 1e-3  # range-checked, unread: see `ServerConfig`
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Independent small-scale solvers used to validate the mechanism module.
 
-Nothing here evaluates the closed-form budget split or the threshold-grid
+Nothing here evaluates the closed-form budget split or the threshold
 search. The inner problem (min sum p^2/eps^2 subject to sum v*eps = B) is
 solved by numeric per-coordinate root finds of its stationarity conditions
 at one multiplier, the outer budget problem by golden-section search, and

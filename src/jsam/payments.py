@@ -125,7 +125,7 @@ def expost_payments(costs, budgets, support_upper, eps_of_reports,
     `budgets` are the truthful budgets. A client whose budget is exactly 0 at
     a report z gets 0 at every report above z under the rules priced here:
 
-    - jsam: the grid objective of a candidate (h, m) depends only on the h
+    - jsam: the objective of a candidate threshold h depends only on the h
       cheapest virtual costs and is weakly increasing in each of them.
       Raising an unselected client's report leaves every candidate that
       excludes it bit-for-bit unchanged and can only raise the others, so

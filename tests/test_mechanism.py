@@ -1,4 +1,4 @@
-"""Solver unit tests: budget split, objective at a fixed p, grid search, structure."""
+"""Solver unit tests: budget split, objective at a fixed p, threshold search, structure."""
 
 import math
 import warnings
@@ -9,9 +9,8 @@ from hypothesis import given, strategies as st
 
 from jsam import config, mechanism
 from jsam.mechanism import (_TWO_THIRDS, BatchSolution, ServerConfig,
-                            _blocks, _budget_and_objective, _candidate_grid,
-                            fixed_probability_solve, optimal_epsilon,
-                            solve_profiles, verify_structure)
+                            _budget_and_objective, fixed_probability_solve,
+                            optimal_epsilon, solve_profiles, verify_structure)
 from jsam.oracle import _golden_minimize
 
 # dev = 0, Q*c = 2: the stationary point of eta*sqrt(Qc)/B + B is
@@ -30,7 +29,7 @@ def _structured_p(h, p_h, n):
 
 
 def feasible_pairs(max_n=8):
-    """(n, h, p_h) with the grid solver's feasibility constraints."""
+    """(n, h, p_h) with the threshold structure's feasibility constraints."""
     return st.integers(2, max_n).flatmap(
         lambda n: st.tuples(
             st.just(n),
@@ -93,6 +92,26 @@ def _validate_row(sol, v, row=0, degenerate=False):
                   float(sol.total_budget[row]), v, degenerate)
 
 
+def _dense_grid(n, delta):
+    """(h, p1, ph) triples of the dense (h, m) grid, h-, then m-ascending.
+
+    h = 1 admits only p_1 = 1 (stored with a p_h = 1/n placeholder that no
+    plan reads). For h >= 2 the grid walks p_1 = i/n + m*delta,
+    p_h = 1/n - m*delta with i = n + 1 - h, for every m with p_h > 0: a
+    p_h = 0 candidate repeats the distribution of (h - 1, m = 0), or of
+    h = 1 when h = 2, so keeping it would let rounding decide which
+    threshold a plan reports. The m range counts the steps strictly below
+    1/n, with 1/(n*delta) read as an integer when it is one up to rounding.
+    """
+    share = 1.0 / n
+    steps = math.ceil((1.0 - 1e-12) / (n * delta)) if n >= 2 else 0
+    h = np.repeat(np.arange(2, n + 1), steps)
+    m = np.tile(np.arange(steps), n - 1)
+    return (np.concatenate([[1], h]),
+            np.concatenate([[1.0], (n + 1 - h) * share + m * delta]),
+            np.concatenate([[share], share - m * delta]))
+
+
 def _dense_objectives(vs, cfg, grid):
     """(B*, f) at every (row, candidate) of ascending rows `vs`, all evaluated."""
     batch, n = vs.shape
@@ -110,14 +129,15 @@ def _dense_objectives(vs, cfg, grid):
     return _budget_and_objective(dev, cfg.q_coefficient * coef, cfg.eta)
 
 
-def _dense_solve(v, cfg):
-    """solve_profiles by a dense argmin over every candidate of the grid.
+def _dense_solve(v, cfg, delta):
+    """solve_profiles by a dense argmin over the (h, m) grid of step `delta`.
 
-    The reference for the pruned kernel, which must agree with it bit for bit.
+    The reference for the threshold kernel, which must agree with it bit for
+    bit: the grid's m > 0 candidates, p_h < 1/N, never win.
     """
     v = np.atleast_2d(np.asarray(v, dtype=float))
     batch, n = v.shape
-    grid = h, p1, ph = _candidate_grid(n, cfg)
+    grid = h, p1, ph = _dense_grid(n, delta)
     order = np.argsort(v, axis=1, kind="stable")
     vs = np.take_along_axis(v, order, axis=1)
     share = 1.0 / n
@@ -152,9 +172,9 @@ def _assert_same_bytes(got, want, label=""):
             f"{name} differs {label}"
 
 
-def _curve_batch(rng, n, rows=200):
+def _curve_batch(rng, n, rows=200, floor=0.01):
     """A payment-curve batch: one client's cost swept, the others fixed."""
-    v = np.repeat(2.0 * rng.uniform(0.01, 1.0, size=(1, n)), rows, axis=0)
+    v = np.repeat(2.0 * rng.uniform(floor, 1.0, size=(1, n)), rows, axis=0)
     v[:, int(rng.integers(n))] = np.linspace(0.02, 2.0, rows)
     return v
 
@@ -410,12 +430,12 @@ def test_large_eta_drives_the_plan_to_uniform(uniform01, rng):
     v = uniform01.virtual(rng.uniform(0.05, 1.0, 10))
     sol = solve_profiles(v[None, :], cfg)
     assert sol.threshold[0] == 10
-    assert np.max(np.abs(sol.probabilities[0] - 0.1)) <= cfg.grid_delta + 1e-12
+    assert np.max(np.abs(sol.probabilities[0] - 0.1)) <= 1e-12
 
 
 def test_raising_a_virtual_cost_never_raises_selection(rng):
     # exclusion is monotone: a pricier client cannot become more likely
-    cfg = ServerConfig(eta=1.0, q_coefficient=1.0, grid_delta=1e-2)
+    cfg = ServerConfig(eta=1.0, q_coefficient=1.0)
     for _ in range(150):
         n = int(rng.integers(2, 6))
         v = rng.uniform(0.1, 2.0, n)
@@ -427,26 +447,10 @@ def test_raising_a_virtual_cost_never_raises_selection(rng):
         assert moved.probabilities[0, k] <= base.probabilities[0, k] + 1e-9
 
 
-def test_candidate_grid_order_and_size():
-    cfg = ServerConfig(grid_delta=1e-3)
-    h, p1, ph = _candidate_grid(3, cfg)
-    assert h.size == 669  # 1 + 2 * (floor(1/(3*delta)) + 1)
-    assert h[0] == 1 and p1[0] == 1.0
-    assert np.all(np.diff(h) >= 0)  # h ascending, m ascending within h
-    first_h2 = np.nonzero(h == 2)[0][0]
-    assert p1[first_h2] == pytest.approx(2.0 / 3.0)
-    assert ph[first_h2] == pytest.approx(1.0 / 3.0)
-
-
 @pytest.mark.parametrize("n, eta", [(10, 30.0), (100, 30.0), (100, 1000.0),
                                     (2, 30.0)])
 def test_threshold_counts_the_positive_probabilities(n, eta, rng):
-    # 1/(N*delta) is an integer at N in {10, 100}, and one rounding step off
-    # an integer at N = 2 with delta = 1/98
-    delta = 1.0 / 98.0 if n == 2 else 1e-3
-    cfg = ServerConfig(eta=eta, q_coefficient=6e4, grid_delta=delta)
-    _, _, ph = _candidate_grid(n, cfg)
-    assert np.all(ph > 0)
+    cfg = ServerConfig(eta=eta, q_coefficient=6e4)
     sol = solve_profiles(2.0 * rng.uniform(0.01, 1.0, size=(400, n)), cfg)
     assert np.array_equal(sol.threshold,
                           np.count_nonzero(sol.probabilities > 0, axis=1))
@@ -456,7 +460,7 @@ def test_threshold_counts_the_positive_probabilities(n, eta, rng):
 def test_kernel_rows_match_fixed_probability_solve(eta, rng):
     # each row's budget split, B* and objective are those of the fixed-p
     # solve at the row's chosen p
-    cfg = ServerConfig(eta=eta, q_coefficient=2.0, grid_delta=1e-2)
+    cfg = ServerConfig(eta=eta, q_coefficient=2.0)
     v = 2.0 * rng.uniform(0.05, 1.0, size=(40, 5))
     sol = solve_profiles(v, cfg)
     eps, b, f = fixed_probability_solve(sol.probabilities, v, cfg)
@@ -477,10 +481,11 @@ def test_batch_solver_matches_single_profile_solves(rng, basic_cfg):
 
 
 def test_chunked_and_unchunked_batches_agree(basic_cfg, rng, monkeypatch):
-    # the second input is an N = 100 payment curve cut into 7-row chunks
+    # 50 rows of N = 3 cut into 2-row chunks, and an N = 100 payment curve
+    # cut into 7-row chunks
     small = 2.0 * rng.uniform(0.05, 1.0, size=(50, 3))
     curve = _curve_batch(rng, 100)
-    for v, max_elements in [(small, 2000), (curve, 7 * 991)]:
+    for v, max_elements in [(small, 2 * 3), (curve, 7 * 100)]:
         whole = solve_profiles(v, basic_cfg)
         with monkeypatch.context() as patch:
             patch.setattr(mechanism, "_MAX_ELEMENTS", max_elements)
@@ -489,46 +494,35 @@ def test_chunked_and_unchunked_batches_agree(basic_cfg, rng, monkeypatch):
         assert whole.total_budget.tobytes() == chunked.total_budget.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 100])
-def test_pruned_kernel_matches_the_dense_reference(n):
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 100, 300])
+def test_threshold_kernel_matches_the_dense_reference(n):
+    # guards the conjecture in `solve_profiles`: at every grid step, the
+    # dense (h, m) grid's first minimiser has p_h = 1/N
     rng = np.random.default_rng(n)
     for delta in [1e-3, 1e-2, 0.05, 0.3, 1.0]:
-        for eta in [0.0, 1e-6, 1.0, 1e3, 1e5]:
-            q = float(10.0 ** rng.uniform(-3.0, 5.0))
-            cfg = ServerConfig(eta=eta, q_coefficient=q, grid_delta=delta)
-            v = 2.0 * rng.uniform(0.01, 1.0, size=(24, n))
-            v[:4] = v[0]  # exact ties: repeated rows, a shared cost, all equal
-            v[1, -1] = v[1, 0]
-            v[2] = v[2, 0]
-            for batch in (v, _curve_batch(rng, n, rows=40)):
-                _assert_same_bytes(solve_profiles(batch, cfg), _dense_solve(batch, cfg),
-                                   f"at n={n}, delta={delta}, eta={eta}, q={q}")
+        for eta in [0.0, 1e-6, 1.0, 1e3, 1e5, 1e8]:
+            for q, floor in [(float(10.0 ** rng.uniform(-3.0, 5.0)), 0.01),
+                             (1e-4, 0.1), (6e4, 0.01), (6e4, 0.1)]:
+                cfg = ServerConfig(eta=eta, q_coefficient=q)
+                v = 2.0 * rng.uniform(floor, 1.0, size=(24, n))
+                v[:4] = v[0]  # exact ties: repeated rows, a shared cost, all equal
+                v[1, -1] = v[1, 0]
+                v[2] = v[2, 0]
+                for batch in (v, _curve_batch(rng, n, rows=40, floor=floor)):
+                    _assert_same_bytes(solve_profiles(batch, cfg),
+                                       _dense_solve(batch, cfg, delta),
+                                       f"at n={n}, delta={delta}, eta={eta}, q={q}")
 
 
-@pytest.mark.parametrize("n, delta", [(2, 1e-3), (3, 1e-2), (5, 0.05), (20, 1e-3)])
-def test_block_bounds_never_exceed_the_block_objective(n, delta):
-    rng = np.random.default_rng(n)
-    for eta in [1e-3, 1.0, 1e3]:
-        cfg = ServerConfig(eta=eta, q_coefficient=float(10.0 ** rng.uniform(-2, 4)),
-                           grid_delta=delta)
-        grid = _candidate_grid(n, cfg)
-        vs = np.sort(2.0 * rng.uniform(0.01, 1.0, size=(50, n)), axis=1)
-        cand, (_, bound), _ = _blocks(vs, cfg, grid)
-        _, f = _dense_objectives(vs, cfg, grid)
-        assert np.all(bound <= f[:, cand].min(axis=2))
-        assert np.array_equal(bound[:, 0], f[:, 0])  # h = 1 is solved exactly
-
-
-def test_near_tie_between_two_thresholds_goes_to_the_first(monkeypatch):
+def test_near_tie_between_two_thresholds_goes_to_the_first():
     # bisect eta to where the best plans at h = 2 and h = 3 cost the same to
     # 1e-12 relative; on each side the kernel must keep the dense argmin's
-    # choice, also when the bounds of h = 2, the first threshold, carry a
-    # rounding error the pruning margin has to absorb
+    # choice
     v = np.array([[0.4, 1.3, 0.9]])
-    grid = _candidate_grid(3, ServerConfig(grid_delta=1e-2))
+    grid = _dense_grid(3, 1e-2)
 
     def group_minima(eta):
-        cfg = ServerConfig(eta=eta, q_coefficient=1.0, grid_delta=1e-2)
+        cfg = ServerConfig(eta=eta, q_coefficient=1.0)
         _, f = _dense_objectives(np.sort(v, axis=1), cfg, grid)
         return cfg, f[0, grid[0] == 2].min(), f[0, grid[0] == 3].min()
 
@@ -538,15 +532,6 @@ def test_near_tie_between_two_thresholds_goes_to_the_first(monkeypatch):
         _, f2, f3 = group_minima(mid)
         lo, hi = (mid, hi) if f2 <= f3 else (lo, mid)
 
-    def rounded_bounds(vs, cfg, grid):
-        # the tightest valid bound, each block's own least f, 1e-10 relative
-        # too high on the blocks of h = 2
-        cand, (b, bound), solve = _blocks(vs, cfg, grid)
-        least = _dense_objectives(vs, cfg, grid)[1][:, cand].min(axis=2)
-        error = np.where(grid[0][cand[:, 0]] == 2, 1.0 + 1e-10, 1.0)
-        bound[:, 1:] = (least * error)[:, 1:]
-        return cand, (b, bound), solve
-
     # the crossing and the etas a few ulps off it where the two are equal
     near = [lo + k * np.spacing(lo) for k in range(-8, 9)]
     ties = [eta for eta in near if group_minima(eta)[1] == group_minima(eta)[2]]
@@ -554,12 +539,9 @@ def test_near_tie_between_two_thresholds_goes_to_the_first(monkeypatch):
     for eta in [lo, hi, *ties]:
         cfg, f2, f3 = group_minima(eta)
         assert abs(f2 - f3) <= 1e-12 * f3
-        want = _dense_solve(v, cfg)
+        want = _dense_solve(v, cfg, 1e-2)
         assert want.threshold[0] == (2 if f2 <= f3 else 3)
         _assert_same_bytes(solve_profiles(v, cfg), want, f"at eta={eta}")
-        with monkeypatch.context() as patch:
-            patch.setattr(mechanism, "_blocks", rounded_bounds)
-            _assert_same_bytes(solve_profiles(v, cfg), want, f"at eta={eta}, rounded")
 
 
 def test_underflowing_noise_coefficient_is_an_error():

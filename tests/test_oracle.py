@@ -155,9 +155,9 @@ def _brute_force_returning(monkeypatch, probabilities, objective):
 
 def test_grid_vs_brute_force_allowance_formula(monkeypatch):
     v = np.array([0.5, 1.5])
-    cfg = ServerConfig(eta=2.0, q_coefficient=1.0, grid_delta=1e-3)
+    cfg = ServerConfig(eta=2.0, q_coefficient=1.0)
     grid = float(solve_profiles([v], cfg).objective_value[0])
-    cell = 4 * (0.01 + 1e-3) * (2.0 + 1.5)  # exceeds 1% of a small optimum
+    cell = 4 * 0.01 * (2.0 + 1.5)  # exceeds 1% of a small optimum
     _brute_force_returning(monkeypatch, [1.0, 0.0], grid - 0.5 * cell)
     assert grid_vs_brute_force([(v, cfg)]).measured == pytest.approx(0.5, rel=1e-9)
     # 1% of a large optimum exceeds the grid-cell term
