@@ -80,15 +80,20 @@ def matched_spend_runs(cfg: ExperimentConfig, eta, seed):
     seed, all at the spend of jsam's plan at `eta`.
 
     Every other mechanism's eta is bisected until its total payment matches
-    jsam's (`match_eta_to_cost`); its plan's `eta` is the matched one. Each
-    mechanism is trained once, under the plan it was matched with.
+    jsam's (`match_eta_to_cost`); its plan's `eta` is the matched one, and a
+    miss beyond the bisection's tolerance is one `warning:` line on stderr.
+    Each mechanism is trained once, under the plan it was matched with.
     """
     probe = probe_inputs(cfg, seed)
     anchor = plan_for(cfg, "jsam", seed, eta, probe)
+    target, rel_tol = anchor.total_payment, 1e-3
     plans = [anchor if name == "jsam" else match_eta_to_cost(
-        anchor.total_payment, functools.partial(plan_for, cfg, name, seed,
-                                                probe=probe))[1]
-             for name in cfg.mechanisms]
+        target, functools.partial(plan_for, cfg, name, seed, probe=probe),
+        rel_tol)[1] for name in cfg.mechanisms]
+    for name, plan in zip(cfg.mechanisms, plans):
+        if abs(plan.total_payment - target) > rel_tol * target:
+            print(f"warning: {name} seed {seed}: matched spend {plan.total_payment!r}"
+                  f" misses the target {target!r}", file=sys.stderr)
     return [(plan, train_under(cfg, plan, seed, probe)) for plan in plans]
 
 

@@ -315,19 +315,19 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
 
     The plan is the mechanism's allocation rule on the truthful profile. The
     payment curves are the same rule: eps_of_reports(ks, z) is client ks[i]'s
-    budget at report z[i], rivals fixed (a scalar k broadcasts), batched across
-    clients by `expost_payments`, which ends each curve at its first zero
-    because a client out at one report stays out above it. Payments are envelope
-    payments against the realized rival reports (their expectation over
-    rivals is the interim rule), except jsam_ci, which pays the reported cost
-    outright: c_k * eps_k, leaving no information rent.
+    budget at report z[i], rivals fixed (a scalar k broadcasts). `expost_payments`
+    sweeps all clients' curves upward in one pass and ends each at its first
+    zero, because a client out at one report stays out above it. Payments are
+    envelope payments against the realized rival reports (their expectation
+    over rivals is the interim rule), except jsam_ci, which pays the reported
+    cost outright: c_k * eps_k, leaving no information rent. At eta 0 every
+    budget is 0, so nothing is priced and every payment is 0.
     """
     kind, subset = parse_mechanism(name)
     costs = np.asarray(costs, dtype=float)
-    n = costs.size
     if np.any(costs <= dist.lower) and dist.virtual(dist.lower) <= 0:
         raise ValueError("cost at the support boundary has zero virtual cost")
-    rule = _allocation_rule(kind, subset, n, bbm_losses, cfg)
+    rule = _allocation_rule(kind, subset, costs.size, bbm_losses, cfg)
     virtuals = dist.virtual(costs)
     sol = rule(costs[None, :], virtuals[None, :])
     eps = sol.privacy_budgets[0]
@@ -342,8 +342,6 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
 
     if kind == "jsam_ci":
         payments = costs * eps
-    elif cfg.eta == 0:
-        payments = np.zeros(n)
     else:
         payments = expost_payments(costs, eps, dist.upper, eps_of_reports,
                                    grid_size=payment_grid)[0]

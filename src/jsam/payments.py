@@ -27,7 +27,7 @@ from .costs import CostDistribution
 from .mechanism import ServerConfig, solve_profiles
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
-_COARSE_STRIDE = 8  # the first pass evaluates every 8th node of a payment curve
+_COARSE_STRIDE = 8  # payment-curve nodes per live curve in one sweep call
 
 
 def _envelope(z, e) -> float:
@@ -81,13 +81,9 @@ def interim_allocation(k, dist: CostDistribution, n_clients, cfg: ServerConfig,
         grid[0] = dist.lower + 1e-9 * (dist.upper - dist.lower)
     rng = np.random.default_rng(seed)
     rivals = dist.sample(rng, size=(samples, n_clients - 1))
-    rivals = rivals.reshape(samples, n_clients - 1)
-
     col = k - 1
-    tiled = np.broadcast_to(rivals, (grid_size, samples, n_clients - 1))
-    tiled = tiled.reshape(grid_size * samples, n_clients - 1)
-    own = np.repeat(grid, samples)[:, None]
-    profiles = np.concatenate([tiled[:, :col], own, tiled[:, col:]], axis=1)
+    profiles = np.insert(np.tile(rivals, (grid_size, 1)), col,
+                         np.repeat(grid, samples), axis=1)
     virtuals = dist.virtual(profiles)
     sol = solve_profiles(virtuals, cfg)
     curve = sol.privacy_budgets[:, col].reshape(grid_size, samples).mean(axis=1)
@@ -103,14 +99,6 @@ def payment(c, interim: InterimAllocation) -> float:
     j = int(np.searchsorted(grid, c, side="right"))
     return _envelope(np.concatenate(([c], grid[j:])),
                      np.concatenate(([np.interp(c, grid, e)], e[j:])))
-
-
-def _evaluate(eps_of_reports, ks, z, rows):
-    """eps_of_reports(ks, z), fed to the rule `rows` reports at a time."""
-    e = np.empty(z.size)
-    for s in range(0, z.size, rows):
-        e[s:s + rows] = eps_of_reports(ks[s:s + rows], z[s:s + rows])
-    return e
 
 
 def expost_payments(costs, budgets, support_upper, eps_of_reports,
@@ -135,24 +123,32 @@ def expost_payments(costs, budgets, support_upper, eps_of_reports,
     - usbm and bbm give every client a positive budget.
 
     So a client with a zero truthful budget is paid 0 with error 0. The other
-    curves, on linspace(c_k, support_upper, grid_size), are evaluated together,
-    at most `grid_size` reports per call: every _COARSE_STRIDE-th node, then
-    the nodes below the first node found at 0, above which every node is 0;
-    the payments equal those of evaluating every node.
+    curves, on linspace(c_k, support_upper, grid_size), are swept upward in
+    one pass, node by node across all of them, at most min(grid_size,
+    _COARSE_STRIDE x live curves) reports per call. A curve that returns an
+    exact 0 is dropped, since every node above is 0 too, so the payments
+    equal those of evaluating every node.
     """
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
     costs = np.asarray(costs, dtype=float)
     pis, errs = np.zeros(costs.size), np.zeros(costs.size)
     paid = np.nonzero(np.asarray(budgets, dtype=float) != 0)[0]
-    z = np.array([np.linspace(costs[k], support_upper, grid_size)
-                  for k in paid]).reshape(-1, grid_size)
-    ks = np.broadcast_to(paid[:, None], z.shape)
+    z = np.linspace(costs[paid], support_upper, grid_size, axis=1)
     e = np.zeros(z.shape)
-    coarse = np.broadcast_to(np.arange(grid_size) % _COARSE_STRIDE == 0, z.shape)
-    e[coarse] = _evaluate(eps_of_reports, ks[coarse], z[coarse], grid_size)
-    zero = e[:, ::_COARSE_STRIDE] == 0
-    end = np.where(zero.any(axis=1), zero.argmax(axis=1) * _COARSE_STRIDE, grid_size)
-    fine = ~coarse & (np.arange(grid_size) < end[:, None])
-    e[fine] = _evaluate(eps_of_reports, ks[fine], z[fine], grid_size)
+    # node-major (curve, node) pairs: every curve's lower reports come first
+    curve, node = np.unravel_index(np.arange(z.size), z.shape, order="F")
+    live = np.ones(paid.size, dtype=bool)
+    while curve.size:
+        rows = min(grid_size, _COARSE_STRIDE * np.count_nonzero(live))
+        ci, ni = curve[:rows], node[:rows]
+        e[ci, ni] = eps_of_reports(paid[ci], z[ci, ni])
+        curve, node = curve[rows:], node[rows:]
+        out = ci[e[ci, ni] == 0]
+        if out.size:
+            live[out] = False
+            keep = live[curve]
+            curve, node = curve[keep], node[keep]
     for k, zk, ek in zip(paid, z, e):
         pis[k] = _envelope(zk, ek)
         errs[k] = _trapezoid_error(ek, (support_upper - costs[k]) / (grid_size - 1))

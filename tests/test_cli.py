@@ -8,12 +8,13 @@ import sys
 import typing
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import jsam
-from jsam import audit, config
+from jsam import audit, cli, config
 from jsam.cli import main
 from jsam.costs import TruncatedGaussianCosts
 from jsam.mechanism import verify_structure
@@ -413,6 +414,27 @@ def test_sweep_without_grid_is_a_config_error(tmp_path, capsys):
     path = _write_cfg(tmp_path, SMALL_SIM)
     assert main(["sweep", "--config", path]) == 2
     assert "eta_grid" in capsys.readouterr().err
+
+
+def test_matched_spend_miss_is_one_warning_line(monkeypatch, capsys):
+    # usbm's spend is continuous in eta and matches; jsam_ci's steps from 1
+    # to 3 at eta 10, past jsam's 2, so its bisection can only end above it
+    spend = {"jsam": lambda eta: 2.0, "usbm": lambda eta: eta,
+             "jsam_ci": lambda eta: 1.0 if eta < 10.0 else 3.0}
+
+    def plan_for(cfg, name, seed, eta=None, probe=None):
+        return SimpleNamespace(kind=name, total_payment=spend[name](eta))
+
+    monkeypatch.setattr(cli, "probe_inputs", lambda cfg, seed: None)
+    monkeypatch.setattr(cli, "plan_for", plan_for)
+    monkeypatch.setattr(cli, "train_under", lambda cfg, plan, seed, probe: None)
+    cfg = config.from_dict({**SMALL_SIM, "mechanisms": ["jsam", "usbm", "jsam_ci"]})
+    jsam, usbm, jsam_ci = (plan.total_payment
+                           for plan, _ in cli.matched_spend_runs(cfg, 30.0, seed=4))
+    assert (jsam, jsam_ci) == (2.0, 3.0)
+    assert usbm == pytest.approx(2.0, rel=1e-3)
+    assert capsys.readouterr().err == ("warning: jsam_ci seed 4: matched spend "
+                                       "3.0 misses the target 2.0\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Golden `jsam solve` outputs, the budget root against its Newton reference,
-the payments against evaluating every curve at every node, and each payment
-curve against the plan it prices.
+the payments against evaluating every curve at every node, the nodes each
+curve evaluates, and each payment curve against the plan it prices.
 
 `golden_solve.json` holds the plans of the pinned configs below as written
 before the closed-form budget root, the payment-curve skip and the
@@ -24,7 +24,8 @@ from jsam.cli import main
 from jsam.costs import TruncatedGaussianCosts, UniformCosts
 from jsam.flsim import make_plan
 from jsam.mechanism import ServerConfig, _budget_root_sq
-from jsam.payments import _envelope, _trapezoid_error, expost_payments
+from jsam.payments import (_COARSE_STRIDE, _envelope, _trapezoid_error,
+                           expost_payments)
 
 GOLDEN = Path(__file__).with_name("golden_solve.json")
 GOLDEN_RTOL = 1e-12
@@ -117,13 +118,13 @@ UNIFORM = UniformCosts(0.0, 1.0)
 GAUSSIAN = TruncatedGaussianCosts(0.5, 0.2, 0.05, 1.0)
 
 
-def priced_plan(monkeypatch, mechanism, seed, grid=200, dist=None):
+def priced_plan(monkeypatch, mechanism, seed, grid=200, dist=None, eta=1000.0):
     """(costs, dist, plan, the eps_of_reports curve make_plan passed to
     expost_payments); jsam defaults to the uniform prior, the rest to the
     Gaussian."""
     if dist is None:
         dist = UNIFORM if mechanism == "jsam" else GAUSSIAN
-    cfg = ServerConfig(eta=1000.0, q_coefficient=6e4)
+    cfg = ServerConfig(eta=eta, q_coefficient=6e4)
     rng = np.random.default_rng(seed)
     costs = dist.sample(rng, size=30)
     losses = rng.uniform(0.5, 2.0, size=30) if mechanism == "bbm" else None
@@ -172,7 +173,7 @@ def test_skipped_payment_curves_are_exactly_zero(mechanism, seed, monkeypatch):
 
 @pytest.mark.parametrize("mechanism", ["jsam", "fsbm-10", "usbm", "bbm"])
 @pytest.mark.parametrize("dist", [UNIFORM, GAUSSIAN], ids=["uniform", "gaussian"])
-def test_two_pass_payments_equal_every_node_evaluation(mechanism, dist, monkeypatch):
+def test_one_pass_payments_equal_every_node_evaluation(mechanism, dist, monkeypatch):
     grid = 200
     rows = []
 
@@ -198,6 +199,33 @@ def test_two_pass_payments_equal_every_node_evaluation(mechanism, dist, monkeypa
     assert full[0].tobytes() == plan.payments.tobytes()
     fast = expost_payments(costs, plan.epsilons, dist.upper, eps_fn, grid_size=grid)
     assert full[1].tobytes() == fast[1].tobytes()
+
+
+@pytest.mark.parametrize("mechanism, eta", [("jsam", 1000.0), ("jsam", 1.0),
+                                            ("fsbm-10", 1000.0)])
+def test_each_curve_stops_within_a_stride_of_its_first_zero(mechanism, eta, monkeypatch):
+    grid = 200
+    costs, dist, plan, eps_fn = priced_plan(monkeypatch, mechanism, 0, grid, eta=eta)
+    asked = []
+
+    def counted(ks, z):
+        asked.append(ks)
+        return eps_fn(ks, z)
+
+    expost_payments(costs, plan.epsilons, dist.upper, counted, grid_size=grid)
+    evaluated = np.bincount(np.concatenate(asked), minlength=costs.size)
+    paid = np.nonzero(plan.epsilons)[0]
+    if eta == 1.0:
+        assert paid.size == 1  # one paid curve, so 8 reports per call
+    needed = []
+    for k in paid:
+        zero = eps_fn(k, np.linspace(costs[k], dist.upper, grid)) == 0
+        needed.append(int(zero.argmax()) + 1 if zero.any() else grid)
+    assert min(needed) < grid  # some curve reaches 0 below the top
+    # every node up to the first zero, and at most a stride of nodes above it
+    assert np.all(evaluated[paid] >= needed)
+    assert np.all(evaluated[paid] <= np.minimum(grid, np.add(needed, _COARSE_STRIDE)))
+    assert not np.any(np.delete(evaluated, paid))
 
 
 @pytest.mark.parametrize("mechanism", ["jsam", "usbm", "fsbm-10", "bbm"])

@@ -142,6 +142,14 @@ def test_expost_payments_cover_costs(uniform01, rng):
         assert errs[k] >= 0.0
 
 
+@pytest.mark.parametrize("grid", [0, 1])
+def test_expost_payments_reject_a_grid_below_two(grid):
+    # one node would pay exactly c * eps, and no node cannot be priced at all
+    with pytest.raises(ValueError, match="grid_size must be >= 2"):
+        expost_payments(np.array([0.5]), np.ones(1), 1.0,
+                        lambda ks, z: np.ones(z.size), grid_size=grid)
+
+
 def test_total_payments_match_virtual_surrogate_spend(rng):
     # the envelope totals and sum of v_k * eps_k share the same expectation
     dist = UniformCosts(0.1, 1.0)
