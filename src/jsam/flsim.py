@@ -9,9 +9,14 @@ N(0, sigma_k^2 C^2 I) noise, and the server averages the noisy gradients and
 takes a step. sigma_k is calibrated from the client's realized participation
 count, which is known in advance precisely because the schedule is pre-drawn.
 
-A round is a few array operations: the equal-size shards are stacked once,
-the scheduled clients' clipped gradients are one batched contraction and
-their noise one draw, and the per-round losses are evaluated classes-first.
+A round is a few array operations. The equal-size shards, their one-hot
+labels and one evaluation matrix (the pool, then the test set) are stacked
+once. The scheduled clients' softmax errors and clip norms are computed on
+a classes-first (k, C, m) copy of their scores, so each sum over the C
+classes is a short run of elementwise passes; their clipped gradients are
+one batched contraction and their noise one draw. One classes-first score
+pass over the evaluation matrix then gives the round's train loss, test
+loss and test accuracy.
 """
 
 from __future__ import annotations
@@ -75,31 +80,48 @@ def _scores(w, x, classes):
     return x @ mat[:, :-1].T + mat[:, -1]
 
 
-def _log_softmax(scores):
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def _class_scores(w, x, classes):
     """Classes-first scores (C, n), so the reductions run over the short axis 0."""
     mat = w.reshape(classes, -1)
     return mat[:, :-1] @ x.T + mat[:, -1:]
 
 
-def _mean_nll(scores, y):
-    """Mean cross-entropy of classes-first scores against the labels y.
+def _log_sum_exp(shifted, axis):
+    """log(sum(exp(shifted))) over the classes `axis` of max-shifted scores.
 
-    Each column's sum holds exp(0) = 1 for its largest class, which absorbs
-    any term below exp(-700) ~ 1e-304 exactly, so clamping the shifted scores
-    at -700 leaves the sum bit-for-bit unchanged. It keeps numpy's exp off its
-    slow path for arguments below about -708 (over 10x slower per element,
-    about 175x where the result is subnormal), which up to a fifth of the
-    pool's scores reach once noise has grown w.
+    Each sum holds exp(0) = 1 for its largest class, which absorbs any term
+    below exp(-700) ~ 1e-304 exactly, so clamping the shifted scores at -700
+    leaves the sum bit-for-bit unchanged. It keeps numpy's exp off its slow
+    path for arguments below about -708 (over 10x slower per element, about
+    175x where the result is subnormal), which up to a fifth of the pool's
+    scores reach once noise has grown w.
     """
-    shifted = scores - scores.max(axis=0)
-    log_norm = np.log(np.exp(np.maximum(shifted, -700.0)).sum(axis=0))
-    # one gather on the flat view: about half the time of shifted[y, arange]
-    return float(-(shifted.ravel()[y * y.size + np.arange(y.size)] - log_norm).mean())
+    terms = np.maximum(shifted, -700.0)
+    return np.log(np.exp(terms, out=terms).sum(axis=axis))
+
+
+def _log_likelihoods(scores, y):
+    """Each column's log-probability of its label y, from classes-first
+    scores, which are overwritten with their max-shifted values."""
+    scores -= scores.max(axis=0)
+    # one gather on the flat view: about half the time of scores[y, arange]
+    return scores.ravel()[y * y.size + np.arange(y.size)] - _log_sum_exp(scores, 0)
+
+
+def _mean_nll(scores, y):
+    """Mean cross-entropy of classes-first scores against the labels y; the
+    scores are overwritten, as `_log_likelihoods` does."""
+    return float(-_log_likelihoods(scores, y).mean())
+
+
+def _pool_and_test_metrics(w, x, y, n_pool, classes):
+    """(train loss, test loss, test accuracy) from one classes-first pass over
+    `x`, the pool's n_pool examples and then the test set's: the numbers
+    `model_loss` gives on the pool and `test_metrics` on the test set."""
+    scores = _class_scores(w, x, classes)
+    accuracy = (scores[:, n_pool:].argmax(axis=0) == y[n_pool:]).mean()
+    log_p = _log_likelihoods(scores, y)
+    return -log_p[:n_pool].mean(), -log_p[n_pool:].mean(), accuracy
 
 
 def model_loss(w, x, y, classes) -> float:
@@ -109,7 +131,8 @@ def model_loss(w, x, y, classes) -> float:
 
 def test_metrics(w, x, y, classes):
     scores = _class_scores(w, x, classes)
-    return _mean_nll(scores, y), float((scores.argmax(axis=0) == y).mean())
+    accuracy = float((scores.argmax(axis=0) == y).mean())
+    return _mean_nll(scores, y), accuracy
 
 
 def noise_sigma(t_k, eps_k, delta, c2=1.0) -> float:
@@ -123,10 +146,13 @@ def noise_sigma(t_k, eps_k, delta, c2=1.0) -> float:
     return c2 * math.sqrt(t_k * math.log(1.0 / delta)) / eps_k
 
 
-def _augment(x):
-    """Inputs with a trailing bias column, and the norm of each augmented row."""
+def _augment(x, y, classes):
+    """(k, m, D) inputs of k clients and their (k, m) labels -> the inputs with
+    a trailing bias column, the norm of each augmented row, and the (k, C, m)
+    classes-first one-hot labels."""
     xt = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
-    return xt, np.linalg.norm(xt, axis=-1)
+    onehot = np.arange(classes)[:, None] == y[:, None, :]
+    return xt, np.linalg.norm(xt, axis=-1), onehot
 
 
 def local_noisy_gradient(w, x, y, classes, clip_c, sigma, rng,
@@ -136,13 +162,20 @@ def local_noisy_gradient(w, x, y, classes, clip_c, sigma, rng,
     `x` is (k, m, D) and `y` is (k, m) for k clients of m examples each, and
     `sigma` holds one noise multiplier per client; the result is (k, W). A
     2-D `x` is one client: `y` is (m,), `sigma` a scalar and the result (W,).
-    `augmented` is `_augment(x)` where the caller has it already.
+    `augmented` is `_augment(x, y, classes)` where the caller has it already.
 
     Each example's gradient is the outer product of (softmax - onehot) with
     the augmented input, whose norm factorizes, so clipping never materializes
     per-example matrices, and all k means are one batched contraction. The
-    N(0, sigma_k^2 C^2 I) noise of the clients with sigma_k > 0 is one draw,
-    the same stream as one draw per client in order; the others draw nothing.
+    softmax, its errors and their norms are taken on a classes-first (k, C, m)
+    copy of the scores, so each reduction over the C classes runs as
+    elementwise passes over (k, m) rows, one class after another. Below 8
+    classes that is the order of numpy's last-axis sum, so the bits are those
+    of per-example softmax rows; from 8 on numpy sums a last axis pairwise,
+    a few ulps apart. The errors go back to example-major for the
+    contraction. The N(0, sigma_k^2 C^2 I) noise of the clients with
+    sigma_k > 0 is one draw, the same stream as one draw per client in order;
+    the others draw nothing.
     """
     single = x.ndim == 2
     if single:
@@ -150,22 +183,29 @@ def local_noisy_gradient(w, x, y, classes, clip_c, sigma, rng,
     k, m = y.shape
     if m == 0:
         raise ValueError("empty shard")
-    xt, x_norms = _augment(x) if augmented is None else augmented
-    errors = np.exp(_log_softmax(_scores(w, x, classes)))
-    # minus the one-hot labels, indexed on the flat view (errors is C-ordered)
-    errors.reshape(-1)[np.arange(k * m) * classes + y.ravel()] -= 1.0
+    xt, x_norms, onehot = _augment(x, y, classes) if augmented is None else augmented
+    shifted = np.swapaxes(_scores(w, x, classes), 1, 2).copy()
+    shifted -= shifted.max(axis=1, keepdims=True)
+    shifted -= _log_sum_exp(shifted, 1)[:, None]
+    # the probabilities' exp is not clamped: its tiny outputs reach the weights
+    errors = np.exp(shifted)
+    errors -= onehot
     if not noiseless:
-        norms = np.linalg.norm(errors, axis=-1) * x_norms
+        norms = np.sqrt((errors * errors).sum(axis=1)) * x_norms
         with np.errstate(divide="ignore"):
             scale = np.minimum(1.0, clip_c / np.where(norms > 0, norms, 1.0))
-        errors = errors * scale[..., None]
-    grads = (np.swapaxes(errors, 1, 2) @ xt / m).reshape(k, -1)
+        errors *= scale[:, None]
+    # back to (k, m, C) in memory: the contraction's operands, and so its
+    # rounding, stay those of the example-major round
+    example_major = np.swapaxes(errors, 1, 2).copy()
+    grads = (np.swapaxes(example_major, 1, 2) @ xt / m).reshape(k, -1)
     if not noiseless:
         sigma = np.broadcast_to(sigma, (k,))
         noisy = sigma > 0
         if noisy.any():
-            grads[noisy] += rng.normal(0.0, (sigma[noisy] * clip_c)[:, None],
-                                       size=(np.count_nonzero(noisy), grads.shape[1]))
+            # Generator.normal(0.0, scale)'s own arithmetic, loc + scale * z
+            z = rng.standard_normal((np.count_nonzero(noisy), grads.shape[1]))
+            grads[noisy] += 0.0 + (sigma[noisy] * clip_c)[:, None] * z
     return grads[0] if single else grads
 
 
@@ -447,11 +487,12 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
     clients (a client drawn twice in a round counts twice) with one noise
     draw. Noise scales come from the participation counts of the schedule
     itself; a scheduled client with a zero budget is a configuration error.
-    Train and test metrics are evaluated every round. Divergence (non-finite
-    loss) is recorded in the output, not raised.
+    Train and test metrics are evaluated every round, in one pass over the
+    pool and the test set stacked together. Divergence (non-finite loss) is
+    recorded in the output, not raised.
     """
     x, y = _stack_shards(task, shards)
-    xt, x_norms = _augment(x)
+    xt, x_norms, onehot = _augment(x, y, task.classes)
     n = len(shards)
     counts = np.bincount(schedule.ravel(), minlength=n)
     sigma = np.zeros(n)
@@ -460,11 +501,13 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
             sigma[k] = noise_sigma(counts[k], plan.epsilons[k],
                                    settings.delta, settings.c2)
     w = np.zeros(task.weight_dim) if w0 is None else np.asarray(w0, dtype=float).copy()
-    # the pool in shard order; transposed once so the classes-first loss
-    # multiplies by a contiguous (D, n) matrix every round
-    px = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T).T
-    py = y.ravel()
-    tx = np.ascontiguousarray(task.test_x.T).T
+    # the pool in shard order, then the test set: one evaluation matrix,
+    # stored transposed so the classes-first scores multiply by a contiguous
+    # (D, n) matrix every round (concatenate alone would keep x's layout)
+    n_pool = y.size
+    ex = np.concatenate([x.reshape(n_pool, -1).T, task.test_x.T], axis=1,
+                        out=np.empty((x.shape[-1], n_pool + task.test_y.size))).T
+    ey = np.concatenate([y.ravel(), task.test_y])
 
     t_rounds = schedule.shape[0]
     train_loss = np.zeros(t_rounds)
@@ -475,11 +518,11 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
             grads = local_noisy_gradient(w, x[ks], y[ks], task.classes,
                                          settings.clip, sigma[ks], rng,
                                          noiseless=settings.noiseless,
-                                         augmented=(xt[ks], x_norms[ks]))
+                                         augmented=(xt[ks], x_norms[ks],
+                                                    onehot[ks]))
             w = w - settings.learning_rate * grads.mean(axis=0)
-            train_loss[t] = model_loss(w, px, py, task.classes)
-            test_loss[t], test_acc[t] = test_metrics(w, tx, task.test_y,
-                                                     task.classes)
+            train_loss[t], test_loss[t], test_acc[t] = _pool_and_test_metrics(
+                w, ex, ey, n_pool, task.classes)
     return RunRecord(
         run_id=run_id,
         mechanism=plan.kind,

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from jsam.costs import UniformCosts
 from jsam.flsim import (RunRecord, SelectionPlan, TrainSettings,
-                        _stack_shards, build_schedule,
+                        _augment, _stack_shards, build_schedule,
                         initial_local_losses, local_noisy_gradient,
                         make_plan, make_task, match_eta_to_cost, model_loss,
                         noise_sigma, parse_mechanism, partition_noniid, train)
@@ -176,6 +176,78 @@ def test_single_example_gradient_matches_softmax_algebra(rng):
     soft[1] -= 1.0
     expected = np.outer(soft, np.concatenate([x[0], [1.0]])).ravel()
     assert got == pytest.approx(expected, abs=1e-12)
+
+
+def _example_major_gradient(w, x, y, classes, clip_c, sigma, rng, noiseless):
+    """The example-major round: softmax rows of (k, m, C) scores reduced over
+    their last axis, unclamped, and noise drawn by `Generator.normal`."""
+    k, m = y.shape
+    xt = np.concatenate([x, np.ones((k, m, 1))], axis=-1)
+    mat = w.reshape(classes, -1)
+    scores = x @ mat[:, :-1].T + mat[:, -1]
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    errors = np.exp(shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))
+    errors.reshape(-1)[np.arange(k * m) * classes + y.ravel()] -= 1.0
+    if not noiseless:
+        norms = np.linalg.norm(errors, axis=-1) * np.linalg.norm(xt, axis=-1)
+        with np.errstate(divide="ignore"):
+            scale = np.minimum(1.0, clip_c / np.where(norms > 0, norms, 1.0))
+        errors = errors * scale[..., None]
+    grads = (np.swapaxes(errors, 1, 2) @ xt / m).reshape(k, -1)
+    if not noiseless:
+        noisy = sigma > 0
+        grads[noisy] += rng.normal(0.0, (sigma[noisy] * clip_c)[:, None],
+                                   size=(np.count_nonzero(noisy), grads.shape[1]))
+    return grads, shifted
+
+
+@pytest.mark.parametrize("classes", [2, 3, 5, 7, 8, 10])
+@pytest.mark.parametrize("spread", [0.5, 30.0, 300.0])
+def test_classes_first_gradient_matches_the_example_major_one(classes, spread):
+    gen = np.random.default_rng(100 * classes + int(spread))
+    n, m, dim = 4, 6, 5
+    x = gen.normal(0.0, 1.0, (n, m, dim))
+    y = gen.integers(0, classes, (n, m))
+    w = gen.normal(0.0, spread, classes * (dim + 1))
+    ks = np.array([2, 0, 2, 3, 1])                # client 2 drawn twice
+    sigma = np.array([0.0, 1.5, 0.0, 4.0, 0.7])   # rows 0 and 2 draw nothing
+    stacked = _augment(x, y, classes)
+    for noiseless in (False, True):
+        got = local_noisy_gradient(w, x[ks], y[ks], classes, 2.0, sigma,
+                                   np.random.default_rng(7), noiseless=noiseless)
+        fed = local_noisy_gradient(w, x[ks], y[ks], classes, 2.0, sigma,
+                                   np.random.default_rng(7), noiseless=noiseless,
+                                   augmented=tuple(a[ks] for a in stacked))
+        want, shifted = _example_major_gradient(w, x[ks], y[ks], classes, 2.0,
+                                                sigma, np.random.default_rng(7),
+                                                noiseless)
+        assert fed.tobytes() == got.tobytes()
+        if spread > 100:  # exp's slow path, and probabilities below 1e-304
+            assert np.any(shifted < -708)
+        if classes < 8:
+            assert got.tobytes() == want.tobytes()
+        else:
+            # numpy sums a last axis of 8 or more terms pairwise, the
+            # classes-first sums add one class at a time: a few ulps apart
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_each_round_records_model_loss_and_test_metrics(rng):
+    task = _small_task(rng)
+    shards = partition_noniid(task, 4, 50, rng).shards
+    plan = _uniform_plan(4)
+    schedule = build_schedule(plan.probabilities, 5, 2, rng)
+    w0 = rng.normal(0.0, 30.0, task.weight_dim)
+    record = train(task, shards, plan, schedule,
+                   TrainSettings(rounds=5, per_round=2, learning_rate=0.0,
+                                 similarity=50),
+                   np.random.default_rng(3), w0=w0)
+    pool = np.concatenate(shards)  # in shard order, as train stacks them
+    loss = model_loss(w0, task.pool_x[pool], task.pool_y[pool], task.classes)
+    test_loss, accuracy = eval_metrics(w0, task.test_x, task.test_y, task.classes)
+    assert record.train_loss.tobytes() == np.full(5, loss).tobytes()
+    assert record.test_loss.tobytes() == np.full(5, test_loss).tobytes()
+    assert record.test_accuracy.tobytes() == np.full(5, accuracy).tobytes()
 
 
 @pytest.mark.parametrize("spread", [0.5, 30.0, 300.0])

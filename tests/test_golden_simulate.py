@@ -2,10 +2,11 @@
 
 `golden_simulate.json` holds the CSV text of each case below as written
 before the trainer was batched (stacked shards, one gradient contraction and
-one noise draw per round, classes-first loss evaluation). Loss and cost
-fields must agree at GOLDEN_RTOL; identifiers, rounds and accuracies must be
-equal. Regenerate (only for a deliberate, documented change of numerics)
-with
+one noise draw per round, classes-first loss evaluation); the `classes10`
+case was written later, by the example-major gradient that preceded the
+classes-first one. Loss and cost fields must agree at GOLDEN_RTOL;
+identifiers, rounds and accuracies must be equal. Regenerate (only for a
+deliberate, documented change of numerics) with
 
     PYTHONPATH=src python tests/test_golden_simulate.py
 """
@@ -35,6 +36,11 @@ CASES = {
                  "seeds": [4]},
     "noiseless": {**_SMALL, "train": {**_SMALL["train"], "noiseless": True},
                   "mechanisms": ["usbm"], "seeds": [5]},
+    # 10 classes: the gradient's class sums are the one place where the
+    # classes-first round rounds differently from a last-axis sum (C >= 8)
+    "classes10": {**_SMALL, "task": {**_SMALL["task"], "classes": 10,
+                                     "samples_per_client": 40},
+                  "mechanisms": ["usbm", "jsam"], "seeds": [6]},
 }
 EXACT = ("run_id", "mechanism", "seed", "s", "eta", "round", "test_accuracy")
 CLOSE = ("train_loss", "test_loss", "cumulative_monetary_cost")
