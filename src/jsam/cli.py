@@ -34,7 +34,7 @@ def probe_inputs(cfg: ExperimentConfig, seed):
                      cfg.task.test_size, cfg.task.samples_per_client,
                      seeding.derive(seed, seeding.TASK))
     shards = partition_noniid(task, cfg.clients, cfg.train.similarity,
-                              seeding.derive(seed, seeding.PARTITION)).shards
+                              seeding.derive(seed, seeding.PARTITION))
     w0 = seeding.derive(seed, seeding.INIT).normal(0.0, 0.01,
                                                    size=cfg.task.weight_dim)
     return task, shards, w0

@@ -16,7 +16,9 @@ a classes-first (k, C, m) copy of their scores, so each sum over the C
 classes is a short run of elementwise passes; their clipped gradients are
 one batched contraction and their noise one draw. One classes-first score
 pass over the evaluation matrix then gives the round's train loss, test
-loss and test accuracy.
+loss and test accuracy. The noiseless diagnostic is the same round with an
+infinite clip norm and zero noise. bbm's probe losses are one score pass
+over the stacked shards.
 """
 
 from __future__ import annotations
@@ -108,31 +110,15 @@ def _log_likelihoods(scores, y):
     return scores.ravel()[y * y.size + np.arange(y.size)] - _log_sum_exp(scores, 0)
 
 
-def _mean_nll(scores, y):
-    """Mean cross-entropy of classes-first scores against the labels y; the
-    scores are overwritten, as `_log_likelihoods` does."""
-    return float(-_log_likelihoods(scores, y).mean())
-
-
 def _pool_and_test_metrics(w, x, y, n_pool, classes):
     """(train loss, test loss, test accuracy) from one classes-first pass over
-    `x`, the pool's n_pool examples and then the test set's: the numbers
-    `model_loss` gives on the pool and `test_metrics` on the test set."""
+    `x`, the pool's n_pool examples and then the test set's: mean
+    cross-entropy on the pool, and mean cross-entropy and accuracy on the
+    test set."""
     scores = _class_scores(w, x, classes)
     accuracy = (scores[:, n_pool:].argmax(axis=0) == y[n_pool:]).mean()
     log_p = _log_likelihoods(scores, y)
     return -log_p[:n_pool].mean(), -log_p[n_pool:].mean(), accuracy
-
-
-def model_loss(w, x, y, classes) -> float:
-    """Mean cross-entropy of the flat logistic weight vector on (x, y)."""
-    return _mean_nll(_class_scores(w, x, classes), y)
-
-
-def test_metrics(w, x, y, classes):
-    scores = _class_scores(w, x, classes)
-    accuracy = float((scores.argmax(axis=0) == y).mean())
-    return _mean_nll(scores, y), accuracy
 
 
 def noise_sigma(t_k, eps_k, delta, c2=1.0) -> float:
@@ -155,14 +141,13 @@ def _augment(x, y, classes):
     return xt, np.linalg.norm(xt, axis=-1), onehot
 
 
-def local_noisy_gradient(w, x, y, classes, clip_c, sigma, rng,
-                         noiseless=False, augmented=None) -> np.ndarray:
+def local_noisy_gradient(w, x, augmented, clip_c, sigma, rng) -> np.ndarray:
     """Per-example-clipped mean local gradients of k clients, plus noise.
 
-    `x` is (k, m, D) and `y` is (k, m) for k clients of m examples each, and
-    `sigma` holds one noise multiplier per client; the result is (k, W). A
-    2-D `x` is one client: `y` is (m,), `sigma` a scalar and the result (W,).
-    `augmented` is `_augment(x, y, classes)` where the caller has it already.
+    `x` is (k, m, D) for k clients of m examples each, `augmented` is
+    `_augment(x, y, C)` for their (k, m) labels y, and `sigma` holds one noise
+    multiplier per client; the result is (k, W). C and m are read from the
+    (k, C, m) one-hot labels.
 
     Each example's gradient is the outer product of (softmax - onehot) with
     the augmented input, whose norm factorizes, so clipping never materializes
@@ -173,56 +158,44 @@ def local_noisy_gradient(w, x, y, classes, clip_c, sigma, rng,
     classes that is the order of numpy's last-axis sum, so the bits are those
     of per-example softmax rows; from 8 on numpy sums a last axis pairwise,
     a few ulps apart. The errors go back to example-major for the
-    contraction. The N(0, sigma_k^2 C^2 I) noise of the clients with
-    sigma_k > 0 is one draw, the same stream as one draw per client in order;
-    the others draw nothing.
+    contraction. An infinite `clip_c` scales every error by exactly 1. The
+    N(0, sigma_k^2 C^2 I) noise of the clients with sigma_k > 0 is one draw,
+    the same stream as one draw per client in order; the others draw nothing.
     """
-    single = x.ndim == 2
-    if single:
-        x, y = x[None], y[None]
-    k, m = y.shape
+    xt, x_norms, onehot = augmented
+    k, classes, m = onehot.shape
     if m == 0:
         raise ValueError("empty shard")
-    xt, x_norms, onehot = _augment(x, y, classes) if augmented is None else augmented
     shifted = np.swapaxes(_scores(w, x, classes), 1, 2).copy()
     shifted -= shifted.max(axis=1, keepdims=True)
     shifted -= _log_sum_exp(shifted, 1)[:, None]
     # the probabilities' exp is not clamped: its tiny outputs reach the weights
     errors = np.exp(shifted)
     errors -= onehot
-    if not noiseless:
-        norms = np.sqrt((errors * errors).sum(axis=1)) * x_norms
-        with np.errstate(divide="ignore"):
-            scale = np.minimum(1.0, clip_c / np.where(norms > 0, norms, 1.0))
-        errors *= scale[:, None]
+    norms = np.sqrt((errors * errors).sum(axis=1)) * x_norms
+    with np.errstate(divide="ignore"):
+        scale = np.minimum(1.0, clip_c / np.where(norms > 0, norms, 1.0))
+    errors *= scale[:, None]
     # back to (k, m, C) in memory: the contraction's operands, and so its
     # rounding, stay those of the example-major round
     example_major = np.swapaxes(errors, 1, 2).copy()
     grads = (np.swapaxes(example_major, 1, 2) @ xt / m).reshape(k, -1)
-    if not noiseless:
-        sigma = np.broadcast_to(sigma, (k,))
-        noisy = sigma > 0
-        if noisy.any():
-            # Generator.normal(0.0, scale)'s own arithmetic, loc + scale * z
-            z = rng.standard_normal((np.count_nonzero(noisy), grads.shape[1]))
-            grads[noisy] += 0.0 + (sigma[noisy] * clip_c)[:, None] * z
-    return grads[0] if single else grads
+    noisy = sigma > 0
+    if noisy.any():
+        # Generator.normal(0.0, scale)'s own arithmetic, loc + scale * z
+        z = rng.standard_normal((np.count_nonzero(noisy), grads.shape[1]))
+        grads[noisy] += 0.0 + (sigma[noisy] * clip_c)[:, None] * z
+    return grads
 
 
 # ---------------------------------------------------------------------------
 # partition and schedule
 
 
-@dataclass
-class PartitionPlan:
-    similarity: int
-    shards: list[np.ndarray]
-    stage1_count: int
-
-
 def partition_noniid(task: SyntheticTask, n_clients, similarity,
-                     rng: np.random.Generator) -> PartitionPlan:
-    """Two-stage split: s% uniform per client, the rest label-sorted blocks.
+                     rng: np.random.Generator) -> list[np.ndarray]:
+    """Each client's pool indices from a two-stage split: ceil(s% of m)
+    uniform draws per client, the rest label-sorted blocks.
 
     Stage 2 deals contiguous blocks of the label-sorted remainder, so each
     client's skewed share spans at most two classes; that cap is validated and
@@ -245,8 +218,7 @@ def partition_noniid(task: SyntheticTask, n_clients, similarity,
             raise ValueError("label-sorted block spans more than two classes; "
                              "grow the pool or rebalance labels")
         shards[j] = np.concatenate([shards[j], block])
-    return PartitionPlan(similarity=int(similarity), shards=shards,
-                         stage1_count=n1)
+    return shards
 
 
 def build_schedule(p, rounds, per_round, rng: np.random.Generator) -> np.ndarray:
@@ -307,8 +279,12 @@ def parse_mechanism(name: str):
 
 
 def initial_local_losses(task: SyntheticTask, shards, w) -> np.ndarray:
-    return np.array([model_loss(w, task.pool_x[s], task.pool_y[s], task.classes)
-                     for s in shards])
+    """Each client's mean cross-entropy at w, bbm's probe: one classes-first
+    score pass over the stacked shards, meaned per client."""
+    x, y = _stack_shards(task, shards)
+    log_p = _log_likelihoods(_class_scores(w, x.reshape(y.size, -1), task.classes),
+                             y.ravel())
+    return -log_p.reshape(y.shape).mean(axis=1)
 
 
 def _allocation_rule(kind, subset, n, bbm_losses, cfg: ServerConfig):
@@ -436,7 +412,7 @@ class TrainSettings:
     delta: float = 1e-5
     c2: float = 1.0
     similarity: int = 100
-    noiseless: bool = False   # diagnostic mode: no clipping, no noise
+    noiseless: bool = False   # no clipping, no noise: train runs clip = inf, sigma = 0
 
 
 @dataclass
@@ -487,12 +463,13 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
     clients (a client drawn twice in a round counts twice) with one noise
     draw. Noise scales come from the participation counts of the schedule
     itself; a scheduled client with a zero budget is a configuration error.
-    Train and test metrics are evaluated every round, in one pass over the
-    pool and the test set stacked together. Divergence (non-finite loss) is
-    recorded in the output, not raised.
+    `settings.noiseless` trains with an infinite clip norm and no noise, which
+    leaves `rng` untouched. Train and test metrics are evaluated every round,
+    in one pass over the pool and the test set stacked together. Divergence
+    (non-finite loss) is recorded in the output, not raised.
     """
     x, y = _stack_shards(task, shards)
-    xt, x_norms, onehot = _augment(x, y, task.classes)
+    augmented = _augment(x, y, task.classes)
     n = len(shards)
     counts = np.bincount(schedule.ravel(), minlength=n)
     sigma = np.zeros(n)
@@ -500,6 +477,7 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
         if counts[k] > 0 and not settings.noiseless:
             sigma[k] = noise_sigma(counts[k], plan.epsilons[k],
                                    settings.delta, settings.c2)
+    clip = math.inf if settings.noiseless else settings.clip
     w = np.zeros(task.weight_dim) if w0 is None else np.asarray(w0, dtype=float).copy()
     # the pool in shard order, then the test set: one evaluation matrix,
     # stored transposed so the classes-first scores multiply by a contiguous
@@ -515,11 +493,8 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
     test_acc = np.zeros(t_rounds)
     with np.errstate(over="ignore", invalid="ignore"):
         for t, ks in enumerate(schedule):
-            grads = local_noisy_gradient(w, x[ks], y[ks], task.classes,
-                                         settings.clip, sigma[ks], rng,
-                                         noiseless=settings.noiseless,
-                                         augmented=(xt[ks], x_norms[ks],
-                                                    onehot[ks]))
+            grads = local_noisy_gradient(w, x[ks], [a[ks] for a in augmented],
+                                         clip, sigma[ks], rng)
             w = w - settings.learning_rate * grads.mean(axis=0)
             train_loss[t], test_loss[t], test_acc[t] = _pool_and_test_metrics(
                 w, ex, ey, n_pool, task.classes)

@@ -1,5 +1,6 @@
 """Synthetic task, DP training loop, schedules, and baseline plans."""
 
+import copy
 import math
 
 import numpy as np
@@ -8,11 +9,11 @@ from hypothesis import given, strategies as st
 
 from jsam.costs import UniformCosts
 from jsam.flsim import (RunRecord, SelectionPlan, TrainSettings,
-                        _augment, _stack_shards, build_schedule,
-                        initial_local_losses, local_noisy_gradient,
-                        make_plan, make_task, match_eta_to_cost, model_loss,
-                        noise_sigma, parse_mechanism, partition_noniid, train)
-from jsam.flsim import test_metrics as eval_metrics
+                        _augment, _pool_and_test_metrics, _stack_shards,
+                        build_schedule, initial_local_losses,
+                        local_noisy_gradient, make_plan, make_task,
+                        match_eta_to_cost, noise_sigma, parse_mechanism,
+                        partition_noniid, train)
 from jsam.mechanism import ServerConfig
 
 SIGMA_T100_E1 = 33.93070212207556  # sqrt(100 * ln(1e5))
@@ -23,6 +24,29 @@ FAST = ServerConfig(eta=1.0, q_coefficient=1.0, grid_delta=1e-2)
 def _small_task(rng, n_clients=4, m=24, classes=3, dim=5, test=60):
     return make_task(dim, classes, n_clients * m, test, m, rng,
                      center_spread=3.0, noise=0.8)
+
+
+def _reference_losses(w, x, y, classes):
+    """(per-example cross-entropies, accuracy, max-shifted scores) of the flat
+    logistic weights on (x, y), by an unclamped log-sum-exp: the tests' one
+    reference loss. The mean of the first is the loss."""
+    mat = w.reshape(classes, -1)
+    scores = mat[:, :-1] @ x.T + mat[:, -1:]
+    shifted = scores - scores.max(axis=0)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=0))
+    accuracy = float((scores.argmax(axis=0) == y).mean())
+    return -logp[y, np.arange(y.size)], accuracy, shifted
+
+
+def _gradient(w, x, y, classes, clip_c, sigma, rng):
+    """The kernel on a (k, m, D) batch with (k, m) labels, augmented here."""
+    return local_noisy_gradient(w, x, _augment(x, y, classes), clip_c,
+                                np.asarray(sigma, dtype=float), rng)
+
+
+def _client_gradient(w, x, y, classes, clip_c, sigma, rng):
+    """One client's (m, D) data and (m,) labels as a k = 1 batch: (W,)."""
+    return _gradient(w, x[None], y[None], classes, clip_c, [sigma], rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +90,17 @@ def test_clip_examples(rng):
     x, y = np.array([[math.sqrt(7.0)]]), np.array([0])
     raw = np.outer([-0.5, 0.5], [math.sqrt(7.0), 1.0]).ravel()
     assert np.linalg.norm(raw) == pytest.approx(2.0)
-    halved = local_noisy_gradient(np.zeros(4), x, y, 2, 1.0, 0.0, rng)
+    halved = _client_gradient(np.zeros(4), x, y, 2, 1.0, 0.0, rng)
     assert halved == pytest.approx(raw / 2.0)
-    kept = local_noisy_gradient(np.zeros(4), x, y, 2, 2.5, 0.0, rng)
+    kept = _client_gradient(np.zeros(4), x, y, 2, 2.5, 0.0, rng)
     assert kept == pytest.approx(raw)
     # a certain correct prediction has an exactly zero error: no 0/0
-    sure = local_noisy_gradient(np.array([0.0, 800.0, 0.0, 0.0]), x, y, 2,
-                                1.0, 0.0, rng)
+    sure = _client_gradient(np.array([0.0, 800.0, 0.0, 0.0]), x, y, 2,
+                            1.0, 0.0, rng)
     assert np.all(sure == 0.0)
     # clipping is per example: the mean of one clipped and one kept gradient
-    both = local_noisy_gradient(np.zeros(4), np.array([[math.sqrt(7.0)], [0.0]]),
-                                np.array([0, 1]), 2, 1.0, 0.0, rng)
+    both = _client_gradient(np.zeros(4), np.array([[math.sqrt(7.0)], [0.0]]),
+                            np.array([0, 1]), 2, 1.0, 0.0, rng)
     small = np.outer([0.5, -0.5], [0.0, 1.0]).ravel()
     assert both == pytest.approx((raw / 2.0 + small) / 2.0)
 
@@ -90,9 +114,9 @@ def test_clip_norm_bound(seed, classes, dim, n, clip_c, spread):
     x = gen.normal(0.0, spread, (n, dim))
     y = gen.integers(0, classes, n)
     # n one-example clients: each row is one clipped per-example gradient
-    per_example = local_noisy_gradient(w, x[:, None, :], y[:, None], classes,
-                                       clip_c, np.zeros(n), gen)
-    mean = local_noisy_gradient(w, x, y, classes, clip_c, 0.0, gen)
+    per_example = _gradient(w, x[:, None, :], y[:, None], classes, clip_c,
+                            np.zeros(n), gen)
+    mean = _client_gradient(w, x, y, classes, clip_c, 0.0, gen)
     assert np.all(np.linalg.norm(per_example, axis=1) <= clip_c * (1 + 1e-12))
     assert np.linalg.norm(mean) <= clip_c * (1 + 1e-12)
     np.testing.assert_allclose(mean, per_example.mean(axis=0), rtol=1e-9,
@@ -107,21 +131,21 @@ def _uniform_plan(n, eps=1.0):
 
 def test_a_batch_equals_single_client_calls(rng):
     task = _small_task(rng)
-    x, y = _stack_shards(task, partition_noniid(task, 4, 50, rng).shards)
+    x, y = _stack_shards(task, partition_noniid(task, 4, 50, rng))
     w = rng.normal(0, 1.0, task.weight_dim)
     ks = np.array([2, 0, 2, 3])  # the schedule draws with replacement
-    sigma = np.array([0.7, 1.3, 0.7, 2.0])
-    for noiseless in (False, True):
-        batch = local_noisy_gradient(w, x[ks], y[ks], task.classes, 0.8, sigma,
-                                     np.random.default_rng(5),
-                                     noiseless=noiseless)
+    # clipped and noisy, then train's noiseless round: clip inf, no noise
+    for clip_c, sigma in ((0.8, np.array([0.7, 1.3, 0.7, 2.0])),
+                          (math.inf, np.zeros(4))):
+        batch = _gradient(w, x[ks], y[ks], task.classes, clip_c, sigma,
+                          np.random.default_rng(5))
         one_by_one = np.random.default_rng(5)
-        singles = [local_noisy_gradient(w, x[k], y[k], task.classes, 0.8, s,
-                                        one_by_one, noiseless=noiseless)
+        singles = [_client_gradient(w, x[k], y[k], task.classes, clip_c, s,
+                                    one_by_one)
                    for k, s in zip(ks, sigma)]
         assert batch.shape == (ks.size, task.weight_dim)
         assert batch.tobytes() == np.stack(singles).tobytes()
-        if noiseless:
+        if not sigma.any():
             assert batch[0].tobytes() == batch[2].tobytes()
 
 
@@ -135,14 +159,13 @@ def test_one_noise_draw_equals_sequential_draws():
 
 def test_rows_with_zero_sigma_draw_no_noise(rng):
     task = _small_task(rng)
-    x, y = _stack_shards(task, partition_noniid(task, 4, 100, rng).shards)
+    x, y = _stack_shards(task, partition_noniid(task, 4, 100, rng))
     w = rng.normal(0, 1.0, task.weight_dim)
     ks = np.array([1, 3, 0])
-    quiet = local_noisy_gradient(w, x[ks], y[ks], task.classes, 2.0,
-                                 np.zeros(3), rng)
+    quiet = _gradient(w, x[ks], y[ks], task.classes, 2.0, np.zeros(3), rng)
     drawn = np.random.default_rng(4)
-    got = local_noisy_gradient(w, x[ks], y[ks], task.classes, 2.0,
-                               np.array([0.0, 1.5, 0.0]), drawn)
+    got = _gradient(w, x[ks], y[ks], task.classes, 2.0,
+                    np.array([0.0, 1.5, 0.0]), drawn)
     expect = np.random.default_rng(4)
     noise = expect.normal(0.0, 1.5 * 2.0, size=task.weight_dim)
     assert got[[0, 2]].tobytes() == quiet[[0, 2]].tobytes()
@@ -152,7 +175,7 @@ def test_rows_with_zero_sigma_draw_no_noise(rng):
 
 def test_zero_c2_trains_without_drawing_noise(rng):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng).shards
+    shards = partition_noniid(task, 4, 100, rng)
     plan = _uniform_plan(4)
     schedule = build_schedule(plan.probabilities, 5, 3, rng)
     noise_rng = np.random.default_rng(6)
@@ -168,7 +191,7 @@ def test_single_example_gradient_matches_softmax_algebra(rng):
     w = rng.normal(0, 0.5, classes * (dim + 1))
     x = rng.normal(0, 1, (1, dim))
     y = np.array([1])
-    got = local_noisy_gradient(w, x, y, classes, clip_c=1e9, sigma=0.0, rng=rng)
+    got = _client_gradient(w, x, y, classes, 1e9, 0.0, rng)
     mat = w.reshape(classes, dim + 1)
     scores = x[0] @ mat[:, :-1].T + mat[:, -1]
     soft = np.exp(scores - scores.max())
@@ -178,7 +201,7 @@ def test_single_example_gradient_matches_softmax_algebra(rng):
     assert got == pytest.approx(expected, abs=1e-12)
 
 
-def _example_major_gradient(w, x, y, classes, clip_c, sigma, rng, noiseless):
+def _example_major_gradient(w, x, y, classes, clip_c, sigma, rng):
     """The example-major round: softmax rows of (k, m, C) scores reduced over
     their last axis, unclamped, and noise drawn by `Generator.normal`."""
     k, m = y.shape
@@ -188,16 +211,14 @@ def _example_major_gradient(w, x, y, classes, clip_c, sigma, rng, noiseless):
     shifted = scores - scores.max(axis=-1, keepdims=True)
     errors = np.exp(shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))
     errors.reshape(-1)[np.arange(k * m) * classes + y.ravel()] -= 1.0
-    if not noiseless:
-        norms = np.linalg.norm(errors, axis=-1) * np.linalg.norm(xt, axis=-1)
-        with np.errstate(divide="ignore"):
-            scale = np.minimum(1.0, clip_c / np.where(norms > 0, norms, 1.0))
-        errors = errors * scale[..., None]
+    norms = np.linalg.norm(errors, axis=-1) * np.linalg.norm(xt, axis=-1)
+    with np.errstate(divide="ignore"):
+        scale = np.minimum(1.0, clip_c / np.where(norms > 0, norms, 1.0))
+    errors = errors * scale[..., None]
     grads = (np.swapaxes(errors, 1, 2) @ xt / m).reshape(k, -1)
-    if not noiseless:
-        noisy = sigma > 0
-        grads[noisy] += rng.normal(0.0, (sigma[noisy] * clip_c)[:, None],
-                                   size=(np.count_nonzero(noisy), grads.shape[1]))
+    noisy = sigma > 0
+    grads[noisy] += rng.normal(0.0, (sigma[noisy] * clip_c)[:, None],
+                               size=(np.count_nonzero(noisy), grads.shape[1]))
     return grads, shifted
 
 
@@ -211,17 +232,13 @@ def test_classes_first_gradient_matches_the_example_major_one(classes, spread):
     w = gen.normal(0.0, spread, classes * (dim + 1))
     ks = np.array([2, 0, 2, 3, 1])                # client 2 drawn twice
     sigma = np.array([0.0, 1.5, 0.0, 4.0, 0.7])   # rows 0 and 2 draw nothing
-    stacked = _augment(x, y, classes)
-    for noiseless in (False, True):
-        got = local_noisy_gradient(w, x[ks], y[ks], classes, 2.0, sigma,
-                                   np.random.default_rng(7), noiseless=noiseless)
-        fed = local_noisy_gradient(w, x[ks], y[ks], classes, 2.0, sigma,
-                                   np.random.default_rng(7), noiseless=noiseless,
-                                   augmented=tuple(a[ks] for a in stacked))
-        want, shifted = _example_major_gradient(w, x[ks], y[ks], classes, 2.0,
-                                                sigma, np.random.default_rng(7),
-                                                noiseless)
-        assert fed.tobytes() == got.tobytes()
+    stacked = _augment(x, y, classes)  # augmented once and indexed, as in train
+    # clipped and noisy, then train's noiseless round: clip inf, no noise
+    for clip_c, sig in ((2.0, sigma), (math.inf, np.zeros(ks.size))):
+        got = local_noisy_gradient(w, x[ks], tuple(a[ks] for a in stacked),
+                                   clip_c, sig, np.random.default_rng(7))
+        want, shifted = _example_major_gradient(w, x[ks], y[ks], classes, clip_c,
+                                                sig, np.random.default_rng(7))
         if spread > 100:  # exp's slow path, and probabilities below 1e-304
             assert np.any(shifted < -708)
         if classes < 8:
@@ -234,7 +251,7 @@ def test_classes_first_gradient_matches_the_example_major_one(classes, spread):
 
 def test_each_round_records_model_loss_and_test_metrics(rng):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 50, rng).shards
+    shards = partition_noniid(task, 4, 50, rng)
     plan = _uniform_plan(4)
     schedule = build_schedule(plan.probabilities, 5, 2, rng)
     w0 = rng.normal(0.0, 30.0, task.weight_dim)
@@ -243,8 +260,11 @@ def test_each_round_records_model_loss_and_test_metrics(rng):
                                  similarity=50),
                    np.random.default_rng(3), w0=w0)
     pool = np.concatenate(shards)  # in shard order, as train stacks them
-    loss = model_loss(w0, task.pool_x[pool], task.pool_y[pool], task.classes)
-    test_loss, accuracy = eval_metrics(w0, task.test_x, task.test_y, task.classes)
+    loss = _reference_losses(w0, task.pool_x[pool], task.pool_y[pool],
+                             task.classes)[0].mean()
+    test_losses, accuracy, _ = _reference_losses(w0, task.test_x, task.test_y,
+                                                 task.classes)
+    test_loss = test_losses.mean()
     assert record.train_loss.tobytes() == np.full(5, loss).tobytes()
     assert record.test_loss.tobytes() == np.full(5, test_loss).tobytes()
     assert record.test_accuracy.tobytes() == np.full(5, accuracy).tobytes()
@@ -252,53 +272,78 @@ def test_each_round_records_model_loss_and_test_metrics(rng):
 
 @pytest.mark.parametrize("spread", [0.5, 30.0, 300.0])
 def test_losses_match_the_unclamped_log_sum_exp_bit_for_bit(rng, spread):
-    classes, dim, n = 5, 6, 400
+    classes, dim, n, n_pool = 5, 6, 400, 240
     w = rng.normal(0, spread, classes * (dim + 1))
     x = rng.normal(0, 1, (n, dim))
     y = rng.integers(0, classes, n)
-    mat = w.reshape(classes, -1)
 
-    def unclamped(xs, ys):
-        scores = mat[:, :-1] @ xs.T + mat[:, -1:]
-        shifted = scores - scores.max(axis=0)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=0))
-        accuracy = float((scores.argmax(axis=0) == ys).mean())
-        return float(-logp[ys, np.arange(ys.size)].mean()), accuracy, shifted
-
-    loss, accuracy, shifted = unclamped(x, y)
+    _, _, shifted = _reference_losses(w, x, y, classes)
     if spread > 100:  # exp arguments in (-745, -700): clamped, not yet 0
         assert np.any((shifted < -700) & (shifted > -745))
-    assert model_loss(w, x, y, classes) == loss
-    assert eval_metrics(w, x, y, classes) == (loss, accuracy)
-    for i in range(n):
-        one = slice(i, i + 1)
-        assert model_loss(w, x[one], y[one], classes) == unclamped(x[one], y[one])[0]
+    pool_losses = _reference_losses(w, x[:n_pool], y[:n_pool], classes)[0]
+    test_losses, accuracy, _ = _reference_losses(w, x[n_pool:], y[n_pool:],
+                                                 classes)
+    assert _pool_and_test_metrics(w, x, y, n_pool, classes) == (
+        pool_losses.mean(), test_losses.mean(), accuracy)
+    # each example's loss: a pair's first example as the pool, its second as
+    # the test set
+    for i in range(0, n, 2):
+        pair = slice(i, i + 2)
+        got_pool, got_test, _ = _pool_and_test_metrics(w, x[pair], y[pair], 1,
+                                                       classes)
+        want = _reference_losses(w, x[pair], y[pair], classes)[0]
+        assert (got_pool, got_test) == (want[0], want[1])
+
+
+@pytest.mark.parametrize("spread", [0.01, 300.0])
+def test_probe_losses_equal_a_per_shard_loss_loop_bit_for_bit(rng, spread):
+    # 0.01 is the spread of the CLI's initial weights; at 300 the -700 clamp acts
+    task = _small_task(rng)
+    shards = partition_noniid(task, 4, 50, rng)
+    w = rng.normal(0, spread, task.weight_dim)
+    want = [_reference_losses(w, task.pool_x[s], task.pool_y[s], task.classes)
+            for s in shards]
+    if spread > 100:
+        assert any(np.any(shifted < -700) for _, _, shifted in want)
+    got = initial_local_losses(task, shards, w)
+    assert got.tobytes() == np.array([losses.mean() for losses, _, _ in want]).tobytes()
 
 
 def test_tiny_clip_shrinks_the_gradient_to_zero(rng):
     task = _small_task(rng)
-    g = local_noisy_gradient(np.zeros(task.weight_dim), task.pool_x[:10],
-                             task.pool_y[:10], task.classes, clip_c=1e-9,
-                             sigma=0.0, rng=rng)
+    g = _client_gradient(np.zeros(task.weight_dim), task.pool_x[:10],
+                         task.pool_y[:10], task.classes, 1e-9, 0.0, rng)
     assert np.linalg.norm(g) <= 1e-9
 
 
 def test_noiseless_flag_disables_clipping(rng):
+    # a tiny budget would draw large noise and a tiny clip would shrink every
+    # step; a noiseless run does neither and never draws from its generator
     task = _small_task(rng)
-    w = rng.normal(0, 2.0, task.weight_dim)
-    raw = local_noisy_gradient(w, task.pool_x[:8], task.pool_y[:8],
-                               task.classes, clip_c=1e-6, sigma=5.0, rng=rng,
-                               noiseless=True)
-    again = local_noisy_gradient(w, task.pool_x[:8], task.pool_y[:8],
-                                 task.classes, clip_c=123.0, sigma=0.0,
-                                 rng=rng, noiseless=True)
-    assert raw == pytest.approx(again, abs=0)
+    shards = partition_noniid(task, 4, 100, rng)
+    plan = _uniform_plan(4, eps=1e-3)
+    schedule = build_schedule(plan.probabilities, 5, 3, rng)
+    w0 = rng.normal(0, 2.0, task.weight_dim)
+    losses = []
+    for clip in (1e-6, 123.0):
+        noise_rng = np.random.default_rng(6)
+        before = noise_rng.bit_generator.state
+        record = train(task, shards, plan, schedule,
+                       TrainSettings(rounds=5, per_round=3, clip=clip,
+                                     noiseless=True), noise_rng, w0=w0)
+        assert noise_rng.bit_generator.state == before
+        losses.append(record.train_loss.tobytes())
+    assert losses[0] == losses[1]
+    clipped = train(task, shards, plan, schedule,
+                    TrainSettings(rounds=5, per_round=3, clip=1e-6, c2=0.0),
+                    np.random.default_rng(6), w0=w0)
+    assert clipped.train_loss.tobytes() != losses[0]
 
 
 def test_empty_shard_is_rejected(rng):
     with pytest.raises(ValueError, match="empty"):
-        local_noisy_gradient(np.zeros(6), np.zeros((0, 2)), np.zeros(0, int),
-                             2, 1.0, 0.0, rng)
+        _client_gradient(np.zeros(6), np.zeros((0, 2)), np.zeros(0, int),
+                         2, 1.0, 0.0, rng)
 
 
 def test_clipped_mean_matches_finite_differences_of_the_surrogate(rng):
@@ -309,7 +354,7 @@ def test_clipped_mean_matches_finite_differences_of_the_surrogate(rng):
     for _ in range(5):
         w = rng.normal(0, 0.8, classes * (dim + 1))
         clip_c = 0.9  # binding for some examples
-        got = local_noisy_gradient(w, x, y, classes, clip_c, 0.0, rng)
+        got = _client_gradient(w, x, y, classes, clip_c, 0.0, rng)
 
         def scales(wv):
             scores = x @ wv.reshape(classes, -1)[:, :-1].T + wv.reshape(classes, -1)[:, -1]
@@ -353,11 +398,20 @@ def test_task_pool_is_label_balanced(rng):
         make_task(4, 5, 3, 30, 30, rng)
 
 
+def _stage1_draws(rng, pool_size, n_clients, count):
+    """Each client's first `count` indices as partition_noniid draws them from
+    a generator in `rng`'s state: slices of one permutation of the pool."""
+    perm = copy.deepcopy(rng).permutation(pool_size)
+    return [perm[j * count:(j + 1) * count] for j in range(n_clients)]
+
+
 def test_uniform_partition_matches_pool_proportions(rng):
     task = make_task(4, 4, 400, 40, 40, rng)
-    plan = partition_noniid(task, 10, 100, rng)
-    assert plan.stage1_count == 40
-    for shard in plan.shards:
+    draws = _stage1_draws(rng, 400, 10, 40)
+    shards = partition_noniid(task, 10, 100, rng)
+    for shard, drawn in zip(shards, draws, strict=True):
+        assert shard.tobytes() == drawn.tobytes()  # all 40 are stage 1
+    for shard in shards:
         counts = np.bincount(task.pool_y[shard], minlength=4)
         # 4-sigma band around the balanced expectation
         expect = 40 / 4
@@ -367,17 +421,25 @@ def test_uniform_partition_matches_pool_proportions(rng):
 
 def test_skewed_partition_caps_labels_at_two(rng):
     task = make_task(4, 5, 400, 40, 40, rng)
-    plan = partition_noniid(task, 10, 0, rng)
-    assert plan.stage1_count == 0
-    for shard in plan.shards:
+    perm = copy.deepcopy(rng).permutation(400)
+    shards = partition_noniid(task, 10, 0, rng)
+    # no stage 1: the shards deal the label-sorted permutation in order
+    dealt = perm[np.argsort(task.pool_y[perm], kind="stable")]
+    assert np.concatenate(shards).tobytes() == dealt.tobytes()
+    for shard in shards:
         assert np.unique(task.pool_y[shard]).size <= 2
 
 
 def test_mixed_partition_counts_and_disjointness(rng):
     task = make_task(4, 5, 600, 40, 60, rng)
-    plan = partition_noniid(task, 10, 30, rng)
-    assert plan.stage1_count == 18  # ceil(30% of 60)
-    all_idx = np.concatenate(plan.shards)
+    draws = _stage1_draws(rng, 600, 10, 18)  # ceil(30% of 60)
+    shards = partition_noniid(task, 10, 30, rng)
+    for shard, drawn in zip(shards, draws, strict=True):
+        assert shard.size == 60
+        assert shard[:18].tobytes() == drawn.tobytes()
+        # the other 42 come from the label-sorted rest, not from stage 1
+        assert not np.isin(shard[18:], np.concatenate(draws)).any()
+    all_idx = np.concatenate(shards)
     assert all_idx.size == 600
     assert np.unique(all_idx).size == 600
 
@@ -511,9 +573,9 @@ def test_match_eta_to_cost_brackets_a_monotone_curve():
 # training loop
 
 
-def _toy_run(rng, plan_eps, rounds=6, noiseless=False, lr=0.3):
+def _toy_run(rng, plan_eps, rounds=6, lr=0.3):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng).shards
+    shards = partition_noniid(task, 4, 100, rng)
     n = 4
     plan = SelectionPlan(kind="usbm", eta=1.0,
                          probabilities=np.full(n, 0.25),
@@ -521,8 +583,7 @@ def _toy_run(rng, plan_eps, rounds=6, noiseless=False, lr=0.3):
                          total_budget=1.0,
                          payments=np.full(n, 0.25))
     settings = TrainSettings(rounds=rounds, per_round=2, clip=6.0,
-                             learning_rate=lr, similarity=100,
-                             noiseless=noiseless)
+                             learning_rate=lr, similarity=100)
     schedule = build_schedule(plan.probabilities, rounds, 2, rng)
     record = train(task, shards, plan, schedule, settings, rng, run_id="t",
                    seed=0)
@@ -537,7 +598,7 @@ def test_zero_learning_rate_freezes_the_model(rng):
 
 def test_one_noiseless_round_is_a_plain_gradient_step(rng):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng).shards
+    shards = partition_noniid(task, 4, 100, rng)
     plan = _uniform_plan(4)
     schedule = np.array([[0, 2]])
     settings = TrainSettings(rounds=1, per_round=2, learning_rate=0.5,
@@ -547,8 +608,9 @@ def test_one_noiseless_round_is_a_plain_gradient_step(rng):
                    np.random.default_rng(0), w0=w0)
 
     def mean_loss(wv):
-        return 0.5 * sum(model_loss(wv, task.pool_x[shards[k]],
-                                    task.pool_y[shards[k]], task.classes)
+        return 0.5 * sum(_reference_losses(wv, task.pool_x[shards[k]],
+                                           task.pool_y[shards[k]],
+                                           task.classes)[0].mean()
                          for k in (0, 2))
 
     grad = np.zeros(task.weight_dim)
@@ -560,7 +622,8 @@ def test_one_noiseless_round_is_a_plain_gradient_step(rng):
         grad[i] = (mean_loss(wp) - mean_loss(wm)) / (2 * h)
     w1 = w0 - 0.5 * grad
     pool = np.concatenate(shards)
-    want = model_loss(w1, task.pool_x[pool], task.pool_y[pool], task.classes)
+    want = _reference_losses(w1, task.pool_x[pool], task.pool_y[pool],
+                             task.classes)[0].mean()
     assert record.train_loss[0] == pytest.approx(want, abs=1e-8)
 
 
@@ -568,7 +631,7 @@ def test_noise_is_calibrated_from_the_schedule_that_is_trained(rng):
     # one round of clients 0 and 1: each took part once, so each adds
     # noise_sigma(1, eps) -- the schedule is the only source of the counts
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng).shards
+    shards = partition_noniid(task, 4, 100, rng)
     plan = _uniform_plan(4, eps=1e-3)
     settings = TrainSettings(rounds=1, per_round=2, similarity=100)
     w0 = rng.normal(0, 0.2, task.weight_dim)
@@ -577,17 +640,18 @@ def test_noise_is_calibrated_from_the_schedule_that_is_trained(rng):
 
     x, y = _stack_shards(task, shards)
     sigma = noise_sigma(1, 1e-3, settings.delta, settings.c2)
-    grads = local_noisy_gradient(w0, x[:2], y[:2], task.classes, settings.clip,
-                                 np.full(2, sigma), np.random.default_rng(5))
+    grads = _gradient(w0, x[:2], y[:2], task.classes, settings.clip,
+                      np.full(2, sigma), np.random.default_rng(5))
     w1 = w0 - settings.learning_rate * grads.mean(axis=0)
     pool = np.concatenate(shards)
-    want = model_loss(w1, task.pool_x[pool], task.pool_y[pool], task.classes)
+    want = _reference_losses(w1, task.pool_x[pool], task.pool_y[pool],
+                             task.classes)[0].mean()
     assert record.train_loss[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_full_participation_noiseless_matches_centralized(rng):
     task = _small_task(rng, n_clients=4, m=30)
-    shards = partition_noniid(task, 4, 100, rng).shards
+    shards = partition_noniid(task, 4, 100, rng)
     plan = _uniform_plan(4)
     t = 50
     schedule = np.tile(np.arange(4), (t, 1))
@@ -599,10 +663,10 @@ def test_full_participation_noiseless_matches_centralized(rng):
     w = np.zeros(task.weight_dim)
     pool = np.concatenate(shards)
     for _ in range(t):
-        w = w - 0.4 * local_noisy_gradient(w, task.pool_x[pool],
-                                           task.pool_y[pool], task.classes,
-                                           1.0, 0.0, rng, noiseless=True)
-    _, central_acc = eval_metrics(w, task.test_x, task.test_y, task.classes)
+        w = w - 0.4 * _client_gradient(w, task.pool_x[pool], task.pool_y[pool],
+                                       task.classes, math.inf, 0.0, rng)
+    _, central_acc, _ = _reference_losses(w, task.test_x, task.test_y,
+                                          task.classes)
     assert abs(record.test_accuracy[-1] - central_acc) <= 0.02
 
 
@@ -627,7 +691,7 @@ def test_scheduled_client_with_zero_budget_is_a_config_error(rng):
 
 def test_train_rejects_an_empty_shard(rng):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng).shards
+    shards = partition_noniid(task, 4, 100, rng)
     shards[2] = shards[2][:0]
     plan = _uniform_plan(4)
     # client 2 is never scheduled, so only an up-front check can see it
@@ -639,7 +703,7 @@ def test_train_rejects_an_empty_shard(rng):
 
 def test_train_rejects_unequal_shards(rng):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng).shards
+    shards = partition_noniid(task, 4, 100, rng)
     shards[1] = shards[1][:-1]
     plan = _uniform_plan(4)
     schedule = build_schedule(plan.probabilities, 2, 2, rng)
@@ -665,7 +729,7 @@ def test_run_record_rows_and_header(rng):
 
 def test_initial_local_losses_probe(rng):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng).shards
+    shards = partition_noniid(task, 4, 100, rng)
     w = rng.normal(0, 0.1, task.weight_dim)
     losses = initial_local_losses(task, shards, w)
     assert losses.shape == (4,)
