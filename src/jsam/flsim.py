@@ -14,9 +14,12 @@ labels and one evaluation matrix (the pool, then the test set) are stacked
 once. The scheduled clients' softmax errors and clip norms are computed on
 a classes-first (k, C, m) copy of their scores, so each sum over the C
 classes is a short run of elementwise passes; their clipped gradients are
-one batched contraction and their noise one draw. One classes-first score
-pass over the evaluation matrix then gives the round's train loss, test
-loss and test accuracy. The noiseless diagnostic is the same round with an
+one batched contraction and their noise one draw. The metrics never feed
+back into training, so the train loss, test loss and test accuracy are
+taken beside it: every few rounds the newest weights go as one chunk to a
+worker thread, which scores each round over the evaluation matrix with its
+own product and then reduces the whole chunk in one pass, while the next
+rounds' gradients run. The noiseless diagnostic is the same round with an
 infinite clip norm and zero noise. bbm's probe losses are one score pass
 over the stacked shards.
 """
@@ -35,6 +38,9 @@ from .payments import expost_payments
 
 MECHANISM_KINDS = ("jsam", "usbm", "fsbm", "bbm", "jsam_ci")
 _ETA_LO, _ETA_HI, _ETA_BISECTIONS = 1e-8, 1.0, 60  # match_eta_to_cost's search
+# score elements (rounds x classes x evaluation examples) in one chunk of the
+# metric pass: 2 MB of scores, few enough hand-offs that the worker keeps up
+_EVAL_ELEMENTS = 2 ** 18
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +88,18 @@ def _scores(w, x, classes):
     return x @ mat[:, :-1].T + mat[:, -1]
 
 
-def _class_scores(w, x, classes):
-    """Classes-first scores (C, n), so the reductions run over the short axis 0."""
+def _class_scores(w, x, classes, out=None):
+    """Classes-first scores (C, n), so the reductions run over the short
+    classes axis; written into `out` when it is given."""
     mat = w.reshape(classes, -1)
-    return mat[:, :-1] @ x.T + mat[:, -1:]
+    scores = np.matmul(mat[:, :-1], x.T, out=out)
+    scores += mat[:, -1:]
+    return scores
 
 
-def _log_sum_exp(shifted, axis):
-    """log(sum(exp(shifted))) over the classes `axis` of max-shifted scores.
+def _log_sum_exp(shifted, axis, out=None):
+    """log(sum(exp(shifted))) over the classes `axis` of max-shifted scores;
+    the exp terms are taken in `out` (which may be `shifted`) when it is given.
 
     Each sum holds exp(0) = 1 for its largest class, which absorbs any term
     below exp(-700) ~ 1e-304 exactly, so clamping the shifted scores at -700
@@ -98,27 +108,43 @@ def _log_sum_exp(shifted, axis):
     175x where the result is subnormal), which up to a fifth of the pool's
     scores reach once noise has grown w.
     """
-    terms = np.maximum(shifted, -700.0)
+    terms = np.maximum(shifted, -700.0, out=out)
     return np.log(np.exp(terms, out=terms).sum(axis=axis))
 
 
 def _log_likelihoods(scores, y):
-    """Each column's log-probability of its label y, from classes-first
-    scores, which are overwritten with their max-shifted values."""
-    scores -= scores.max(axis=0)
-    # one gather on the flat view: about half the time of scores[y, arange]
-    return scores.ravel()[y * y.size + np.arange(y.size)] - _log_sum_exp(scores, 0)
+    """Each column's log-probability of its label y, from contiguous
+    classes-first (..., C, n) scores: (..., n). The scores are the work
+    space, overwritten."""
+    scores -= scores.max(axis=-2, keepdims=True)
+    n = y.size
+    # one gather on the flat (C * n) rows: about half the time of scores[y, arange]
+    picked = np.take(scores.reshape(scores.shape[:-2] + (-1,)), y * n + np.arange(n),
+                     axis=-1)
+    return picked - _log_sum_exp(scores, -2, out=scores)
 
 
-def _pool_and_test_metrics(w, x, y, n_pool, classes):
-    """(train loss, test loss, test accuracy) from one classes-first pass over
-    `x`, the pool's n_pool examples and then the test set's: mean
-    cross-entropy on the pool, and mean cross-entropy and accuracy on the
-    test set."""
-    scores = _class_scores(w, x, classes)
-    accuracy = (scores[:, n_pool:].argmax(axis=0) == y[n_pool:]).mean()
-    log_p = _log_likelihoods(scores, y)
-    return -log_p[:n_pool].mean(), -log_p[n_pool:].mean(), accuracy
+def _pool_and_test_metrics(weights, x, y, n_pool, classes, scores):
+    """Rows (train loss, test loss, test accuracy) of an (r, W) chunk of
+    weights over `x`, the pool's n_pool examples and then the test set's:
+    mean cross-entropy on the pool, and mean cross-entropy and accuracy on
+    the test set, one column per round.
+
+    Each round's scores are its own product, written into its (C, n) slice of
+    the (>= r, C, n) work buffer `scores`, so a round's bits do not depend on
+    the chunk it falls in; every later step is one pass over the chunk. This
+    runs on `train`'s worker thread, which does not inherit the caller's
+    error state, so the state is set here.
+    """
+    r = weights.shape[0]
+    scores = scores[:r]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, out in zip(weights, scores):
+            _class_scores(w, x, classes, out=out)
+        accuracy = (scores[:, :, n_pool:].argmax(axis=-2) == y[n_pool:]).mean(axis=-1)
+        log_p = _log_likelihoods(scores, y)
+        return np.stack([-log_p[:, :n_pool].mean(axis=-1),
+                         -log_p[:, n_pool:].mean(axis=-1), accuracy])
 
 
 def noise_sigma(t_k, eps_k, delta, c2=1.0) -> float:
@@ -464,10 +490,18 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
     draw. Noise scales come from the participation counts of the schedule
     itself; a scheduled client with a zero budget is a configuration error.
     `settings.noiseless` trains with an infinite clip norm and no noise, which
-    leaves `rng` untouched. Train and test metrics are evaluated every round,
-    in one pass over the pool and the test set stacked together. Divergence
-    (non-finite loss) is recorded in the output, not raised.
+    leaves `rng` untouched. Divergence (non-finite loss) is recorded in the
+    output, not raised.
+
+    Every round's metrics are scored on a worker thread that lives for this
+    call: the rounds' weights go into one (T, W) array, and each chunk of
+    rounds that fits `_EVAL_ELEMENTS` score elements is one task, scored over
+    the pool and the test set stacked together while the next rounds train.
+    A worker's exception is raised here once training is done.
     """
+    # loaded here, so commands that never train do not import it
+    from concurrent.futures import ThreadPoolExecutor
+
     x, y = _stack_shards(task, shards)
     augmented = _augment(x, y, task.classes)
     n = len(shards)
@@ -488,16 +522,24 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
     ey = np.concatenate([y.ravel(), task.test_y])
 
     t_rounds = schedule.shape[0]
-    train_loss = np.zeros(t_rounds)
-    test_loss = np.zeros(t_rounds)
-    test_acc = np.zeros(t_rounds)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, ks in enumerate(schedule):
-            grads = local_noisy_gradient(w, x[ks], [a[ks] for a in augmented],
-                                         clip, sigma[ks], rng)
-            w = w - settings.learning_rate * grads.mean(axis=0)
-            train_loss[t], test_loss[t], test_acc[t] = _pool_and_test_metrics(
-                w, ex, ey, n_pool, task.classes)
+    chunk = max(1, _EVAL_ELEMENTS // (task.classes * ey.size))
+    weights = np.empty((t_rounds, w.size))
+    # the worker runs one chunk at a time, so one work buffer serves them all
+    scores = np.empty((min(chunk, t_rounds), task.classes, ey.size))
+    futures = []
+    with ThreadPoolExecutor(1) as worker:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, ks in enumerate(schedule):
+                grads = local_noisy_gradient(w, x[ks], [a[ks] for a in augmented],
+                                             clip, sigma[ks], rng)
+                w = np.subtract(w, settings.learning_rate * grads.mean(axis=0),
+                                out=weights[t])
+                if (t + 1) % chunk == 0 or t + 1 == t_rounds:
+                    futures.append(worker.submit(
+                        _pool_and_test_metrics, weights[t - t % chunk:t + 1], ex,
+                        ey, n_pool, task.classes, scores))
+        train_loss, test_loss, test_acc = np.concatenate(
+            [future.result() for future in futures], axis=1)
     return RunRecord(
         run_id=run_id,
         mechanism=plan.kind,

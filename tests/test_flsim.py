@@ -2,11 +2,15 @@
 
 import copy
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from jsam import flsim
 from jsam.costs import UniformCosts
 from jsam.flsim import (RunRecord, SelectionPlan, TrainSettings,
                         _augment, _pool_and_test_metrics, _stack_shards,
@@ -36,6 +40,13 @@ def _reference_losses(w, x, y, classes):
     logp = shifted - np.log(np.exp(shifted).sum(axis=0))
     accuracy = float((scores.argmax(axis=0) == y).mean())
     return -logp[y, np.arange(y.size)], accuracy, shifted
+
+
+def _metrics_of(w, x, y, n_pool, classes):
+    """(train loss, test loss, test accuracy) of one round's weights w, as a
+    chunk of one round."""
+    return _pool_and_test_metrics(w[None], x, y, n_pool, classes,
+                                  np.empty((1, classes, y.size)))[:, 0]
 
 
 def _gradient(w, x, y, classes, clip_c, sigma, rng):
@@ -249,12 +260,19 @@ def test_classes_first_gradient_matches_the_example_major_one(classes, spread):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def test_each_round_records_model_loss_and_test_metrics(rng):
+def _set_chunk(monkeypatch, task, rounds):
+    """Make `train` hand its metric pass to the worker `rounds` rounds at a time."""
+    n_eval = task.pool_x.shape[0] + task.test_y.size
+    monkeypatch.setattr(flsim, "_EVAL_ELEMENTS", rounds * task.classes * n_eval)
+
+
+def test_each_round_records_model_loss_and_test_metrics(rng, monkeypatch):
     task = _small_task(rng)
     shards = partition_noniid(task, 4, 50, rng)
     plan = _uniform_plan(4)
     schedule = build_schedule(plan.probabilities, 5, 2, rng)
     w0 = rng.normal(0.0, 30.0, task.weight_dim)
+    _set_chunk(monkeypatch, task, 2)  # chunks of 2, 2 and 1 rounds
     record = train(task, shards, plan, schedule,
                    TrainSettings(rounds=5, per_round=2, learning_rate=0.0,
                                  similarity=50),
@@ -283,14 +301,13 @@ def test_losses_match_the_unclamped_log_sum_exp_bit_for_bit(rng, spread):
     pool_losses = _reference_losses(w, x[:n_pool], y[:n_pool], classes)[0]
     test_losses, accuracy, _ = _reference_losses(w, x[n_pool:], y[n_pool:],
                                                  classes)
-    assert _pool_and_test_metrics(w, x, y, n_pool, classes) == (
+    assert tuple(_metrics_of(w, x, y, n_pool, classes)) == (
         pool_losses.mean(), test_losses.mean(), accuracy)
     # each example's loss: a pair's first example as the pool, its second as
     # the test set
     for i in range(0, n, 2):
         pair = slice(i, i + 2)
-        got_pool, got_test, _ = _pool_and_test_metrics(w, x[pair], y[pair], 1,
-                                                       classes)
+        got_pool, got_test, _ = _metrics_of(w, x[pair], y[pair], 1, classes)
         want = _reference_losses(w, x[pair], y[pair], classes)[0]
         assert (got_pool, got_test) == (want[0], want[1])
 
@@ -682,6 +699,106 @@ def test_sigma_overflow_is_recorded_as_divergence(rng):
         record, _ = _toy_run(rng, plan_eps=5e-324, rounds=3)
     assert record.diverged
     assert not np.isfinite(record.train_loss[-1])
+
+
+def _serial_reference(task, shards, plan, schedule, settings, seed):
+    """Per-round (train loss, test loss, test accuracy) rows of `train`'s
+    protocol, stepped one round at a time and scored by `_reference_losses`
+    as each round ends."""
+    x, y = _stack_shards(task, shards)
+    augmented = _augment(x, y, task.classes)
+    counts = np.bincount(schedule.ravel(), minlength=len(shards))
+    sigma = np.array([noise_sigma(c, eps, settings.delta, settings.c2) if c else 0.0
+                      for c, eps in zip(counts, plan.epsilons)])
+    pool = np.concatenate(shards)
+    rng = np.random.default_rng(seed)
+    w = np.zeros(task.weight_dim)
+    rows = []
+    for ks in schedule:
+        grads = local_noisy_gradient(w, x[ks], [a[ks] for a in augmented],
+                                     settings.clip, sigma[ks], rng)
+        w = w - settings.learning_rate * grads.mean(axis=0)
+        pool_losses = _reference_losses(w, task.pool_x[pool], task.pool_y[pool],
+                                        task.classes)[0]
+        test_losses, accuracy, _ = _reference_losses(w, task.test_x, task.test_y,
+                                                     task.classes)
+        rows.append((pool_losses.mean(), test_losses.mean(), accuracy))
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("chunk, rounds", [(1, 1), (1, 5), (3, 1), (3, 2),
+                                           (3, 3), (3, 9)])
+def test_records_are_bit_identical_across_chunk_boundaries(rng, monkeypatch,
+                                                           chunk, rounds):
+    task = _small_task(rng)
+    shards = partition_noniid(task, 4, 50, rng)
+    plan = _uniform_plan(4, eps=5.0)
+    schedule = build_schedule(plan.probabilities, rounds, 2, rng)
+    settings = TrainSettings(rounds=rounds, per_round=2, similarity=50)
+    _set_chunk(monkeypatch, task, chunk)
+    record = train(task, shards, plan, schedule, settings, np.random.default_rng(8))
+    want = _serial_reference(task, shards, plan, schedule, settings, 8)
+    got = np.stack([record.train_loss, record.test_loss, record.test_accuracy])
+    assert got.tobytes() == want.tobytes()
+    assert not record.diverged
+
+
+def test_records_hold_under_rapid_thread_switching(rng, monkeypatch):
+    # one hand-off per round and a thread switch every microsecond: a round's
+    # weights read before they are written would change its bits
+    task = _small_task(rng)
+    shards = partition_noniid(task, 4, 50, rng)
+    plan = _uniform_plan(4, eps=5.0)
+    schedule = build_schedule(plan.probabilities, 60, 2, rng)
+    settings = TrainSettings(rounds=60, per_round=2, similarity=50)
+    _set_chunk(monkeypatch, task, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        record = train(task, shards, plan, schedule, settings,
+                       np.random.default_rng(8))
+    finally:
+        sys.setswitchinterval(interval)
+    want = _serial_reference(task, shards, plan, schedule, settings, 8)
+    got = np.stack([record.train_loss, record.test_loss, record.test_accuracy])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_divergence_in_the_last_chunk_only_is_recorded(rng, monkeypatch):
+    # client 3's sigma overflows to inf; it is scheduled from round 8 on, so
+    # of the chunks of 3 rounds only the last goes non-finite
+    task = _small_task(rng)
+    shards = partition_noniid(task, 4, 100, rng)
+    plan = _uniform_plan(4, eps=5.0)
+    plan.epsilons[3] = 5e-324
+    schedule = np.array([[0, 1]] * 7 + [[3, 0]] * 2)
+    _set_chunk(monkeypatch, task, 3)
+    with np.errstate(over="ignore"):
+        record = train(task, shards, plan, schedule,
+                       TrainSettings(rounds=9, per_round=2, similarity=100),
+                       np.random.default_rng(2))
+    assert np.all(np.isfinite(record.train_loss[:7]))
+    assert not np.any(np.isfinite(record.train_loss[7:]))
+    assert record.diverged
+
+
+def test_a_metric_error_is_raised_from_train_and_its_worker_ends(rng, monkeypatch):
+    def fail(*args):
+        raise FloatingPointError("metric pass failed")
+
+    monkeypatch.setattr(flsim, "_pool_and_test_metrics", fail)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="metric pass failed"):
+        _toy_run(rng, plan_eps=5.0)
+    assert threading.active_count() == threads
+
+
+def test_a_diverging_run_emits_no_warning(rng):
+    # the worker's own error state covers its whole pass, its products too
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        record, _ = _toy_run(rng, plan_eps=5e-324, rounds=3)
+    assert record.diverged
 
 
 def test_scheduled_client_with_zero_budget_is_a_config_error(rng):
