@@ -1,4 +1,4 @@
-"""Experiment configuration: nested dataclasses, strict JSON round-trip."""
+"""Experiment configuration: nested dataclasses built from strictly checked JSON."""
 
 from __future__ import annotations
 
@@ -240,5 +240,8 @@ def server_config(cfg: ExperimentConfig, eta: float | None = None) -> ServerConf
         tr = cfg.train
         q = (2.0 * tr.c2 ** 2 * math.log(1.0 / tr.delta) * cfg.task.weight_dim
              * math.sqrt(tr.rounds))
+        if not math.isfinite(q):  # 1/delta overflows below delta ~ 5.6e-309
+            raise ValueError(f"q_coefficient derived as 2*c2^2*ln(1/delta)*D*sqrt(T) "
+                             f"is {q!r}; set server.q_coefficient")
     return ServerConfig(eta=cfg.server.eta if eta is None else eta,
                         q_coefficient=q, grid_delta=cfg.server.grid_delta)

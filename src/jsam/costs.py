@@ -58,10 +58,14 @@ class CostDistribution:
         if not self.upper > self.lower:
             raise ValueError("empty support")
         grid = np.linspace(self.lower, self.upper, REGULARITY_GRID_POINTS)
-        dens = self.pdf(grid)
-        if np.any(dens <= 0) or not np.all(np.isfinite(dens)):
-            raise ValueError("density must be positive and finite on the support")
-        v = grid + self.cdf(grid) / dens
+        # an overflow here is a verdict, reported below, not a warning
+        with np.errstate(all="ignore"):
+            dens = self.pdf(grid)
+            if np.any(dens <= 0) or not np.all(np.isfinite(dens)):
+                raise ValueError("density must be positive and finite on the support")
+            v = self.virtual(grid)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("virtual cost must be finite on the support")
         if np.any(np.diff(v) <= 0):
             raise ValueError("virtual cost is not strictly increasing on the support "
                              "(regularity violated)")

@@ -9,19 +9,19 @@ N(0, sigma_k^2 C^2 I) noise, and the server averages the noisy gradients and
 takes a step. sigma_k is calibrated from the client's realized participation
 count, which is known in advance precisely because the schedule is pre-drawn.
 
-A round is a few array operations. The equal-size shards, their one-hot
-labels and one evaluation matrix (the pool, then the test set) are stacked
-once. The scheduled clients' softmax errors and clip norms are computed on
-a classes-first (k, C, m) copy of their scores, so each sum over the C
-classes is a short run of elementwise passes; their clipped gradients are
-one batched contraction and their noise one draw. The metrics never feed
-back into training, so the train loss, test loss and test accuracy are
-taken beside it: every few rounds the newest weights go as one chunk to a
-worker thread, which scores each round over the evaluation matrix with its
-own product and then reduces the whole chunk in one pass, while the next
-rounds' gradients run. The noiseless diagnostic is the same round with an
-infinite clip norm and zero noise. bbm's probe losses are one score pass
-over the stacked shards.
+A round is a few array operations. The equal-size augmented shards, their
+one-hot labels and one evaluation matrix (the pool, then the test set) are
+stacked once. One score product serves every pass: classes-first (C, n)
+scores, so each sum over the C classes is a short run of elementwise
+passes. The scheduled clients' softmax errors and clip norms are taken on
+their (k, C, m) scores; their clipped gradients are one batched contraction
+and their noise one draw. The metrics never feed back into training, so the
+train loss, test loss and test accuracy are taken beside it: every few
+rounds the newest weights go as one chunk to a worker thread, which scores
+the chunk over the evaluation matrix in one stacked product and reduces it
+in one pass, while the next rounds' gradients run. The noiseless diagnostic
+is the same round with an infinite clip norm and zero noise. bbm's probe
+losses are one score pass over the stacked shards.
 """
 
 from __future__ import annotations
@@ -82,18 +82,14 @@ def make_task(feature_dim, classes, pool_size, test_size, samples_per_client,
                          pool_y, test_x, test_y)
 
 
-def _scores(w, x, classes):
-    """Example-major scores (..., n, C), the orientation the gradient uses."""
-    mat = w.reshape(classes, -1)
-    return x @ mat[:, :-1].T + mat[:, -1]
-
-
 def _class_scores(w, x, classes, out=None):
-    """Classes-first scores (C, n), so the reductions run over the short
-    classes axis; written into `out` when it is given."""
-    mat = w.reshape(classes, -1)
-    scores = np.matmul(mat[:, :-1], x.T, out=out)
-    scores += mat[:, -1:]
+    """Classes-first scores (..., C, n) of flat weights (..., W) on inputs
+    (..., n, D), so the reductions run over the short classes axis; written
+    into `out` when it is given. numpy multiplies a stack one matrix at a
+    time, so each (C, n) block has the bits of its own product."""
+    mat = w.reshape(w.shape[:-1] + (classes, -1))
+    scores = np.matmul(mat[..., :-1], np.swapaxes(x, -1, -2), out=out)
+    scores += mat[..., -1:]
     return scores
 
 
@@ -130,17 +126,15 @@ def _pool_and_test_metrics(weights, x, y, n_pool, classes, scores):
     mean cross-entropy on the pool, and mean cross-entropy and accuracy on
     the test set, one column per round.
 
-    Each round's scores are its own product, written into its (C, n) slice of
-    the (>= r, C, n) work buffer `scores`, so a round's bits do not depend on
-    the chunk it falls in; every later step is one pass over the chunk. This
-    runs on `train`'s worker thread, which does not inherit the caller's
-    error state, so the state is set here.
+    The chunk's scores are one stacked product into the first r rows of the
+    (>= r, C, n) work buffer `scores`; each round's block is its own product,
+    so a round's bits do not depend on the chunk it falls in, and every later
+    step is one pass over the chunk. This runs on `train`'s worker thread,
+    which does not inherit the caller's error state, so the state is set
+    here.
     """
-    r = weights.shape[0]
-    scores = scores[:r]
     with np.errstate(over="ignore", invalid="ignore"):
-        for w, out in zip(weights, scores):
-            _class_scores(w, x, classes, out=out)
+        scores = _class_scores(weights, x, classes, out=scores[:weights.shape[0]])
         accuracy = (scores[:, :, n_pool:].argmax(axis=-2) == y[n_pool:]).mean(axis=-1)
         log_p = _log_likelihoods(scores, y)
         return np.stack([-log_p[:, :n_pool].mean(axis=-1),
@@ -167,24 +161,24 @@ def _augment(x, y, classes):
     return xt, np.linalg.norm(xt, axis=-1), onehot
 
 
-def local_noisy_gradient(w, x, augmented, clip_c, sigma, rng) -> np.ndarray:
+def local_noisy_gradient(w, augmented, clip_c, sigma, rng) -> np.ndarray:
     """Per-example-clipped mean local gradients of k clients, plus noise.
 
-    `x` is (k, m, D) for k clients of m examples each, `augmented` is
-    `_augment(x, y, C)` for their (k, m) labels y, and `sigma` holds one noise
+    `augmented` is `_augment(x, y, C)` for the (k, m, D) inputs x and (k, m)
+    labels y of k clients of m examples each, and `sigma` holds one noise
     multiplier per client; the result is (k, W). C and m are read from the
     (k, C, m) one-hot labels.
 
     Each example's gradient is the outer product of (softmax - onehot) with
     the augmented input, whose norm factorizes, so clipping never materializes
     per-example matrices, and all k means are one batched contraction. The
-    softmax, its errors and their norms are taken on a classes-first (k, C, m)
-    copy of the scores, so each reduction over the C classes runs as
-    elementwise passes over (k, m) rows, one class after another. Below 8
-    classes that is the order of numpy's last-axis sum, so the bits are those
-    of per-example softmax rows; from 8 on numpy sums a last axis pairwise,
-    a few ulps apart. The errors go back to example-major for the
-    contraction. An infinite `clip_c` scales every error by exactly 1. The
+    scores are the classes-first (k, C, m) product on the augmented inputs
+    without their bias column, so the softmax, its errors and their norms
+    reduce over the C classes as elementwise passes over (k, m) rows, one
+    class after another. Below 8 classes that is the order of numpy's
+    last-axis sum, so the bits are those of per-example softmax rows; from 8
+    on numpy sums a last axis pairwise, a few ulps apart. The errors go back
+    to example-major for the contraction. An infinite `clip_c` scales every error by exactly 1. The
     N(0, sigma_k^2 C^2 I) noise of the clients with sigma_k > 0 is one draw,
     the same stream as one draw per client in order; the others draw nothing.
     """
@@ -192,7 +186,7 @@ def local_noisy_gradient(w, x, augmented, clip_c, sigma, rng) -> np.ndarray:
     k, classes, m = onehot.shape
     if m == 0:
         raise ValueError("empty shard")
-    shifted = np.swapaxes(_scores(w, x, classes), 1, 2).copy()
+    shifted = _class_scores(w, xt[..., :-1], classes)
     shifted -= shifted.max(axis=1, keepdims=True)
     shifted -= _log_sum_exp(shifted, 1)[:, None]
     # the probabilities' exp is not clamped: its tiny outputs reach the weights
@@ -530,8 +524,8 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
     with ThreadPoolExecutor(1) as worker:
         with np.errstate(over="ignore", invalid="ignore"):
             for t, ks in enumerate(schedule):
-                grads = local_noisy_gradient(w, x[ks], [a[ks] for a in augmented],
-                                             clip, sigma[ks], rng)
+                grads = local_noisy_gradient(w, [a[ks] for a in augmented], clip,
+                                             sigma[ks], rng)
                 w = np.subtract(w, settings.learning_rate * grads.mean(axis=0),
                                 out=weights[t])
                 if (t + 1) % chunk == 0 or t + 1 == t_rounds:

@@ -53,6 +53,9 @@ class ServerConfig:
             raise ValueError("eta must be >= 0")
         if self.q_coefficient <= 0:
             raise ValueError("q_coefficient must be > 0")
+        for name in ("eta", "q_coefficient"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0 < self.grid_delta <= 1:
             raise ValueError("grid_delta must lie in (0, 1]")
 

@@ -316,6 +316,30 @@ def test_irregular_cost_prior_prints_one_stderr_line_in_a_real_process(tmp_path)
                            "finite on the support\n")
 
 
+@pytest.mark.parametrize("patch, message", [
+    # v(c) = 2c - lower overflows at the support top, though F/f stays finite
+    ({"costs": {"kind": "uniform", "lower": 1e308, "upper": 1.1e308}},
+     "costs: virtual cost must be finite on the support"),
+    # (c - mean) / std overflows, so the density is 0 across the support
+    ({"costs": {"kind": "gaussian", "mean": 0.5, "std": 1e-300}},
+     "costs: density must be positive and finite on the support"),
+    # 1/delta overflows, so the derived Q is inf
+    ({"train": {"delta": 1e-320}},
+     "server: q_coefficient derived as 2*c2^2*ln(1/delta)*D*sqrt(T) is inf; "
+     "set server.q_coefficient"),
+], ids=["uniform-virtual-cost", "gaussian-std", "derived-q"])
+def test_overflowing_config_is_one_stderr_line_in_a_real_process(tmp_path, patch,
+                                                                  message):
+    # the overflow is the verdict, so no numpy warning may reach stderr first
+    doc = dict({"clients": 5}, **patch)
+    proc = subprocess.run(
+        [sys.executable, "-m", "jsam", "solve", "--config", _write_cfg(tmp_path, doc)],
+        capture_output=True, text=True, timeout=120, env=_child_env())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["solve", "simulate", "audit", "sweep"])
 def test_each_command_validates_its_config_once(tmp_path, monkeypatch, command):
     # flags are applied before the config is built, so nothing re-validates it;
@@ -569,3 +593,17 @@ def test_results_keep_what_the_benchmark_tracer_reads(uniform01, basic_cfg):
                                  samples=4)
     assert interim.grid.size == 3 and interim.samples == 4
     assert callable(jsam.cli.make_plan)
+
+
+def test_benchmark_workload_configs_load(tmp_path, monkeypatch):
+    # the benchmark checks its generated configs before it times anything; a
+    # config change that breaks one fails here, not only in a benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import workloads
+
+    for scale in ("full", "tiny"):
+        for workload in workloads.WORKLOADS:
+            workdir = tmp_path / scale / workload
+            workdir.mkdir(parents=True)
+            workloads.validate_configs(workloads.build_pass(workload, 7, 0, scale,
+                                                            workdir))

@@ -51,7 +51,7 @@ def _metrics_of(w, x, y, n_pool, classes):
 
 def _gradient(w, x, y, classes, clip_c, sigma, rng):
     """The kernel on a (k, m, D) batch with (k, m) labels, augmented here."""
-    return local_noisy_gradient(w, x, _augment(x, y, classes), clip_c,
+    return local_noisy_gradient(w, _augment(x, y, classes), clip_c,
                                 np.asarray(sigma, dtype=float), rng)
 
 
@@ -246,8 +246,8 @@ def test_classes_first_gradient_matches_the_example_major_one(classes, spread):
     stacked = _augment(x, y, classes)  # augmented once and indexed, as in train
     # clipped and noisy, then train's noiseless round: clip inf, no noise
     for clip_c, sig in ((2.0, sigma), (math.inf, np.zeros(ks.size))):
-        got = local_noisy_gradient(w, x[ks], tuple(a[ks] for a in stacked),
-                                   clip_c, sig, np.random.default_rng(7))
+        got = local_noisy_gradient(w, tuple(a[ks] for a in stacked), clip_c, sig,
+                                   np.random.default_rng(7))
         want, shifted = _example_major_gradient(w, x[ks], y[ks], classes, clip_c,
                                                 sig, np.random.default_rng(7))
         if spread > 100:  # exp's slow path, and probabilities below 1e-304
@@ -715,8 +715,8 @@ def _serial_reference(task, shards, plan, schedule, settings, seed):
     w = np.zeros(task.weight_dim)
     rows = []
     for ks in schedule:
-        grads = local_noisy_gradient(w, x[ks], [a[ks] for a in augmented],
-                                     settings.clip, sigma[ks], rng)
+        grads = local_noisy_gradient(w, [a[ks] for a in augmented], settings.clip,
+                                     sigma[ks], rng)
         w = w - settings.learning_rate * grads.mean(axis=0)
         pool_losses = _reference_losses(w, task.pool_x[pool], task.pool_y[pool],
                                         task.classes)[0]

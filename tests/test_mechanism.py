@@ -225,6 +225,13 @@ def test_budget_split_spend_identity(n, budget, data):
     assert float(np.sum(v * eps)) == pytest.approx(budget, rel=1e-9)
 
 
+@pytest.mark.parametrize("field", ["eta", "q_coefficient"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_server_config_rejects_a_non_finite_weight(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got"):
+        ServerConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # objective and budget at a fixed selection distribution
 
