@@ -193,12 +193,7 @@ def cmd_audit(cfg: ExperimentConfig) -> int:
     return 0 if all(v.passed for v in verdicts) else 1
 
 
-_AUDIT_DEFAULT = {
-    "clients": 3,
-    "server": {"eta": 1.0, "q_coefficient": 1.0},
-    "train": {"rounds": 50, "per_round": 2},
-    "task": {"samples_per_client": 20, "test_size": 50},
-}
+_AUDIT_DEFAULT = {"clients": 3, "server": {"eta": 1.0, "q_coefficient": 1.0}}
 
 
 def _parse_args(argv):

@@ -196,6 +196,8 @@ def validate(cfg: ExperimentConfig) -> None:
     _require(tr.clip > 0, "train.clip must be > 0")
     _require(tr.learning_rate > 0, "train.learning_rate must be > 0")
     _require(0 < tr.delta < 1, "train.delta must lie in (0, 1)")
+    # the noise model reads ln(1/delta), infinite below delta ~ 5.6e-309
+    _require(math.isfinite(1.0 / tr.delta), "train.delta is too small: 1/delta overflows")
     _require(tr.c2 > 0, "train.c2 must be > 0")
     _require(0 <= tr.similarity <= 100, "train.similarity must lie in [0, 100]")
 
@@ -238,9 +240,12 @@ def server_config(cfg: ExperimentConfig, eta: float | None = None) -> ServerConf
     q = cfg.server.q_coefficient
     if q is None:
         tr = cfg.train
-        q = (2.0 * tr.c2 ** 2 * math.log(1.0 / tr.delta) * cfg.task.weight_dim
-             * math.sqrt(tr.rounds))
-        if not math.isfinite(q):  # 1/delta overflows below delta ~ 5.6e-309
+        try:
+            q = (2.0 * tr.c2 ** 2 * math.log(1.0 / tr.delta) * cfg.task.weight_dim
+                 * math.sqrt(tr.rounds))
+        except OverflowError:  # c2^2 or the integer D beyond float range
+            q = math.inf
+        if not math.isfinite(q):  # a product of finite factors overflows
             raise ValueError(f"q_coefficient derived as 2*c2^2*ln(1/delta)*D*sqrt(T) "
                              f"is {q!r}; set server.q_coefficient")
     return ServerConfig(eta=cfg.server.eta if eta is None else eta,

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostDistribution
-from .mechanism import (BatchSolution, ServerConfig, fixed_probability_solve,
-                        solve_profiles)
+from .mechanism import ServerConfig, fixed_probability_solve, solve_profiles
 from .payments import expost_payments
 
 MECHANISM_KINDS = ("jsam", "usbm", "fsbm", "bbm", "jsam_ci")
@@ -337,12 +336,8 @@ def _allocation_rule(kind, subset, n, bbm_losses, cfg: ServerConfig):
         def probabilities(reports):
             return np.broadcast_to(p_fixed, reports.shape)
 
-    def rule(reports, virtuals):
-        p = probabilities(reports)
-        eps, budget, objective = fixed_probability_solve(p, virtuals, cfg)
-        return BatchSolution(p, eps, budget, None, objective)
-
-    return rule
+    return lambda reports, virtuals: fixed_probability_solve(
+        probabilities(reports), virtuals, cfg)
 
 
 def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,

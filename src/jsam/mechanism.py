@@ -23,7 +23,8 @@ the threshold structure equals 2*(p_1 - 1/N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,19 +164,20 @@ def _budget_and_objective(dev, a, eta):
     return b, f
 
 
-@dataclass
-class BatchSolution:
+class BatchSolution(NamedTuple):
     """Plans for a batch of cost profiles, original client order.
 
     `threshold` is the position h, in ascending virtual-cost order, of the
     last client with positive selection probability (None for plans with
-    fixed selection probabilities, which have no threshold).
+    fixed selection probabilities, which have no threshold). A NamedTuple,
+    not a dataclass, because some readers index it by position: index 1 is
+    the (B, N) budgets either kernel returns.
     """
 
     probabilities: np.ndarray   # (B, N)
     privacy_budgets: np.ndarray  # (B, N)
     total_budget: np.ndarray    # (B,)
-    threshold: np.ndarray       # (B,)
+    threshold: np.ndarray | None  # (B,)
     objective_value: np.ndarray  # (B,)
 
 
@@ -214,8 +216,7 @@ def solve_profiles(virtual_costs, cfg: ServerConfig) -> BatchSolution:
     if batch > rows_per_chunk:
         parts = [_solve_chunk(v[i:i + rows_per_chunk], cfg)
                  for i in range(0, batch, rows_per_chunk)]
-        return BatchSolution(*(np.concatenate([getattr(s, f.name) for s in parts])
-                               for f in fields(BatchSolution)))
+        return BatchSolution(*map(np.concatenate, zip(*parts)))
     return _solve_chunk(v, cfg)
 
 
@@ -259,13 +260,13 @@ def _solve_chunk(v, cfg: ServerConfig) -> BatchSolution:
     return BatchSolution(p, eps, b_star, h_star, f_star)
 
 
-def fixed_probability_solve(p, v, cfg: ServerConfig):
+def fixed_probability_solve(p, v, cfg: ServerConfig) -> BatchSolution:
     """Inner-optimize B and eps for fixed selection distributions, batched.
 
     Used by fixed-probability baselines. The deviation term is the L1
     distance to uniform summed over all clients, since arbitrary p need not
-    follow the threshold structure. p and v are (B, N); returns
-    (eps (B, N), budgets (B,), objectives (B,)).
+    follow the threshold structure. p and v are (B, N); returns the plans
+    with p as given and threshold None. At eta = 0 every budget is 0.
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
@@ -275,8 +276,8 @@ def fixed_probability_solve(p, v, cfg: ServerConfig):
     if np.any(v[p > 0] <= 0):
         raise ValueError("selected client with non-positive virtual cost")
     if cfg.eta == 0:
-        return np.zeros((batch, n)), np.zeros(batch), np.zeros(batch)
+        return BatchSolution(p, np.zeros((batch, n)), np.zeros(batch), None, np.zeros(batch))
     dev = np.abs(p - 1.0 / n).sum(axis=1)
     c = np.where(p > 0, (v * p) ** _TWO_THIRDS, 0.0).sum(axis=1) ** 3
     b, f = _budget_and_objective(dev, cfg.q_coefficient * c, cfg.eta)
-    return optimal_epsilon(p, b[:, None], v), b, f
+    return BatchSolution(p, optimal_epsilon(p, b[:, None], v), b, None, f)

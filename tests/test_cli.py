@@ -323,11 +323,26 @@ def test_irregular_cost_prior_prints_one_stderr_line_in_a_real_process(tmp_path)
     # (c - mean) / std overflows, so the density is 0 across the support
     ({"costs": {"kind": "gaussian", "mean": 0.5, "std": 1e-300}},
      "costs: density must be positive and finite on the support"),
-    # 1/delta overflows, so the derived Q is inf
-    ({"train": {"delta": 1e-320}},
+    # c2^2 is finite, but the derived Q's product overflows to inf
+    ({"train": {"c2": 1e154}},
      "server: q_coefficient derived as 2*c2^2*ln(1/delta)*D*sqrt(T) is inf; "
      "set server.q_coefficient"),
-], ids=["uniform-virtual-cost", "gaussian-std", "derived-q"])
+    # the float power c2^2 raises OverflowError rather than returning inf
+    ({"train": {"c2": 1e200}},
+     "server: q_coefficient derived as 2*c2^2*ln(1/delta)*D*sqrt(T) is inf; "
+     "set server.q_coefficient"),
+    # the integer weight dim D is too large to convert to a float
+    ({"task": {"feature_dim": 10 ** 308}},
+     "server: q_coefficient derived as 2*c2^2*ln(1/delta)*D*sqrt(T) is inf; "
+     "set server.q_coefficient"),
+    # 1/delta overflows, so the noise model's ln(1/delta) is inf, whether Q
+    # is derived from it or set
+    ({"train": {"delta": 1e-320}},
+     "train.delta is too small: 1/delta overflows"),
+    ({"train": {"delta": 1e-320}, "server": {"q_coefficient": 1.0}},
+     "train.delta is too small: 1/delta overflows"),
+], ids=["uniform-virtual-cost", "gaussian-std", "derived-q", "c2-power",
+        "feature-dim", "delta-derived-q", "delta-explicit-q"])
 def test_overflowing_config_is_one_stderr_line_in_a_real_process(tmp_path, patch,
                                                                   message):
     # the overflow is the verdict, so no numpy warning may reach stderr first
@@ -583,7 +598,7 @@ def test_results_keep_what_the_benchmark_tracer_reads(uniform01, basic_cfg):
 
     p = np.full((2, 3), 1.0 / 3)
     v = np.array([[0.2, 0.5, 0.9], [0.3, 0.4, 0.8]])
-    assert fixed_probability_solve(p, v, basic_cfg)[1].shape == (2,)
+    assert fixed_probability_solve(p, v, basic_cfg)[1].shape[0] == 2
     costs = np.array([0.2, 0.5, 0.9])
     paid = expost_payments(costs, np.ones(3), 1.0,
                            lambda k, z: np.ones(z.size), grid_size=5)
@@ -607,3 +622,30 @@ def test_benchmark_workload_configs_load(tmp_path, monkeypatch):
             workdir.mkdir(parents=True)
             workloads.validate_configs(workloads.build_pass(workload, 7, 0, scale,
                                                             workdir))
+
+
+def test_traced_tiny_benchmark_pass_has_no_failed_op(tmp_path, monkeypatch):
+    # a result the tracer's COUNTERS cannot read makes the traced op raise,
+    # so one tiny pass of each workload under the tracer fails here, not
+    # only in a benchmark run; the tracer wraps the jsam modules this file
+    # has already imported
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import run
+    import tracing
+    import workloads
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for workload in workloads.WORKLOADS:
+            workdir = tmp_path / workload
+            workdir.mkdir()
+            _, raw = run.run_pass(workloads.build_pass(workload, 7, 0, "tiny", workdir),
+                                  tracer)
+            for result in raw:
+                assert run.judge(*result).problems == [], workload
+    finally:
+        tracer.uninstall()
+    for key in ("mechanism.fixed_probability_solve.rows",
+                "payments.expost_payments.clients", "mechanism.solve_profiles.rows"):
+        assert tracer.counts[key] > 0, key

@@ -41,9 +41,10 @@ def feasible_pairs(max_n=8):
 
 def _fixed(p, v, cfg):
     """fixed_probability_solve on one profile: (eps, B*, objective)."""
-    eps, b, f = fixed_probability_solve(np.asarray(p, dtype=float)[None, :],
-                                        np.asarray(v, dtype=float)[None, :], cfg)
-    return eps[0], float(b[0]), float(f[0])
+    sol = fixed_probability_solve(np.asarray(p, dtype=float)[None, :],
+                                  np.asarray(v, dtype=float)[None, :], cfg)
+    return (sol.privacy_budgets[0], float(sol.total_budget[0]),
+            float(sol.objective_value[0]))
 
 
 def _objective_at(p, v, cfg, budgets):
@@ -303,6 +304,10 @@ def test_inner_budget_eta_zero_degenerates():
     eps, b, _ = _fixed([0.75, 0.25], [0.5, 1.0], cfg)
     assert b == 0.0
     assert np.all(eps == 0.0)
+    # the eta-0 path returns the kernel's one result type too
+    sol = fixed_probability_solve([[0.75, 0.25]], [[0.5, 1.0]], cfg)
+    assert isinstance(sol, BatchSolution) and sol.threshold is None
+    assert np.array_equal(sol.probabilities, [[0.75, 0.25]])
 
 
 @given(feasible_pairs(max_n=6), st.floats(0.05, 20.0), st.floats(0.2, 5.0),
@@ -466,14 +471,16 @@ def test_threshold_counts_the_positive_probabilities(n, eta, rng):
 @pytest.mark.parametrize("eta", [0.3, 3.0, 300.0])
 def test_kernel_rows_match_fixed_probability_solve(eta, rng):
     # each row's budget split, B* and objective are those of the fixed-p
-    # solve at the row's chosen p
+    # solve at the row's chosen p, which has no threshold
     cfg = ServerConfig(eta=eta, q_coefficient=2.0)
     v = 2.0 * rng.uniform(0.05, 1.0, size=(40, 5))
     sol = solve_profiles(v, cfg)
-    eps, b, f = fixed_probability_solve(sol.probabilities, v, cfg)
-    np.testing.assert_allclose(b, sol.total_budget, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(eps, sol.privacy_budgets, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(f, sol.objective_value, rtol=1e-12, atol=0.0)
+    fixed = fixed_probability_solve(sol.probabilities, v, cfg)
+    assert np.array_equal(fixed.probabilities, sol.probabilities)
+    assert fixed.threshold is None
+    for got, want in zip(fixed, sol):
+        if got is not None:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_batch_solver_matches_single_profile_solves(rng, basic_cfg):
