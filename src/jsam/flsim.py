@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostDistribution
-from .mechanism import ServerConfig, fixed_probability_solve, solve_profiles
+from .mechanism import (ServerConfig, client_budgets, fixed_probability_solve,
+                        solve_profiles)
 from .payments import expost_payments
 
 MECHANISM_KINDS = ("jsam", "usbm", "fsbm", "bbm", "jsam_ci")
@@ -346,7 +347,9 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
 
     The plan is the mechanism's allocation rule on the truthful profile. The
     payment curves are the same rule: eps_of_reports(ks, z) is client ks[i]'s
-    budget at report z[i], rivals fixed (a scalar k broadcasts). `expost_payments`
+    budget at report z[i], rivals fixed (a scalar k broadcasts). For jsam that
+    is `client_budgets`, which sorts the rivals once and forms only that
+    budget; the other kinds solve each whole (rows, N) profile. `expost_payments`
     sweeps all clients' curves upward in one pass and ends each at its first
     zero, because a client out at one report stays out above it. Payments are
     envelope payments against the realized rival reports (their expectation
@@ -364,6 +367,8 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
     eps = sol.privacy_budgets[0]
 
     def eps_of_reports(ks, z):
+        if kind == "jsam":
+            return client_budgets(virtuals, ks, dist.virtual(z), cfg)
         rows = np.arange(z.size)
         reports = np.tile(costs, (z.size, 1))
         reports[rows, ks] = z

@@ -16,6 +16,11 @@ c = (sum_k (v_k p_k)^{2/3})^3, and the remaining (p_1, p_h, B) search is a
 scan over the threshold h at p_h = 1/N (see `solve_profiles`) plus the
 closed-form minimizing B of the convex 1-D objective.
 
+The scan runs on ascending profiles. `solve_profiles` sorts each profile
+for it; `client_budgets`, which prices payment curves (one client's report
+per row, rivals fixed), sorts the truthful profile once and inserts each
+report at its rank, and gives the same budgets bit for bit.
+
 `dev` is the L1 distance between p and the uniform distribution, which under
 the threshold structure equals 2*(p_1 - 1/N).
 """
@@ -117,8 +122,17 @@ def optimal_epsilon(p, total_budget, v) -> np.ndarray:
         raise ValueError("all-zero selection probabilities")
     if np.any((p > 0) & (np.broadcast_to(v, p.shape) <= 0)):
         raise ValueError("selected client with non-positive virtual cost")
-    weights = np.where(p > 0, (v * p) ** _TWO_THIRDS, 0.0)
-    scale = weights.sum(axis=-1, keepdims=True)
+    return _split(p, total_budget, v, _scale(p, v))
+
+
+def _scale(p, v):
+    """sum_i (v_i p_i)^(2/3) over the client axis (kept); excluded clients add 0."""
+    return np.where(p > 0, (v * p) ** _TWO_THIRDS, 0.0).sum(axis=-1, keepdims=True)
+
+
+def _split(p, total_budget, v, scale):
+    """`optimal_epsilon`'s eps, unchecked, for a given `_scale`. Elementwise,
+    so a column split against its full row's scale is that row's entry."""
     with np.errstate(divide="ignore", invalid="ignore"):
         eps = p ** _TWO_THIRDS * total_budget / (scale * np.cbrt(v))
     return np.where(p > 0, eps, 0.0)
@@ -212,19 +226,83 @@ def solve_profiles(virtual_costs, cfg: ServerConfig) -> BatchSolution:
         raise ValueError("empty client profile")
     if np.any(v <= 0):
         raise ValueError("virtual costs must be positive")
-    rows_per_chunk = max(1, _MAX_ELEMENTS // n)
-    if batch > rows_per_chunk:
-        parts = [_solve_chunk(v[i:i + rows_per_chunk], cfg)
-                 for i in range(0, batch, rows_per_chunk)]
-        return BatchSolution(*map(np.concatenate, zip(*parts)))
-    return _solve_chunk(v, cfg)
+    parts = [_solve_chunk(v[rows], cfg) for rows in _row_chunks(batch, n)]
+    return BatchSolution(*map(np.concatenate, zip(*parts)))
+
+
+def client_budgets(virtuals, ks, z_virtuals, cfg: ServerConfig) -> np.ndarray:
+    """Client ks[i]'s privacy budget when its virtual cost is z_virtuals[i]
+    and every rival keeps its entry of the (N,) `virtuals` (a scalar k
+    broadcasts): `solve_profiles` on those profiles, read at column ks[i],
+    bit for bit, without sorting each profile or forming the other budgets.
+
+    The truthful profile is sorted once. Each row's ascending profile is the
+    rivals' with the report inserted at its rank among them: the rivals below
+    it, then the rivals equal to it with a lower index, which is the stable
+    sort's tie order. The rows run `solve_profiles`' scan in the same chunks;
+    the budget split's scale is taken from the full row and only the
+    budget at the report's rank is formed.
+    """
+    v = np.asarray(virtuals, dtype=float)
+    z = np.atleast_1d(np.asarray(z_virtuals, dtype=float))
+    ks = np.broadcast_to(ks, z.shape)
+    n = v.size
+    if n == 0:
+        raise ValueError("empty client profile")
+    if not (np.all(v > 0) and np.all(z > 0)):
+        raise ValueError("virtual costs must be positive")
+    order = np.argsort(v, kind="stable")
+    vs = v[order]
+    position = np.empty(n, dtype=int)
+    position[order] = np.arange(n)
+    below = np.searchsorted(vs, z, side="left")
+    rank = below - (v[ks] < z)
+    tied = np.nonzero(np.searchsorted(vs, z, side="right") > below)[0]
+    if tied.size:  # a client (the report's own, perhaps) equals the report
+        rank[tied] += np.count_nonzero(
+            (v == z[tied, None]) & (np.arange(n) < ks[tied, None]), axis=1)
+    budgets = [_budgets_chunk(vs, position[ks[rows]], rank[rows], z[rows], cfg)
+               for rows in _row_chunks(z.size, n)]
+    return np.concatenate(budgets)
+
+
+def _row_chunks(batch, n):
+    """Slices of at most `_MAX_ELEMENTS` // n rows covering `batch` rows (one
+    slice when `batch` is 0, so that an empty batch keeps its shape)."""
+    step = max(1, _MAX_ELEMENTS // n)
+    return [slice(i, i + step) for i in range(0, max(batch, 1), step)]
 
 
 def _solve_chunk(v, cfg: ServerConfig) -> BatchSolution:
-    batch, n = v.shape
     order = np.argsort(v, axis=1, kind="stable")
     vs = np.take_along_axis(v, order, axis=1)
+    p_sorted, b_star, h_star, f_star = _scan(vs, cfg)
+    eps_sorted = _split(p_sorted, b_star[:, None], vs, _scale(p_sorted, vs))
 
+    inverse = np.argsort(order, axis=1)
+    p = np.take_along_axis(p_sorted, inverse, axis=1)
+    eps = np.take_along_axis(eps_sorted, inverse, axis=1)
+    return BatchSolution(p, eps, b_star, h_star, f_star)
+
+
+def _budgets_chunk(vs, own, rank, z, cfg: ServerConfig) -> np.ndarray:
+    """`client_budgets` on one chunk: `vs` is the sorted truthful profile,
+    `own` each row's client's place in it, `rank` the report's place in the
+    row."""
+    idx = np.arange(vs.size)
+    rival = idx - (idx > rank[:, None])  # the rival at each place but the rank
+    rows_vs = vs.take(rival + (rival >= own[:, None]), mode="clip")
+    rows = np.arange(rank.size)
+    rows_vs[rows, rank] = z
+    p_sorted, b_star, _, _ = _scan(rows_vs, cfg)
+    scale = _scale(p_sorted, rows_vs)[:, 0]
+    return _split(p_sorted[rows, rank], b_star, z, scale)
+
+
+def _scan(vs, cfg: ServerConfig):
+    """The threshold scan over ascending (rows, N) profiles: each row's
+    selection probabilities in that order, B*, threshold h and objective."""
+    batch, n = vs.shape
     share = 1.0 / n
     h = np.arange(1, n + 1)
     p1 = np.concatenate([[1.0], (n + 1 - h[1:]) * share])
@@ -252,12 +330,7 @@ def _solve_chunk(v, cfg: ServerConfig) -> BatchSolution:
     idx = np.arange(n)[None, :]
     p_sorted = np.where(idx == 0, p1[best][:, None],
                         np.where(idx < h_star[:, None], share, 0.0))
-    eps_sorted = optimal_epsilon(p_sorted, b_star[:, None], vs)
-
-    inverse = np.argsort(order, axis=1)
-    p = np.take_along_axis(p_sorted, inverse, axis=1)
-    eps = np.take_along_axis(eps_sorted, inverse, axis=1)
-    return BatchSolution(p, eps, b_star, h_star, f_star)
+    return p_sorted, b_star, h_star, f_star
 
 
 def fixed_probability_solve(p, v, cfg: ServerConfig) -> BatchSolution:
@@ -278,6 +351,6 @@ def fixed_probability_solve(p, v, cfg: ServerConfig) -> BatchSolution:
     if cfg.eta == 0:
         return BatchSolution(p, np.zeros((batch, n)), np.zeros(batch), None, np.zeros(batch))
     dev = np.abs(p - 1.0 / n).sum(axis=1)
-    c = np.where(p > 0, (v * p) ** _TWO_THIRDS, 0.0).sum(axis=1) ** 3
-    b, f = _budget_and_objective(dev, cfg.q_coefficient * c, cfg.eta)
-    return BatchSolution(p, optimal_epsilon(p, b[:, None], v), b, None, f)
+    scale = _scale(p, v)
+    b, f = _budget_and_objective(dev, cfg.q_coefficient * scale[:, 0] ** 3, cfg.eta)
+    return BatchSolution(p, _split(p, b[:, None], v, scale), b, None, f)

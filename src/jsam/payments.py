@@ -106,9 +106,10 @@ def expost_payments(costs, budgets, support_upper, eps_of_reports,
     """Envelope payments with rivals' reports held fixed at their realization.
 
     eps_of_reports(ks, z) -> client ks[i]'s budget when it reports z[i],
-    rivals fixed. Averaging this payment over rival draws recovers the interim
-    rule, so totals are comparable across mechanisms. Returns (payments,
-    quadrature error estimates).
+    rivals fixed; `make_plan` prices jsam's curves with
+    `mechanism.client_budgets`. Averaging this payment over rival draws
+    recovers the interim rule, so totals are comparable across mechanisms.
+    Returns (payments, quadrature error estimates).
 
     `budgets` are the truthful budgets. A client whose budget is exactly 0 at
     a report z gets 0 at every report above z under the rules priced here:

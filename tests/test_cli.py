@@ -649,3 +649,5 @@ def test_traced_tiny_benchmark_pass_has_no_failed_op(tmp_path, monkeypatch):
     for key in ("mechanism.fixed_probability_solve.rows",
                 "payments.expost_payments.clients", "mechanism.solve_profiles.rows"):
         assert tracer.counts[key] > 0, key
+    # jsam's payment curves are priced by client_budgets, a public layer
+    assert tracer.layers()["mechanism.client_budgets"]["calls"] > 0

@@ -13,6 +13,7 @@ deliberate, documented change of numerics) with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -50,12 +51,16 @@ CASES = {
 }
 
 
-def solve_doc(config, workdir):
+def solve_bytes(config, workdir):
     cfg_path = Path(workdir) / "config.json"
     out_path = Path(workdir) / "plan.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["solve", "--config", str(cfg_path), "--out", str(out_path)]) == 0
-    return json.loads(out_path.read_text(encoding="utf-8"))
+    return out_path.read_bytes()
+
+
+def solve_doc(config, workdir):
+    return json.loads(solve_bytes(config, workdir).decode("utf-8"))
 
 
 def _assert_close(name, got, want):
@@ -81,6 +86,39 @@ def test_solve_matches_the_golden_plan(case, tmp_path):
         assert got["threshold"] == positive
     else:
         assert got["threshold"] is None
+
+
+# sha256 of `jsam solve`'s output, pinned because GOLDEN_RTOL would let a
+# last-bit change pass: the benchmark's plan-n100 op configs and two tied
+# profiles. Recorded before payment curves were priced against presorted
+# rivals (`mechanism.client_budgets`).
+_PLAN_N100 = {"clients": 100, "costs": {"kind": "uniform", "lower": 0.0, "upper": 1.0},
+              "payment_grid": 200, "mechanisms": ["jsam"]}
+DIGEST_CASES = {
+    **{f"n100-eta{eta:g}-seed{seed}":
+       dict(_PLAN_N100, server={"eta": eta, "grid_delta": 1e-3}, seeds=[seed])
+       for eta in (1.0, 1000.0) for seed in (0, 1, 2)},
+    "n4-tied-eta1000": {"clients": 4, "sensitivities": [0.5] * 4,
+                        "server": {"eta": 1000.0}, "mechanisms": ["jsam"]},
+    "n2-tied-eta1": {"clients": 2, "sensitivities": [0.5] * 2,
+                     "server": {"eta": 1.0}, "mechanisms": ["jsam"]},
+}
+DIGESTS = {
+    "n100-eta1-seed0": "053a6975f7ec923b0281d66f544f19f09d1a6203c128b2c6cd0ebce2187a658b",
+    "n100-eta1-seed1": "583373c127728ac359b181d9e5885fd3719e996cebc14128d392b964a52388fa",
+    "n100-eta1-seed2": "689a74e13e9b20ccad9da89e467e66add2f6c3fa940c383f73a8520c96b40aab",
+    "n100-eta1000-seed0": "bcfef37eee670ed6560e43b9e88a2b985d4bfa9232ac7aee73747ad10c1ae0e7",
+    "n100-eta1000-seed1": "7afce65a256bfdc53e8bf292eb559fd6ee4bb8bd76946a68674586153052ba1c",
+    "n100-eta1000-seed2": "7ea682834cc0915a2491ccf0185d3e8ecb4ecc2e69b92fdda8413945c624834f",
+    "n2-tied-eta1": "5e6dcf8b7a938d0add03b1a0e946de6ef8959f498bd5a1fcf0782aa685f171ad",
+    "n4-tied-eta1000": "13ab8e1c48c070cffe581006a70e4ef9bdba79664d32c3e71a2151a59c6444a0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+def test_solve_output_is_byte_identical(case, tmp_path):
+    got = hashlib.sha256(solve_bytes(DIGEST_CASES[case], tmp_path)).hexdigest()
+    assert got == DIGESTS[case]
 
 
 def newton_root_sq(dev2, a, eta):
@@ -177,15 +215,18 @@ def test_one_pass_payments_equal_every_node_evaluation(mechanism, dist, monkeypa
     grid = 200
     rows = []
 
-    def counted(solver):
-        def solve(batch, *args):
-            rows.append(len(batch))
-            return solver(batch, *args)
+    def counted(solver, batch_arg=0):
+        # rows of whichever kernel serves the call: a profile batch, or
+        # client_budgets' reports
+        def solve(*args):
+            rows.append(len(args[batch_arg]))
+            return solver(*args)
         return solve
 
     monkeypatch.setattr(flsim, "solve_profiles", counted(flsim.solve_profiles))
     monkeypatch.setattr(flsim, "fixed_probability_solve",
                         counted(flsim.fixed_probability_solve))
+    monkeypatch.setattr(flsim, "client_budgets", counted(flsim.client_budgets, 2))
     costs, _, plan, eps_fn = priced_plan(monkeypatch, mechanism, 0, grid, dist)
     curve_rows = rows[1:]  # the first call is the truthful profile
     assert max(curve_rows) <= grid

@@ -9,8 +9,9 @@ from hypothesis import given, strategies as st
 
 from jsam import config, mechanism
 from jsam.mechanism import (_TWO_THIRDS, BatchSolution, ServerConfig,
-                            _budget_and_objective, fixed_probability_solve,
-                            optimal_epsilon, solve_profiles, verify_structure)
+                            _budget_and_objective, client_budgets,
+                            fixed_probability_solve, optimal_epsilon,
+                            solve_profiles, verify_structure)
 from jsam.oracle import _golden_minimize
 
 # dev = 0, Q*c = 2: the stationary point of eta*sqrt(Qc)/B + B is
@@ -506,6 +507,76 @@ def test_chunked_and_unchunked_batches_agree(basic_cfg, rng, monkeypatch):
             chunked = solve_profiles(v, basic_cfg)
         assert whole.probabilities.tobytes() == chunked.probabilities.tobytes()
         assert whole.total_budget.tobytes() == chunked.total_budget.tobytes()
+
+
+def _tiled_budgets(v, ks, z, cfg):
+    """The reference for `client_budgets`: each report's whole profile
+    through `solve_profiles`, read at the reporting client's column."""
+    rows = np.arange(z.size)
+    profiles = np.tile(v, (z.size, 1))
+    profiles[rows, ks] = z
+    return solve_profiles(profiles, cfg).privacy_budgets[rows, ks]
+
+
+def test_client_budgets_equal_the_tiled_solve_bit_for_bit():
+    top = 2.0  # the virtual cost at the top of a uniform [0, 1] support
+    rng = np.random.default_rng(23)
+    for trial in range(100):
+        n = int(rng.integers(1, 301))
+        eta = 0.0 if trial % 10 == 0 else float(10.0 ** rng.uniform(-3.0, 6.0))
+        q = float(10.0 ** rng.uniform(-2.0, math.log10(6e4)))
+        cfg = ServerConfig(eta=eta, q_coefficient=q)
+        v = top * rng.uniform(0.01, 1.0, n)
+        if trial % 5 == 1:
+            v[:] = v[0]  # all costs tied
+        rows = int(rng.integers(1, 300))
+        ks = rng.integers(0, n, rows)
+        z = top * rng.uniform(0.01, 1.0, rows)
+        # reports equal to a rival's cost (either index order) or to its own,
+        # and reports at the support top
+        equal = rng.random(rows) < 0.3
+        z[equal] = v[rng.integers(0, n, rows)[equal]]
+        z[rng.random(rows) < 0.05] = top
+        got = client_budgets(v, ks, z, cfg)
+        want = _tiled_budgets(v, ks, z, cfg)
+        assert got.tobytes() == want.tobytes(), f"n={n}, eta={eta}, q={q}"
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0, 1e3])
+def test_client_budgets_at_a_rivals_cost_take_the_stable_tie_order(eta):
+    # client 2 reports client 1's and client 3's cost: the lower-index rival
+    # ranks before it, the higher-index one after; all tied; the support top
+    cfg = ServerConfig(eta=eta, q_coefficient=1.0)
+    v = np.array([0.3, 0.9, 0.5, 1.4, 0.9])
+    ks = np.array([2, 2, 2, 1, 4, 0])
+    z = np.array([0.3, 1.4, 0.5, 0.9, 0.9, 2.0])
+    assert client_budgets(v, ks, z, cfg).tobytes() == \
+        _tiled_budgets(v, ks, z, cfg).tobytes()
+    tied = np.full(6, 0.7)
+    ks = np.arange(6)
+    for z in (tied, np.full(6, 2.0)):
+        assert client_budgets(tied, ks, z, cfg).tobytes() == \
+            _tiled_budgets(tied, ks, z, cfg).tobytes()
+
+
+def test_client_budgets_in_chunks_and_for_one_client(rng, monkeypatch):
+    cfg = ServerConfig(eta=1e3, q_coefficient=6e4)
+    v = 2.0 * rng.uniform(0.01, 1.0, 100)
+    z = np.linspace(v[7], 2.0, 200)
+    whole = client_budgets(v, 7, z, cfg)  # a scalar client broadcasts
+    assert whole.tobytes() == _tiled_budgets(v, np.full(z.size, 7), z, cfg).tobytes()
+    monkeypatch.setattr(mechanism, "_MAX_ELEMENTS", 7 * 100)
+    assert client_budgets(v, 7, z, cfg).tobytes() == whole.tobytes()
+
+
+def test_client_budgets_reject_what_solve_profiles_rejects():
+    cfg = ServerConfig(eta=1.0, q_coefficient=1.0)
+    with pytest.raises(ValueError, match="empty"):
+        client_budgets(np.empty(0), 0, np.array([0.5]), cfg)
+    with pytest.raises(ValueError, match="positive"):
+        client_budgets(np.array([0.5, 0.7]), 0, np.array([0.0]), cfg)
+    with pytest.raises(ValueError, match="noise coefficient"):
+        client_budgets(np.full(5, 1e-200), 0, np.array([1e-200]), cfg)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 100, 300])
