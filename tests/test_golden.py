@@ -89,9 +89,11 @@ def test_solve_matches_the_golden_plan(case, tmp_path):
 
 
 # sha256 of `jsam solve`'s output, pinned because GOLDEN_RTOL would let a
-# last-bit change pass: the benchmark's plan-n100 op configs and two tied
-# profiles. Recorded before payment curves were priced against presorted
-# rivals (`mechanism.client_budgets`).
+# last-bit change pass: the benchmark's plan-n100 op configs, two tied
+# profiles, and one golden case of each other mechanism kind. The jsam ones
+# were recorded before payment curves were priced against presorted rivals
+# (`mechanism.client_budgets`), the other kinds' before `make_plan` called
+# each kernel directly.
 _PLAN_N100 = {"clients": 100, "costs": {"kind": "uniform", "lower": 0.0, "upper": 1.0},
               "payment_grid": 200, "mechanisms": ["jsam"]}
 DIGEST_CASES = {
@@ -102,6 +104,10 @@ DIGEST_CASES = {
                         "server": {"eta": 1000.0}, "mechanisms": ["jsam"]},
     "n2-tied-eta1": {"clients": 2, "sensitivities": [0.5] * 2,
                      "server": {"eta": 1.0}, "mechanisms": ["jsam"]},
+    **{case: CASES[case] for case in ("n100-gaussian-usbm-eta1000",
+                                      "n100-gaussian-fsbm10-eta1000",
+                                      "n30-uniform-bbm-eta300",
+                                      "n30-uniform-jsamci-eta300")},
 }
 DIGESTS = {
     "n100-eta1-seed0": "053a6975f7ec923b0281d66f544f19f09d1a6203c128b2c6cd0ebce2187a658b",
@@ -110,8 +116,15 @@ DIGESTS = {
     "n100-eta1000-seed0": "bcfef37eee670ed6560e43b9e88a2b985d4bfa9232ac7aee73747ad10c1ae0e7",
     "n100-eta1000-seed1": "7afce65a256bfdc53e8bf292eb559fd6ee4bb8bd76946a68674586153052ba1c",
     "n100-eta1000-seed2": "7ea682834cc0915a2491ccf0185d3e8ecb4ecc2e69b92fdda8413945c624834f",
+    "n100-gaussian-fsbm10-eta1000":
+        "97ae9ce3356a872d8127d9b078b29eeb88850d4c4968bce581de8d959b639430",
+    "n100-gaussian-usbm-eta1000":
+        "7ce4070d1d777db0c4e45a6f0dd8cb4f3b5760483236033e87888f7b8dbe3cc5",
     "n2-tied-eta1": "5e6dcf8b7a938d0add03b1a0e946de6ef8959f498bd5a1fcf0782aa685f171ad",
     "n4-tied-eta1000": "13ab8e1c48c070cffe581006a70e4ef9bdba79664d32c3e71a2151a59c6444a0",
+    "n30-uniform-bbm-eta300": "9b2d3bb313257623d18f1e12721cb990459889ece2a825fe4ecef9fe5bdb99d2",
+    "n30-uniform-jsamci-eta300":
+        "fb0cbe2b1b0c224999dd5d6109c2d9a71287fe8815b56bb5a312dccd8367d042",
 }
 
 
