@@ -8,8 +8,9 @@ The server optimizes against the information-rent-adjusted *virtual cost*
 where F and f are the sensitivity distribution's CDF and density. All
 distributions here have bounded support with positive density, and are
 required to yield a strictly increasing v (regularity); construction fails
-otherwise. Both have closed forms: the uniform in numpy alone, the truncated
-Gaussian in `scipy.special`, which only that prior imports.
+otherwise. Each prior gives v as its own closed form, with no generic F/f
+path: the uniform in numpy alone, the truncated Gaussian in
+`scipy.special`, which only that prior imports.
 """
 
 from __future__ import annotations
@@ -23,34 +24,29 @@ REGULARITY_GRID_POINTS = 1000
 
 
 class CostDistribution:
-    """Base class for sensitivity distributions on a bounded support."""
+    """Base class for sensitivity distributions on a bounded support: each
+    prior gives `pdf` (read by the regularity check), a closed-form `virtual`
+    and `sample`."""
 
     lower: float
     upper: float
 
-    def cdf(self, c):
+    def pdf(self, c):
         raise NotImplementedError
 
-    def pdf(self, c):
+    def virtual(self, c):
+        """Vectorized v(c) = c + F(c)/f(c). `c` must lie in the support."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size=None):
         raise NotImplementedError
 
-    def in_support(self, c) -> bool:
-        return bool(np.all((c >= self.lower) & (c <= self.upper)))
-
     def _in_support_array(self, c):
         """`c` as a float array, which must lie in the support."""
         c = np.asarray(c, dtype=float)
-        if not self.in_support(c):
+        if not np.all((c >= self.lower) & (c <= self.upper)):
             raise ValueError(f"sensitivity outside support [{self.lower}, {self.upper}]")
         return c
-
-    def virtual(self, c):
-        """Vectorized v(c) = c + F(c)/f(c). `c` must lie in the support."""
-        c = self._in_support_array(c)
-        return c + self.cdf(c) / self.pdf(c)
 
     def _check_regularity(self) -> None:
         if self.lower < 0:
@@ -80,9 +76,6 @@ class UniformCosts(CostDistribution):
 
     def __post_init__(self):
         self._check_regularity()
-
-    def cdf(self, c):
-        return (np.asarray(c, dtype=float) - self.lower) / (self.upper - self.lower)
 
     def pdf(self, c):
         return np.full_like(np.asarray(c, dtype=float), 1.0 / (self.upper - self.lower))
@@ -140,9 +133,6 @@ class TruncatedGaussianCosts(CostDistribution):
     def _log_z(self):
         return _log_mass(self._x(self.lower), self._x(self.upper))
 
-    def cdf(self, c):
-        return np.exp(_log_mass(self._x(self.lower), self._x(c)) - self._log_z())
-
     def pdf(self, c):
         x = self._x(c)
         return np.exp(-x ** 2 / 2.0 - _LOG_SQRT_2PI - self._log_z()) / self.std
@@ -155,7 +145,8 @@ class TruncatedGaussianCosts(CostDistribution):
 
     def sample(self, rng: np.random.Generator, size=None):
         """Inverse-transform draws, one uniform each, on the same stream as
-        scipy's generic `rvs`: a seed gives scipy's truncnorm draws."""
+        scipy's generic `rvs`: a seed gives scipy's truncnorm draws to within
+        a few ulps of the support."""
         from scipy.special import log_ndtr, ndtri_exp
 
         alpha, beta = self._x(self.lower), self._x(self.upper)

@@ -63,17 +63,17 @@ class SyntheticTask:
 
 
 def make_task(feature_dim, classes, pool_size, test_size, samples_per_client,
-              rng: np.random.Generator, center_spread=2.5, noise=1.0) -> SyntheticTask:
+              rng: np.random.Generator) -> SyntheticTask:
     """Gaussian blobs with balanced labels in both pool and test set."""
     if classes < 2:
         raise ValueError("need at least two classes")
     if pool_size < classes:
         raise ValueError("pool must contain every class")
-    centers = rng.normal(0.0, center_spread, size=(classes, feature_dim))
+    centers = rng.normal(0.0, 2.5, size=(classes, feature_dim))
 
     def blob(size):
         y = rng.permutation(np.arange(size) % classes)
-        x = centers[y] + rng.normal(0.0, noise, size=(size, feature_dim))
+        x = centers[y] + rng.normal(0.0, 1.0, size=(size, feature_dim))
         return x, y
 
     pool_x, pool_y = blob(pool_size)
@@ -307,75 +307,72 @@ def initial_local_losses(task: SyntheticTask, shards, w) -> np.ndarray:
     return -log_p.reshape(y.shape).mean(axis=1)
 
 
-def _allocation_rule(kind, subset, n, bbm_losses, cfg: ServerConfig):
-    """The mechanism's allocation as one batched rule: (reports, virtual
-    costs) profiles of shape (rows, N) -> BatchSolution."""
-    if kind in ("jsam", "jsam_ci"):
-        # jsam_ci solves against the reported costs themselves
-        return lambda reports, virtuals: solve_profiles(
-            virtuals if kind == "jsam" else reports, cfg)
+def _selection(kind, subset, n, bbm_losses):
+    """The fixed-probability kinds' selection rule: (rows, N) reports -> p."""
     if kind == "fsbm":
         if subset > n:
             raise ValueError("fsbm subset larger than the client count")
 
-        def probabilities(reports):
+        def cheapest(reports):
             order = np.argsort(reports, axis=1, kind="stable")
             p = np.zeros_like(reports)
             np.put_along_axis(p, order[:, :subset], 1.0 / subset, axis=1)
             return p
+        return cheapest
+    if kind == "usbm":
+        p_fixed = np.full(n, 1.0 / n)
     else:
-        if kind == "usbm":
-            p_fixed = np.full(n, 1.0 / n)
-        else:
-            if bbm_losses is None:
-                raise ValueError("bbm needs probe losses for the initial model")
-            losses = np.asarray(bbm_losses, dtype=float)
-            if losses.size != n or np.any(losses <= 0):
-                raise ValueError("bbm probe losses must be positive, one per client")
-            p_fixed = losses / losses.sum()
-
-        def probabilities(reports):
-            return np.broadcast_to(p_fixed, reports.shape)
-
-    return lambda reports, virtuals: fixed_probability_solve(
-        probabilities(reports), virtuals, cfg)
+        if bbm_losses is None:
+            raise ValueError("bbm needs probe losses for the initial model")
+        losses = np.asarray(bbm_losses, dtype=float)
+        if losses.size != n or np.any(losses <= 0):
+            raise ValueError("bbm probe losses must be positive, one per client")
+        p_fixed = losses / losses.sum()
+    return lambda reports: np.broadcast_to(p_fixed, reports.shape)
 
 
 def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
               bbm_losses=None, payment_grid: int = 200) -> SelectionPlan:
     """Build the selection plan and its payments for any mechanism kind.
 
-    The plan is the mechanism's allocation rule on the truthful profile. The
-    payment curves are the same rule: eps_of_reports(ks, z) is client ks[i]'s
-    budget at report z[i], rivals fixed (a scalar k broadcasts). For jsam that
-    is `client_budgets`, which sorts the rivals once and forms only that
-    budget; the other kinds solve each whole (rows, N) profile. `expost_payments`
-    sweeps all clients' curves upward in one pass and ends each at its first
-    zero, because a client out at one report stays out above it. Payments are
-    envelope payments against the realized rival reports (their expectation
-    over rivals is the interim rule), except jsam_ci, which pays the reported
-    cost outright: c_k * eps_k, leaving no information rent. At eta 0 every
-    budget is 0, so nothing is priced and every payment is 0.
+    jsam solves the truthful profile's virtual costs with `solve_profiles`,
+    jsam_ci its reported costs. usbm, fsbm-M and bbm pick p from the reports
+    and solve with `fixed_probability_solve`. The payment curves are the
+    same rule: eps_of_reports(ks, z) is client ks[i]'s budget at report z[i],
+    rivals fixed (a scalar k broadcasts). For jsam that is `client_budgets`,
+    which sorts the rivals once and forms only that budget; the fixed kinds
+    solve each whole (rows, N) profile. `expost_payments` sweeps all clients'
+    curves upward in one pass and ends each at its first zero, because a
+    client out at one report stays out above it. Payments are envelope
+    payments against the realized rival reports (their expectation over
+    rivals is the interim rule), except jsam_ci, which pays the reported cost
+    outright: c_k * eps_k, leaving no information rent. At eta 0 every budget
+    is 0, so nothing is priced and every payment is 0.
     """
     kind, subset = parse_mechanism(name)
     costs = np.asarray(costs, dtype=float)
     if np.any(costs <= dist.lower) and dist.virtual(dist.lower) <= 0:
         raise ValueError("cost at the support boundary has zero virtual cost")
-    rule = _allocation_rule(kind, subset, costs.size, bbm_losses, cfg)
     virtuals = dist.virtual(costs)
-    sol = rule(costs[None, :], virtuals[None, :])
-    eps = sol.privacy_budgets[0]
+    if kind in ("jsam", "jsam_ci"):
+        sol = solve_profiles((virtuals if kind == "jsam" else costs)[None, :], cfg)
 
-    def eps_of_reports(ks, z):
-        if kind == "jsam":
+        def eps_of_reports(ks, z):
             return client_budgets(virtuals, ks, dist.virtual(z), cfg)
-        rows = np.arange(z.size)
-        reports = np.tile(costs, (z.size, 1))
-        reports[rows, ks] = z
-        profiles = np.tile(virtuals, (z.size, 1))
-        profiles[rows, ks] = dist.virtual(z)
-        return rule(reports, profiles).privacy_budgets[rows, ks]
+    else:
+        selection = _selection(kind, subset, costs.size, bbm_losses)
+        sol = fixed_probability_solve(selection(costs[None, :]), virtuals[None, :], cfg)
 
+        def eps_of_reports(ks, z):
+            rows = np.arange(z.size)
+            reports = np.tile(costs, (z.size, 1))
+            reports[rows, ks] = z
+            profiles = np.tile(virtuals, (z.size, 1))
+            profiles[rows, ks] = dist.virtual(z)
+            return fixed_probability_solve(selection(reports), profiles,
+                                           cfg).privacy_budgets[rows, ks]
+
+    eps = sol.privacy_budgets[0]
     if kind == "jsam_ci":
         payments = costs * eps
     else:

@@ -36,7 +36,8 @@ import numpy as np
 _TWO_THIRDS = 2.0 / 3.0
 _TWO_OVER_ROOT3 = 2.0 / math.sqrt(3.0)
 _HALF_THREE_ROOT3 = 1.5 * math.sqrt(3.0)
-# most (row, threshold) pairs solved at once (`solve_profiles` chunks rows)
+# most (row, threshold) pairs solved at once (`solve_profiles` and
+# `client_budgets` chunk their rows by it)
 _MAX_ELEMENTS = 32_768
 
 

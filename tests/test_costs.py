@@ -55,12 +55,15 @@ def _assert_matches_truncnorm(mean, std, lower, upper, seed):
                           loc=mean, scale=std)
     grid = np.linspace(lower, upper, 501)
     for got, want in [(dist.virtual(grid), grid + ref.cdf(grid) / ref.pdf(grid)),
-                      (dist.cdf(grid), ref.cdf(grid)), (dist.pdf(grid), ref.pdf(grid))]:
+                      (dist.pdf(grid), ref.pdf(grid))]:
         np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # the package's log mass and scipy's can differ in the last bit, which
+    # moves a draw near the support's lower end by an ulp of the support top
     np.testing.assert_allclose(
         dist.sample(np.random.default_rng(seed), 200),
-        ref.rvs(size=200, random_state=np.random.default_rng(seed)), rtol=1e-12, atol=0)
+        ref.rvs(size=200, random_state=np.random.default_rng(seed)), rtol=1e-12,
+        atol=4 * np.spacing(upper))
 
 
 @pytest.mark.parametrize("seed, prior", enumerate(REFERENCE_PRIORS))
@@ -73,6 +76,7 @@ def test_gaussian_matches_scipy_truncnorm(seed, prior):
 
 @settings(max_examples=40, deadline=None)
 @example(mean=0.0, std=1.0, lower=0.0, width=1.0, seed=66)  # a central mass (lo <= 0 < hi)
+@example(mean=0.0, std=1.0, lower=1e-12, width=0.5, seed=2860833)  # 1.25 ulp of upper off
 @given(st.floats(-1.0, 2.0), st.floats(0.1, 2.0), st.floats(0.0, 0.5),
        st.floats(0.1, 1.0), st.integers(0, 2 ** 32 - 1))
 def test_gaussian_matches_scipy_truncnorm_on_random_priors(mean, std, lower, width,
@@ -126,10 +130,11 @@ class _BimodalCosts(CostDistribution):
         c = np.asarray(c, dtype=float)
         return 0.5 * self._phi(c, 0.2, 0.03) + 0.5 * self._phi(c, 0.8, 0.03)
 
-    def cdf(self, c):
+    def virtual(self, c):
         from scipy.stats import norm
-        c = np.asarray(c, dtype=float)
-        return 0.5 * norm.cdf(c, 0.2, 0.03) + 0.5 * norm.cdf(c, 0.8, 0.03)
+        c = self._in_support_array(c)
+        cdf = 0.5 * norm.cdf(c, 0.2, 0.03) + 0.5 * norm.cdf(c, 0.8, 0.03)
+        return c + cdf / self.pdf(c)
 
 
 def test_non_monotone_virtual_cost_is_rejected_at_construction():

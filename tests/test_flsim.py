@@ -26,8 +26,7 @@ FAST = ServerConfig(eta=1.0, q_coefficient=1.0, grid_delta=1e-2)
 
 
 def _small_task(rng, n_clients=4, m=24, classes=3, dim=5, test=60):
-    return make_task(dim, classes, n_clients * m, test, m, rng,
-                     center_spread=3.0, noise=0.8)
+    return make_task(dim, classes, n_clients * m, test, m, rng)
 
 
 def _reference_losses(w, x, y, classes):

@@ -122,7 +122,8 @@ DIGESTS = {
         "7ce4070d1d777db0c4e45a6f0dd8cb4f3b5760483236033e87888f7b8dbe3cc5",
     "n2-tied-eta1": "5e6dcf8b7a938d0add03b1a0e946de6ef8959f498bd5a1fcf0782aa685f171ad",
     "n4-tied-eta1000": "13ab8e1c48c070cffe581006a70e4ef9bdba79664d32c3e71a2151a59c6444a0",
-    "n30-uniform-bbm-eta300": "9b2d3bb313257623d18f1e12721cb990459889ece2a825fe4ecef9fe5bdb99d2",
+    "n30-uniform-bbm-eta300":
+        "9b2d3bb313257623d18f1e12721cb990459889ece2a825fe4ecef9fe5bdb99d2",
     "n30-uniform-jsamci-eta300":
         "fb0cbe2b1b0c224999dd5d6109c2d9a71287fe8815b56bb5a312dccd8367d042",
 }
