@@ -1,5 +1,6 @@
 """Solver unit tests: budget split, objective at a fixed p, threshold search, structure."""
 
+import hashlib
 import math
 import warnings
 
@@ -577,6 +578,167 @@ def test_client_budgets_reject_what_solve_profiles_rejects():
         client_budgets(np.array([0.5, 0.7]), 0, np.array([0.0]), cfg)
     with pytest.raises(ValueError, match="noise coefficient"):
         client_budgets(np.full(5, 1e-200), 0, np.array([1e-200]), cfg)
+
+
+# ---------------------------------------------------------------------------
+# kernel digests: sha256 of every output of the kernels on a seeded battery,
+# recorded before the threshold scan ran in reusable work arrays. The
+# `.tobytes()` comparisons above pit kernels that share one scan against
+# each other; these pin the scan itself.
+
+_TOP = 2.0  # the virtual cost at the top of a uniform [0, 1] support
+
+
+def _profiles(seed, rows, n, floor=0.01):
+    return _TOP * np.random.default_rng(seed).uniform(floor, 1.0, size=(rows, n))
+
+
+def _tied_profiles():
+    v = _profiles(1, 16, 12)
+    v[0] = v[0, 0]          # all tied
+    v[1] = _TOP             # all at the support top
+    v[2, 5:] = _TOP         # a tied block at the top
+    v[3, ::2] = v[3, 1]     # every other client tied with client 1
+    v[4] = v[3]             # a repeated row
+    return v
+
+
+def _reports(seed, n, rows, ties=False):
+    """(virtuals, ks, z) of a payment-curve batch; with `ties`, reports at
+    a rival's cost, at the report's own cost and at the support top."""
+    rng = np.random.default_rng(seed)
+    v = _TOP * rng.uniform(0.01, 1.0, n)
+    ks = rng.integers(0, n, rows)
+    z = _TOP * rng.uniform(0.01, 1.0, rows)
+    if ties:
+        v[n // 2:] = v[0]
+        z[::3] = v[rng.integers(0, n, z[::3].size)]
+        z[1::3] = v[ks[1::3]]
+        z[2::5] = _TOP
+    return v, ks, z
+
+
+def _on_simplex(seed, rows, n, spread):
+    w = np.random.default_rng(seed).uniform(0.0, 1.0, size=(rows, n)) ** spread
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _server(eta, q=6e4):
+    return ServerConfig(eta=eta, q_coefficient=q)
+
+
+def _root(seed, t):
+    """The budget root at a (dev2, a) block whose root argument is about `t`."""
+    a = 10.0 ** np.random.default_rng(seed).uniform(-6.0, 6.0, t.shape)
+    eta = 1e3
+    return mechanism._budget_root_sq(t * np.sqrt(a) / (mechanism._HALF_THREE_ROOT3 * eta),
+                                     a, eta)
+
+
+def _t_grid(lo, hi, seed):
+    return np.exp(np.random.default_rng(seed).uniform(np.log(lo), np.log(hi), (40, 25)))
+
+
+# name: (the call, `_MAX_ELEMENTS` for it or None, which side of 1 the root
+# argument t takes: "le1" everywhere, "gt1" everywhere, "both", or None)
+KERNEL_CASES = {
+    "solve-n1": (lambda: solve_profiles(_profiles(2, 5, 1), _server(1e3)), None, "le1"),
+    "solve-empty-batch": (lambda: solve_profiles(np.empty((0, 7)), _server(1e3)),
+                          None, None),
+    "solve-eta0": (lambda: solve_profiles(_profiles(3, 12, 9), _server(0.0)), None, None),
+    "solve-tied": (lambda: solve_profiles(_tied_profiles(), _server(1e3)), None, "both"),
+    "solve-t-le1": (lambda: solve_profiles(_profiles(4, 24, 40), _server(1e-6)),
+                    None, "le1"),
+    "solve-t-both": (lambda: solve_profiles(_profiles(5, 30, 100), _server(1e3)),
+                     None, "both"),
+    # 250 rows in 7-row chunks and 50 rows in 4-row chunks: the last chunk
+    # is shorter than the others
+    "solve-chunks-n100": (lambda: solve_profiles(_profiles(6, 250, 100), _server(1e3)),
+                          7 * 100, "both"),
+    "solve-chunks-n3": (lambda: solve_profiles(_profiles(7, 50, 3), _server(1.0, 1.0)),
+                        4 * 3, None),
+    "budgets-n1": (lambda: client_budgets(*_reports(8, 1, 5), _server(1e3)), None, "le1"),
+    "budgets-empty-batch": (lambda: client_budgets(
+        _TOP * np.ones(10), np.empty(0, dtype=int), np.empty(0), _server(1e3)), None, None),
+    "budgets-eta0": (lambda: client_budgets(*_reports(9, 20, 30), _server(0.0)), None, None),
+    "budgets-tied-and-top": (lambda: client_budgets(*_reports(10, 30, 90, ties=True),
+                                                    _server(1e3)), None, "both"),
+    "budgets-t-le1": (lambda: client_budgets(*_reports(11, 40, 60), _server(1e-6)),
+                      None, "le1"),
+    "budgets-t-both": (lambda: client_budgets(*_reports(12, 100, 200), _server(1e3)),
+                       None, "both"),
+    # 200 rows in 7-row chunks
+    "budgets-chunks": (lambda: client_budgets(*_reports(13, 100, 200, ties=True),
+                                              _server(1e3)), 7 * 100, "both"),
+    "fixed-t-gt1": (lambda: fixed_probability_solve(
+        _on_simplex(14, 30, 20, 8.0), _profiles(15, 30, 20), _server(1e8, 1e-4)),
+        None, "gt1"),
+    "fixed-t-both": (lambda: fixed_probability_solve(
+        _on_simplex(16, 30, 20, 1.0), _profiles(17, 30, 20), _server(10.0, 1.0)),
+        None, "both"),
+    "root-t-le1": (lambda: _root(18, _t_grid(1e-9, 0.999, 19)), None, "le1"),
+    "root-t-gt1": (lambda: _root(20, _t_grid(1.001, 1e9, 21)), None, "gt1"),
+    "root-t-both": (lambda: _root(22, _t_grid(0.25, 4.0, 23)), None, "both"),
+}
+KERNEL_DIGESTS = {
+    "budgets-chunks": "59403597c4d5190fcf7a66d396406837f5a57cf6f1122d1a85f817e477b3535b",
+    "budgets-empty-batch": "64578373a8a80ad1966c3cce7de4dc481c80ff42d854a1a792f6a18e306e028b",
+    "budgets-eta0": "f13f66624de0a1f27a0a0fd04fc6e6a09f578d2dbf42f1358366b4887f7a13cd",
+    "budgets-n1": "793368914fab2a1a736194dbd1780cd88739f8f008154f154e55348a6d07d065",
+    "budgets-t-both": "776aa0dfdc51857a98d426d0c195c7ae8ccac8c15bb9ae65f84d2e85c17b6416",
+    "budgets-t-le1": "9fcba65173429886c4f2f2e6244d738f0b59ee14fd69fa97e6e1fdf3823b2873",
+    "budgets-tied-and-top": "0babb4909bddf231ecd23d3b4e70e3fbf14721770ba68ae31fad5c740dc192d2",
+    "fixed-t-both": "aaf2eea32c16373f1bdba5e37629f95a8645523465734821619f98b55179ff92",
+    "fixed-t-gt1": "72e9d5048928be30bf862996dc5cdb3c1f93e4ad9a148928e3831bb0d976a771",
+    "root-t-both": "807f11adfbdafbc7b7edd6249b7913ba2417888b42baece63d98122904a95099",
+    "root-t-gt1": "cab5c7ba44583345d3e6b15ca78f4c032522b19ede86c66170d091696f6e5775",
+    "root-t-le1": "b43e57eab6d2d3fb479694515d5ff4d7d09b949ec0a84d294105c870c701d2b4",
+    "solve-chunks-n100": "8253b862a42c868d280a1f39b96a2f22975e078da1e9bfd2298d939365d0a3c4",
+    "solve-chunks-n3": "d2bf68f5efbb6969c47bb87a517be000ca40e946bb06f5b7f72a9aa4312926d0",
+    "solve-empty-batch": "70caf227f138070999b7e37e591f8e1a740083f260ca28af558fbac293c06f40",
+    "solve-eta0": "43065b7f3009aae69420324206095db1fcfa8806bf3221c1703b6fc9f4ae29b0",
+    "solve-n1": "9cb9a372d5d6ef572e3bd91a1f7330472a041d658b0a3447906b881ea3890977",
+    "solve-t-both": "57229b1bb70799bccc07d9c20a252b3926514c5cd2e32d0a1715d106d6912878",
+    "solve-t-le1": "b2f45d5de1214dd38781d0a6881bc407e50d24fba7a21809102456363806bee5",
+    "solve-tied": "5dc4aeb7682d4b7ac6e9882137b6fcf353a2b95d808a40461696120126f9335b",
+}
+
+
+def _digest(result):
+    h = hashlib.sha256()
+    for arr in (result if isinstance(result, tuple) else (result,)):
+        if arr is None:
+            h.update(b"None")
+            continue
+        arr = np.asarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_output_is_byte_identical(case, monkeypatch):
+    run, max_elements, side = KERNEL_CASES[case]
+    if max_elements is not None:
+        monkeypatch.setattr(mechanism, "_MAX_ELEMENTS", max_elements)
+    ts = []
+    root = mechanism._budget_root_sq
+
+    def spy(dev2, a, eta, *rest):
+        ts.append(np.broadcast_to(mechanism._HALF_THREE_ROOT3 * dev2 * eta / np.sqrt(a),
+                                  np.shape(a)))
+        return root(dev2, a, eta, *rest)
+
+    monkeypatch.setattr(mechanism, "_budget_root_sq", spy)
+    assert _digest(run()) == KERNEL_DIGESTS[case]
+    # the battery covers what its names say
+    t = np.concatenate([x.ravel() for x in ts]) if ts else np.empty(0)
+    if side == "le1":
+        assert t.size and t.max() <= 1.0
+    elif side == "gt1":
+        assert t.size and t.min() > 1.0
+    elif side == "both":
+        assert t.min() <= 1.0 < t.max()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 100, 300])
