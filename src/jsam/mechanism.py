@@ -19,7 +19,10 @@ closed-form minimizing B of the convex 1-D objective.
 The scan runs on ascending profiles. `solve_profiles` sorts each profile
 for it; `client_budgets`, which prices payment curves (one client's report
 per row, rivals fixed), sorts the truthful profile once and inserts each
-report at its rank, and gives the same budgets bit for bit.
+report at its rank, and gives the same budgets bit for bit. Both run their
+rows in chunks, and the scan, the budget root and the objective compute in
+place (`out=`) in one set of work arrays (`_Work`) that the call allocates
+once, sized to its longest chunk, and every chunk reuses.
 
 `dev` is the L1 distance between p and the uniform distribution, which under
 the threshold structure equals 2*(p_1 - 1/N).
@@ -36,8 +39,9 @@ import numpy as np
 _TWO_THIRDS = 2.0 / 3.0
 _TWO_OVER_ROOT3 = 2.0 / math.sqrt(3.0)
 _HALF_THREE_ROOT3 = 1.5 * math.sqrt(3.0)
-# most (row, threshold) pairs solved at once (`solve_profiles` and
-# `client_budgets` chunk their rows by it)
+# most (row, threshold) pairs solved at once: `solve_profiles` and
+# `client_budgets` chunk their rows by it, and every chunk of a call reuses
+# the work arrays that call allocates for its longest chunk
 _MAX_ELEMENTS = 32_768
 
 
@@ -139,7 +143,25 @@ def _split(p, total_budget, v, scale):
     return np.where(p > 0, eps, 0.0)
 
 
-def _budget_root_sq(dev2, a, eta):
+class _Work(NamedTuple):
+    """Work arrays of one shape for the threshold scan and the budget root:
+    six float ones and one bool. `_budget_root_sq` uses float slots 1-5 and
+    the mask, `_budget_and_objective` the same, and `_scan` all of them, so
+    a caller's `a` may sit in slot 0."""
+
+    floats: np.ndarray  # (6, *shape)
+    mask: np.ndarray    # shape, bool
+
+    @classmethod
+    def of(cls, shape):
+        return cls(np.empty((6, *shape)), np.empty(shape, dtype=bool))
+
+    def head(self, rows):
+        """The arrays' first `rows` rows: a shorter chunk's work arrays."""
+        return _Work(self.floats[:, :rows], self.mask[:rows])
+
+
+def _budget_root_sq(dev2, a, eta, work=None):
     """Vectorized B*^2: the positive root of dev2*x^3 + a*x^2 - eta^2*a^2.
 
     Substituting x = eta*sqrt(a)/u turns the cubic into u^3 - u - k = 0 with
@@ -148,32 +170,58 @@ def _budget_root_sq(dev2, a, eta):
     u = (2/sqrt(3))*cosh(arccosh(t)/3) for t > 1, t = (3*sqrt(3)/2)*k. One
     Newton step on u, whose derivative 3u^2 - 1 is at least 2, removes the
     rounding of the trigonometric form. Requires a > 0 and eta > 0.
+
+    Computed in `work` (fresh work arrays when None); the root is returned in
+    its float slot 1.
     """
-    root_a = np.sqrt(a)
-    k = dev2 * eta / root_a
-    t = _HALF_THREE_ROOT3 * k
+    if work is None:
+        work = _Work.of(np.broadcast_shapes(np.shape(dev2), np.shape(a)))
+    _, root_a, k, u, u2, step = work.floats
+    np.sqrt(a, out=root_a)
+    np.divide(dev2 * eta, root_a, out=k)
+    t = np.multiply(k, _HALF_THREE_ROOT3, out=u)
     # each branch only where its inverse function is defined
-    trig = t <= 1.0
-    hyper = ~trig
-    u = np.empty_like(t)
-    u[trig] = np.cos(np.arccos(t[trig]) / 3.0)
-    u[hyper] = np.cosh(np.arccosh(t[hyper]) / 3.0)
+    trig = np.less_equal(t, 1.0, out=work.mask)
+    np.arccos(t, out=u, where=trig)
+    np.divide(u, 3.0, out=u, where=trig)
+    np.cos(u, out=u, where=trig)
+    hyper = np.logical_not(trig, out=work.mask)
+    np.arccosh(t, out=u, where=hyper)
+    np.divide(u, 3.0, out=u, where=hyper)
+    np.cosh(u, out=u, where=hyper)
     u *= _TWO_OVER_ROOT3
-    u2 = u * u
-    u -= (u2 * u - u - k) / (3.0 * u2 - 1.0)
-    return eta * root_a / u
+    np.multiply(u, u, out=u2)
+    np.multiply(u2, u, out=step)
+    step -= u
+    step -= k
+    u2 *= 3.0
+    u2 -= 1.0
+    step /= u2
+    u -= step
+    root_a *= eta
+    root_a /= u
+    return root_a
 
 
-def _budget_and_objective(dev, a, eta):
-    """B* and the objective eta*sqrt(dev^2 + a/B*^2) + eta*dev + B* at it."""
-    if not np.all(a > 0):
+def _budget_and_objective(dev, a, eta, work=None):
+    """B* and the objective eta*sqrt(dev^2 + a/B*^2) + eta*dev + B* at it,
+    in `work`'s float slots 2 and 4 (of fresh work arrays when None)."""
+    if work is None:
+        work = _Work.of(np.broadcast_shapes(np.shape(dev), np.shape(a)))
+    if not np.greater(a, 0.0, out=work.mask).all():
         raise ValueError("noise coefficient Q*c is not positive: the virtual "
                          "costs are too small (or not numbers) to plan with")
     dev2 = dev * dev
-    bsq = _budget_root_sq(dev2, a, eta)
-    b = np.sqrt(bsq)
-    f = eta * np.sqrt(dev2 + a / bsq) + eta * dev + b
-    if not np.all(np.isfinite(f)):
+    bsq = _budget_root_sq(dev2, a, eta, work)
+    _, _, b, _, f, _ = work.floats
+    np.sqrt(bsq, out=b)
+    np.divide(a, bsq, out=f)
+    f += dev2
+    np.sqrt(f, out=f)
+    f *= eta
+    f += eta * dev
+    f += b
+    if not np.isfinite(f, out=work.mask).all():
         raise ValueError("objective is not finite: eta, q_coefficient or the "
                          "virtual costs overflow")
     return b, f
@@ -204,8 +252,9 @@ def solve_profiles(virtual_costs, cfg: ServerConfig) -> BatchSolution:
     order, of the objective over the N thresholds h = 1..N with p_h = 1/N:
     p_1 = 1 at h = 1 and (N + 1 - h)/N after, and B* in closed form at each.
     Rows are solved in chunks of at most `_MAX_ELEMENTS` (row, threshold)
-    pairs. At eta = 0 every plan is the degenerate one: the cheapest client
-    alone, with B = 0 and no privacy budgets.
+    pairs, every chunk in the call's one set of work arrays. At eta = 0
+    every plan is the degenerate one: the cheapest client alone, with B = 0
+    and no privacy budgets.
 
     Why p_h = 1/N, a checked conjecture. For h >= 2 the threshold structure
     leaves the segment p_1 = (N+1-h)/N + x, p_h = 1/N - x, x in [0, 1/N),
@@ -227,8 +276,13 @@ def solve_profiles(virtual_costs, cfg: ServerConfig) -> BatchSolution:
         raise ValueError("empty client profile")
     if np.any(v <= 0):
         raise ValueError("virtual costs must be positive")
-    parts = [_solve_chunk(v[rows], cfg) for rows in _row_chunks(batch, n)]
-    return BatchSolution(*map(np.concatenate, zip(*parts)))
+    sol = BatchSolution(np.empty((batch, n)), np.empty((batch, n)), np.empty(batch),
+                        np.empty(batch, dtype=int), np.empty(batch))
+    work, chunks = _row_chunks(batch, n)
+    for rows in chunks:
+        _solve_chunk(v[rows], cfg, work.head(rows.stop - rows.start),
+                     [field[rows] for field in sol])
+    return sol
 
 
 def client_budgets(virtuals, ks, z_virtuals, cfg: ServerConfig) -> np.ndarray:
@@ -240,16 +294,25 @@ def client_budgets(virtuals, ks, z_virtuals, cfg: ServerConfig) -> np.ndarray:
     The truthful profile is sorted once. Each row's ascending profile is the
     rivals' with the report inserted at its rank among them: the rivals below
     it, then the rivals equal to it with a lower index, which is the stable
-    sort's tie order. The rows run `solve_profiles`' scan in the same chunks;
-    the budget split's scale is taken from the full row and only the
-    budget at the report's rank is formed.
+    sort's tie order. The rows run `solve_profiles`' scan in the same chunks
+    and work arrays, on 2/3 powers taken once per call from the sorted
+    profile and the reports through each row's map of places; the budget
+    split's scale is taken over the full row and only the budget at the
+    report's rank is formed.
+
+    `virtuals` must be 1-D and each ks[i] an integer in [0, N).
     """
     v = np.asarray(virtuals, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"virtuals must be one (N,) profile, got shape {v.shape}")
     z = np.atleast_1d(np.asarray(z_virtuals, dtype=float))
-    ks = np.broadcast_to(ks, z.shape)
     n = v.size
     if n == 0:
         raise ValueError("empty client profile")
+    ks = np.asarray(ks)
+    if not (np.issubdtype(ks.dtype, np.integer) and np.all((ks >= 0) & (ks < n))):
+        raise ValueError(f"client indices ks must be integers in [0, {n})")
+    ks = np.broadcast_to(ks, z.shape)
     if not (np.all(v > 0) and np.all(z > 0)):
         raise ValueError("virtual costs must be positive")
     order = np.argsort(v, kind="stable")
@@ -262,76 +325,106 @@ def client_budgets(virtuals, ks, z_virtuals, cfg: ServerConfig) -> np.ndarray:
     if tied.size:  # a client (the report's own, perhaps) equals the report
         rank[tied] += np.count_nonzero(
             (v == z[tied, None]) & (np.arange(n) < ks[tied, None]), axis=1)
-    budgets = [_budgets_chunk(vs, position[ks[rows]], rank[rows], z[rows], cfg)
-               for rows in _row_chunks(z.size, n)]
-    return np.concatenate(budgets)
+    # the 2/3 powers the scan and the budget split read, at p = 1 and at
+    # p = 1/N: the rivals' from the sorted profile, the reports' per row
+    share = 1.0 / n
+    vs23, vs_share23 = np.stack([vs, vs * share]) ** _TWO_THIRDS
+    z23, z_share23 = np.stack([z, z * share]) ** _TWO_THIRDS
+    p1 = _first_shares(n)
+    budgets = np.empty(z.size)
+    work, chunks = _row_chunks(z.size, n)
+    sources = np.empty((chunks[0].stop, n), dtype=np.intp)
+    idx = np.arange(n)
+    for rows in chunks:
+        w = work.head(rows.stop - rows.start)
+        r = rank[rows]
+        at_rank = (np.arange(r.size), r)
+        # each place's index in the sorted profile: the rival there, and
+        # (clipped) any index at the report's rank
+        source = sources[:r.size]
+        np.subtract(idx, np.greater(idx, r[:, None], out=w.mask), out=source)
+        source += np.greater_equal(source, position[ks[rows], None], out=w.mask)
+        v23 = vs23.take(source, mode="clip", out=w.floats[1])
+        v23[at_rank] = z23[rows]
+        best, b_star, _ = _scan(cfg, w)
+        # the split's scale: (v p)^(2/3) summed over the selected places, the
+        # first at p_1 and the others at 1/N
+        terms = vs_share23.take(source, mode="clip", out=w.floats[0])
+        terms[at_rank] = z_share23[rows]
+        np.copyto(terms, 0.0, where=np.greater(idx, best[:, None], out=w.mask))
+        first = np.where(r == 0, z[rows], vs.take(source[:, 0], mode="clip"))
+        terms[:, 0] = (first * p1[best]) ** _TWO_THIRDS
+        p_rank = np.where(r == 0, p1[best], np.where(r <= best, share, 0.0))
+        budgets[rows] = _split(p_rank, b_star, z[rows], terms.sum(axis=1))
+    return budgets
 
 
 def _row_chunks(batch, n):
-    """Slices of at most `_MAX_ELEMENTS` // n rows covering `batch` rows (one
-    slice when `batch` is 0, so that an empty batch keeps its shape)."""
+    """Work arrays for the longest chunk and slices of at most
+    `_MAX_ELEMENTS` // n rows covering `batch` rows (one slice when `batch`
+    is 0, so that an empty batch keeps its shape)."""
     step = max(1, _MAX_ELEMENTS // n)
-    return [slice(i, i + step) for i in range(0, max(batch, 1), step)]
+    chunks = [slice(i, min(i + step, batch)) for i in range(0, max(batch, 1), step)]
+    return _Work.of((chunks[0].stop, n)), chunks
 
 
-def _solve_chunk(v, cfg: ServerConfig) -> BatchSolution:
+def _first_shares(n):
+    """p_1 at each threshold h = 1..N with p_h = 1/N: 1 at h = 1, then
+    (N + 1 - h)/N."""
+    return np.concatenate([[1.0], (n - np.arange(1, n)) * (1.0 / n)])
+
+
+def _solve_chunk(v, cfg: ServerConfig, work: _Work, out):
+    """`solve_profiles` on one chunk of rows, written into `out`, the
+    chunk's slices of the five result fields."""
+    p, eps, total_budget, threshold, objective = out
+    n = v.shape[1]
     order = np.argsort(v, axis=1, kind="stable")
     vs = np.take_along_axis(v, order, axis=1)
-    p_sorted, b_star, h_star, f_star = _scan(vs, cfg)
-    eps_sorted = _split(p_sorted, b_star[:, None], vs, _scale(p_sorted, vs))
-
-    inverse = np.argsort(order, axis=1)
-    p = np.take_along_axis(p_sorted, inverse, axis=1)
-    eps = np.take_along_axis(eps_sorted, inverse, axis=1)
-    return BatchSolution(p, eps, b_star, h_star, f_star)
-
-
-def _budgets_chunk(vs, own, rank, z, cfg: ServerConfig) -> np.ndarray:
-    """`client_budgets` on one chunk: `vs` is the sorted truthful profile,
-    `own` each row's client's place in it, `rank` the report's place in the
-    row."""
-    idx = np.arange(vs.size)
-    rival = idx - (idx > rank[:, None])  # the rival at each place but the rank
-    rows_vs = vs.take(rival + (rival >= own[:, None]), mode="clip")
-    rows = np.arange(rank.size)
-    rows_vs[rows, rank] = z
-    p_sorted, b_star, _, _ = _scan(rows_vs, cfg)
-    scale = _scale(p_sorted, rows_vs)[:, 0]
-    return _split(p_sorted[rows, rank], b_star, z, scale)
-
-
-def _scan(vs, cfg: ServerConfig):
-    """The threshold scan over ascending (rows, N) profiles: each row's
-    selection probabilities in that order, B*, threshold h and objective."""
-    batch, n = vs.shape
-    share = 1.0 / n
-    h = np.arange(1, n + 1)
-    p1 = np.concatenate([[1.0], (n + 1 - h[1:]) * share])
-    if cfg.eta == 0:
-        best = np.zeros(batch, dtype=int)  # ties at f = B = 0; h = 1 wins
-        b_star, f_star = np.zeros(batch), np.zeros(batch)
-    else:
-        # c^(1/3) at each (row, h): the cheapest client at p_1, client h at
-        # 1/N (none for h = 1) and clients 2..h-1 at 1/N. (1/N)^(2/3) is an
-        # array power, like p_1's: numpy's vectorized pow can differ from the
-        # scalar one in the last bit.
-        p1_23, ph_23 = np.stack([p1, np.full(n, share)]) ** _TWO_THIRDS
-        v23 = vs ** _TWO_THIRDS
-        prefix = np.cumsum(v23, axis=1)
-        vh = np.concatenate([np.zeros((batch, 1)), v23[:, 1:]], axis=1)
-        mid = (prefix[:, np.maximum(h - 2, 0)] - prefix[:, :1]) / n ** _TWO_THIRDS
-        inner = v23[:, :1] * p1_23 + vh * ph_23 + mid
-        b, f = _budget_and_objective(2.0 * (p1 - share), cfg.q_coefficient * inner ** 3,
-                                     cfg.eta)
-        best = np.argmin(f, axis=1)
-        rows = np.arange(batch)
-        b_star, f_star = b[rows, best], f[rows, best]
-
-    h_star = h[best]
+    np.power(vs, _TWO_THIRDS, out=work.floats[1])
+    best, b_star, f_star = _scan(cfg, work)
+    total_budget[:], objective[:], threshold[:] = b_star, f_star, best + 1
     idx = np.arange(n)[None, :]
-    p_sorted = np.where(idx == 0, p1[best][:, None],
-                        np.where(idx < h_star[:, None], share, 0.0))
-    return p_sorted, b_star, h_star, f_star
+    p_sorted = np.where(idx == 0, _first_shares(n)[best][:, None],
+                        np.where(idx <= best[:, None], 1.0 / n, 0.0))
+    eps_sorted = _split(p_sorted, total_budget[:, None], vs, _scale(p_sorted, vs))
+    np.put_along_axis(p, order, p_sorted, axis=1)
+    np.put_along_axis(eps, order, eps_sorted, axis=1)
+
+
+def _scan(cfg: ServerConfig, work: _Work):
+    """The threshold scan over ascending (rows, N) profiles whose 2/3 powers
+    are in `work`'s float slot 1: each row's best threshold's index h - 1,
+    its B* and its objective. Overwrites every work array."""
+    v23 = work.floats[1]
+    batch, n = v23.shape
+    if cfg.eta == 0:  # ties at f = B = 0; h = 1 wins
+        return np.zeros(batch, dtype=int), np.zeros(batch), np.zeros(batch)
+    # c^(1/3) at each (row, h): the cheapest client at p_1, client h at 1/N
+    # (none for h = 1) and clients 2..h-1 at 1/N. (1/N)^(2/3) is an array
+    # power, like p_1's: numpy's vectorized pow can differ from the scalar
+    # one in the last bit.
+    share = 1.0 / n
+    p1 = _first_shares(n)
+    p23 = np.append(p1, share) ** _TWO_THIRDS
+    inner, _, prefix, mid = work.floats[:4]
+    np.cumsum(v23, axis=1, out=prefix)
+    # clients 2..h-1: prefix[h - 2] - prefix[0], which is 0 for h <= 2
+    mid[:, 1:] = prefix[:, :-1]
+    mid[:, :1] = prefix[:, :1]
+    mid -= prefix[:, :1]
+    mid /= n ** _TWO_THIRDS
+    np.multiply(v23[:, :1], p23[:n], out=inner)
+    hterm = np.multiply(v23, p23[n], out=prefix)
+    hterm[:, 0] = 0.0
+    inner += hterm
+    inner += mid
+    a = np.power(inner, 3, out=inner)
+    a *= cfg.q_coefficient
+    b, f = _budget_and_objective(2.0 * (p1 - share), a, cfg.eta, work)
+    best = np.argmin(f, axis=1)
+    rows = np.arange(batch)
+    return best, b[rows, best], f[rows, best]
 
 
 def fixed_probability_solve(p, v, cfg: ServerConfig) -> BatchSolution:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -163,6 +164,9 @@ def _dense_solve(v, cfg, delta):
     p = np.take_along_axis(p_sorted, inverse, axis=1)
     eps = np.take_along_axis(eps_sorted, inverse, axis=1)
     return BatchSolution(p, eps, b_star, h_star, f[rows, best])
+
+
+_TOP = 2.0  # the virtual cost at the top of a uniform [0, 1] support
 
 
 _FIELDS = ("probabilities", "privacy_budgets", "total_budget", "threshold",
@@ -578,6 +582,29 @@ def test_client_budgets_reject_what_solve_profiles_rejects():
         client_budgets(np.array([0.5, 0.7]), 0, np.array([0.0]), cfg)
     with pytest.raises(ValueError, match="noise coefficient"):
         client_budgets(np.full(5, 1e-200), 0, np.array([1e-200]), cfg)
+    # and what only its index arguments can get wrong
+    with pytest.raises(ValueError, match=r"virtuals must be one \(N,\) profile"):
+        client_budgets(np.full((2, 3), 0.5), 0, np.array([0.5, 0.6]), cfg)
+    for ks in (-1, 5, np.array([1, 5]), 1.0, True):
+        with pytest.raises(ValueError, match=r"ks must be integers in \[0, 5\)"):
+            client_budgets(np.full(5, 0.5), ks, np.array([0.5, 0.6]), cfg)
+
+
+def test_client_budgets_run_in_a_few_work_arrays():
+    # one 200-row, N = 100 payment-curve call computes in one set of work
+    # arrays (six float, one bool and one index, each (rows, N)), not in
+    # fresh temporaries at every step
+    cfg = ServerConfig(eta=1e3, q_coefficient=6e4)
+    v = _TOP * np.random.default_rng(5).uniform(0.01, 1.0, 100)
+    z = np.linspace(v[7], _TOP, 200)
+    client_budgets(v, 7, z, cfg)
+    tracemalloc.start()
+    try:
+        client_budgets(v, 7, z, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * z.size * v.size * 8
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +612,6 @@ def test_client_budgets_reject_what_solve_profiles_rejects():
 # recorded before the threshold scan ran in reusable work arrays. The
 # `.tobytes()` comparisons above pit kernels that share one scan against
 # each other; these pin the scan itself.
-
-_TOP = 2.0  # the virtual cost at the top of a uniform [0, 1] support
-
 
 def _profiles(seed, rows, n, floor=0.01):
     return _TOP * np.random.default_rng(seed).uniform(floor, 1.0, size=(rows, n))
