@@ -180,7 +180,8 @@ def _budget_root_sq(dev2, a, eta, work=None):
     np.sqrt(a, out=root_a)
     np.divide(dev2 * eta, root_a, out=k)
     t = np.multiply(k, _HALF_THREE_ROOT3, out=u)
-    # each branch only where its inverse function is defined
+    # u over t in place, each branch only where its inverse function is
+    # defined
     trig = np.less_equal(t, 1.0, out=work.mask)
     np.arccos(t, out=u, where=trig)
     np.divide(u, 3.0, out=u, where=trig)
@@ -190,6 +191,7 @@ def _budget_root_sq(dev2, a, eta, work=None):
     np.divide(u, 3.0, out=u, where=hyper)
     np.cosh(u, out=u, where=hyper)
     u *= _TWO_OVER_ROOT3
+    # the Newton step u -= (u^3 - u - k) / (3u^2 - 1), then eta*sqrt(a)/u
     np.multiply(u, u, out=u2)
     np.multiply(u2, u, out=step)
     step -= u
@@ -215,6 +217,7 @@ def _budget_and_objective(dev, a, eta, work=None):
     bsq = _budget_root_sq(dev2, a, eta, work)
     _, _, b, _, f, _ = work.floats
     np.sqrt(bsq, out=b)
+    # f = eta*sqrt(dev2 + a/bsq) + eta*dev + b
     np.divide(a, bsq, out=f)
     f += dev2
     np.sqrt(f, out=f)
