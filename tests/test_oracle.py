@@ -1,9 +1,11 @@
 """Independent-search oracles versus the closed-form solver."""
 
 import hashlib
+import itertools
 import json
 import math
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +58,16 @@ def test_lagrangian_split_rejects_bad_inputs():
         lagrangian_budget_split(np.array([0.5, 0.5]), np.array([1.0, 1.0]), 0.0)
     with pytest.raises(ValueError):
         lagrangian_budget_split(np.array([0.5, 0.5]), np.array([1.0, -1.0]), 1.0)
+    # non-finite inputs are named before any root find
+    for budget in (math.nan, math.inf, [1.0, math.nan]):
+        with pytest.raises(ValueError, match="total budget must be finite"):
+            lagrangian_budget_split([[0.5, 0.5], [0.2, 0.8]], [1.0, 1.0], budget)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="p must be finite"):
+            lagrangian_budget_split([bad, 0.5], [1.0, 1.0], 1.0)
+        for p in ([0.5, 0.5], [1.0, 0.0]):
+            with pytest.raises(ValueError, match="virtual costs must be finite"):
+                lagrangian_budget_split(p, [1.0, bad], 1.0)
 
 
 def test_lagrangian_split_fails_loudly_outside_its_bracket():
@@ -114,6 +126,15 @@ def test_brute_force_guards():
         brute_force_solve(np.ones(2), cfg, grid_step=0.013)
     with pytest.raises(ValueError, match="positive"):
         brute_force_solve(np.array([1.0, -1.0]), cfg)
+    # non-finite inputs are named before any work, without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for step in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="grid_step must be finite"):
+                brute_force_solve(np.ones(2), cfg, grid_step=step)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="virtual costs must be finite"):
+                brute_force_solve(np.array([1.0, bad]), cfg)
 
 
 def test_brute_force_evaluation_count():
@@ -178,8 +199,13 @@ def test_unstructured_brute_force_optimum_measures_inf(monkeypatch):
 
 
 def test_oracle_binds_none_of_the_solver():
-    bound = {"solve_profiles", "optimal_epsilon", "verify_structure"} & set(vars(jsam.oracle))
-    assert not bound
+    solver = {"solve_profiles", "optimal_epsilon", "verify_structure", "client_budgets",
+              "fixed_probability_solve", "_budget_root_sq", "_budget_and_objective",
+              "_scan", "_split", "_scale"}
+    assert not solver & set(vars(jsam.oracle))
+    from_solver = {name for name, value in vars(jsam.oracle).items()
+                   if getattr(value, "__module__", None) == "jsam.mechanism"}
+    assert from_solver == {"ServerConfig"}
 
 
 def test_brute_force_tracks_the_solver_on_random_instances(uniform01, rng):
@@ -326,3 +352,74 @@ def _digest(arrays):
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_oracle_output_is_byte_identical(case):
     assert _digest(ORACLE_CASES[case]()) == ORACLE_DIGESTS[case]
+
+
+# ---------------------------------------------------------------------------
+# the brute force's pieces: its numpy grid, its objective floor and how few
+# grid points it searches
+
+def _reference_compositions(resolution, parts):
+    """Rows of `parts` nonnegative ints summing to `resolution`, in lex order,
+    from the divider positions of stars and bars."""
+    rows = []
+    for dividers in itertools.combinations(range(resolution + parts - 1), parts - 1):
+        edges = (-1, *dividers, resolution + parts - 1)
+        rows.append([hi - lo - 1 for lo, hi in zip(edges, edges[1:])])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("parts,resolution,chunks", [
+    (1, 1, 1), (1, 100, 1), (2, 1, 1), (2, 1000, 1), (3, 7, 1), (3, 100, 101),
+    (4, 20, 1), (4, 50, 51), (5, 4, 1), (5, 30, 31)])
+def test_grid_enumeration_matches_itertools(parts, resolution, chunks, monkeypatch):
+    monkeypatch.setattr(jsam.oracle, "_CHUNK_ROWS", 5_000)
+    blocks = list(jsam.oracle._composition_chunks(resolution, parts))
+    assert len(blocks) == chunks
+    assert np.array_equal(np.concatenate(blocks), _reference_compositions(resolution, parts))
+
+
+@pytest.mark.parametrize("case", sorted(c for c in ORACLE_CASES
+                                        if c.split("-")[0] in ("brute", "audit")
+                                        and c != "brute-n3-eta0"))
+def test_each_grid_points_floor_bounds_its_budget_search(case, monkeypatch):
+    # with the slack infinite every grid point is searched; each floor is at
+    # most its point's searched minimum, which is at most f at the floor's
+    # budget, and the result keeps every bit
+    floor_of, golden = jsam.oracle._objective_floor, jsam.oracle._golden_minimize
+    floors, checks = [], []
+
+    def floor_spy(dev, a, eta):
+        floors.append(floor_of(dev, a, eta))
+        return floors[-1]
+
+    def golden_spy(fn, lo, hi):
+        b_star, f_star = golden(fn, lo, hi)
+        floor, b_guess = floors[-1]
+        checks.append((floor, f_star, fn(b_guess)))
+        return b_star, f_star
+
+    monkeypatch.setattr(jsam.oracle, "_SLACK", math.inf)
+    monkeypatch.setattr(jsam.oracle, "_objective_floor", floor_spy)
+    monkeypatch.setattr(jsam.oracle, "_golden_minimize", golden_spy)
+    assert _digest(ORACLE_CASES[case]()) == ORACLE_DIGESTS[case]
+    assert checks
+    for floor, f_star, f_guess in checks:
+        assert floor.shape == f_star.shape
+        assert np.all(floor <= f_star * (1 + 1e-15))
+        assert np.all(f_star <= f_guess * (1 + 1e-15))
+
+
+def test_budget_search_runs_on_few_grid_points(monkeypatch):
+    golden = jsam.oracle._golden_minimize
+    searched = []
+
+    def spy(fn, lo, hi):
+        searched[-1] += lo.size
+        return golden(fn, lo, hi)
+
+    monkeypatch.setattr(jsam.oracle, "_golden_minimize", spy)
+    for seed in range(20):
+        for v, cfg in _audit_instances(seed):
+            searched.append(0)
+            points = brute_force_solve(v, cfg, 0.01).evaluations
+            assert 0 < searched[-1] <= 0.10 * points, (seed, v)
