@@ -67,9 +67,9 @@ def lagrangian_budget_split(p, v, total_budget):
     Each selected coordinate's condition v*eps^3 = 2 p^2 is solved at a unit
     multiplier to relative tolerance 1e-13, then all are rescaled to spend B;
     any other multiplier scales every root alike, which the rescale cancels.
-    A root at an end of the fixed bracket raises ArithmeticError. Returns
-    (eps, objective) with leading batch dimensions preserved; coordinates
-    with p = 0 get eps = 0.
+    A non-finite input raises ValueError, and a root at an end of the fixed
+    bracket ArithmeticError. Returns (eps, objective) with leading batch
+    dimensions preserved; coordinates with p = 0 get eps = 0.
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     v = np.broadcast_to(np.asarray(v, dtype=float), p.shape)

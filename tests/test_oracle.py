@@ -74,6 +74,13 @@ def test_lagrangian_split_fails_loudly_outside_its_bracket():
     # the closed form gives eps_1 = 2.15e13, past the bracket's 1e12 end
     with pytest.raises(ArithmeticError, match="bracket"):
         lagrangian_budget_split([[0.5, 0.5]], [1e-40, 1.0], 1.0)
+    # the brute force raises for a selected coordinate at any grid point ...
+    for v, step in (([1e-40, 1.0], 0.5), ([1.0, 1e-40, 2.0], 0.01)):
+        with pytest.raises(ArithmeticError, match="bracket"):
+            brute_force_solve(np.array(v), ServerConfig(), step)
+    # ... and only there: at N = 1 the grid is p = 1 alone, whose root
+    # (2/v)^(1/3) = 2.7e-12 is inside the bracket while p = 0.01's is not
+    assert brute_force_solve(np.array([1e35]), ServerConfig(), 0.01).probabilities == [1.0]
 
 
 def test_brute_force_single_client_budget():
