@@ -93,7 +93,8 @@ def test_solve_matches_the_golden_plan(case, tmp_path):
 # profiles, and one golden case of each other mechanism kind. The jsam ones
 # were recorded before payment curves were priced against presorted rivals
 # (`mechanism.client_budgets`), the other kinds' before `make_plan` called
-# each kernel directly.
+# each kernel directly, and the n6 fsbm ones before the fixed kinds' curves
+# were priced against the truthful p.
 _PLAN_N100 = {"clients": 100, "costs": {"kind": "uniform", "lower": 0.0, "upper": 1.0},
               "payment_grid": 200, "mechanisms": ["jsam"]}
 DIGEST_CASES = {
@@ -104,6 +105,12 @@ DIGEST_CASES = {
                         "server": {"eta": 1000.0}, "mechanisms": ["jsam"]},
     "n2-tied-eta1": {"clients": 2, "sensitivities": [0.5] * 2,
                      "server": {"eta": 1.0}, "mechanisms": ["jsam"]},
+    # fsbm-4's 4th and 5th cheapest costs tie at 0.5; fsbm-6 selects every
+    # client, so no report drops one out
+    **{f"n6-fsbm{m}-eta{eta:g}":
+       {"clients": 6, "sensitivities": [0.25, 0.5, 0.125, 0.5, 0.75, 0.375],
+        "server": {"eta": eta}, "mechanisms": [f"fsbm-{m}"]}
+       for m, eta in ((4, 1000.0), (6, 1000.0), (1, 1.0))},
     **{case: CASES[case] for case in ("n100-gaussian-usbm-eta1000",
                                       "n100-gaussian-fsbm10-eta1000",
                                       "n30-uniform-bbm-eta300",
@@ -122,6 +129,9 @@ DIGESTS = {
         "7ce4070d1d777db0c4e45a6f0dd8cb4f3b5760483236033e87888f7b8dbe3cc5",
     "n2-tied-eta1": "5e6dcf8b7a938d0add03b1a0e946de6ef8959f498bd5a1fcf0782aa685f171ad",
     "n4-tied-eta1000": "13ab8e1c48c070cffe581006a70e4ef9bdba79664d32c3e71a2151a59c6444a0",
+    "n6-fsbm1-eta1": "b343aefb4d0bad3ea2942fe7837eb7e2fa5df667d753ece6968b841ab35ee2b8",
+    "n6-fsbm4-eta1000": "9e583dc79f929cd005cdcc25f932afc4337e8e95ffbde868271dd850d9bcf88b",
+    "n6-fsbm6-eta1000": "50ecea54e5dceabe62d21aca28272b734738c6a19105852ed79766c91c4b8bfe",
     "n30-uniform-bbm-eta300":
         "9b2d3bb313257623d18f1e12721cb990459889ece2a825fe4ecef9fe5bdb99d2",
     "n30-uniform-jsamci-eta300":
