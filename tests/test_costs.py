@@ -1,5 +1,6 @@
 """Sensitivity distributions, virtual costs, and client ordering."""
 
+import math
 import warnings
 
 import numpy as np
@@ -49,6 +50,38 @@ REFERENCE_PRIORS = [(0.5, 0.2, 0.05, 1.0), (0.5, 0.2, 0.0, 1.0), (10.0, 0.2, 0.0
                     (0.3, 1.0, 0.0, 1.0)]
 
 
+def _draw_atol(dist, draws):
+    """Each draw's absolute tolerance against scipy's, from the arithmetic of
+    the draw c = mean + std*x, where x = ndtri_exp(L) and L = log Phi(s) at
+    the standardized draw s (x, or -x in `sample`'s mirrored branch):
+
+    - L = logaddexp(log Phi(alpha), log u + log Z). The package's log Z and
+      scipy's can differ in the last bit, and each sum rounds, so the two L
+      differ by a few ulps of max(1, |log Z|);
+    - dx/dL = Phi(s)/phi(s), so x moves by that factor times the change in L,
+      and c by std times the move in x;
+    - std*x and the sum each round once more: an ulp of |std*x|, of |c| and
+      of |mean|.
+
+    The tolerance is four times the sum of those terms.
+    """
+    from scipy.special import log_ndtr
+
+    x = (draws - dist.mean) / dist.std
+    s = x if dist.lower < dist.mean else -x
+    dx_dl = np.exp(log_ndtr(s) + s * s / 2.0 + 0.5 * math.log(2.0 * math.pi))
+    return 4.0 * (dist.std * dx_dl * np.spacing(max(1.0, abs(float(dist._log_z()))))
+                  + np.spacing(dist.std * np.abs(x)) + np.spacing(np.abs(draws))
+                  + np.spacing(abs(dist.mean)))
+
+
+def _assert_draws_match(dist, got, want):
+    """assert_allclose at rtol=1e-12 with `_draw_atol`'s per-draw atol."""
+    assert got.shape == want.shape
+    excess = np.abs(got - want) - (_draw_atol(dist, want) + 1e-12 * np.abs(want))
+    assert np.all(excess <= 0), f"a draw is {np.nanmax(excess):.3g} past its tolerance"
+
+
 def _assert_matches_truncnorm(mean, std, lower, upper, seed):
     dist = TruncatedGaussianCosts(mean=mean, std=std, lower=lower, upper=upper)
     ref = stats.truncnorm((lower - mean) / std, (upper - mean) / std,
@@ -58,12 +91,8 @@ def _assert_matches_truncnorm(mean, std, lower, upper, seed):
                       (dist.pdf(grid), ref.pdf(grid))]:
         np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    # the package's log mass and scipy's can differ in the last bit, which
-    # moves a draw near the support's lower end by an ulp of the support top
-    np.testing.assert_allclose(
-        dist.sample(np.random.default_rng(seed), 200),
-        ref.rvs(size=200, random_state=np.random.default_rng(seed)), rtol=1e-12,
-        atol=4 * np.spacing(upper))
+    _assert_draws_match(dist, dist.sample(np.random.default_rng(seed), 200),
+                        ref.rvs(size=200, random_state=np.random.default_rng(seed)))
 
 
 @pytest.mark.parametrize("seed, prior", enumerate(REFERENCE_PRIORS))
@@ -77,6 +106,8 @@ def test_gaussian_matches_scipy_truncnorm(seed, prior):
 @settings(max_examples=40, deadline=None)
 @example(mean=0.0, std=1.0, lower=0.0, width=1.0, seed=66)  # a central mass (lo <= 0 < hi)
 @example(mean=0.0, std=1.0, lower=1e-12, width=0.5, seed=2860833)  # 1.25 ulp of upper off
+@example(mean=-1.0, std=1.0, lower=0.0, width=0.1, seed=212)  # 12 ulps of upper off
+@example(mean=-0.0625, std=1.5, lower=0.0, width=0.125, seed=1276)  # std * Phi/phi ~ 1.7
 @given(st.floats(-1.0, 2.0), st.floats(0.1, 2.0), st.floats(0.0, 0.5),
        st.floats(0.1, 1.0), st.integers(0, 2 ** 32 - 1))
 def test_gaussian_matches_scipy_truncnorm_on_random_priors(mean, std, lower, width,
@@ -86,6 +117,21 @@ def test_gaussian_matches_scipy_truncnorm_on_random_priors(mean, std, lower, wid
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_matches_truncnorm(mean, std, lower, lower + width, seed)
+
+
+@pytest.mark.parametrize("mean, std, upper, seed", [(-1.0, 1.0, 0.1, 212),
+                                                    (-0.0625, 1.5, 0.125, 1276)])
+def test_draw_tolerance_still_sees_a_draw_moved_by_1e_12(mean, std, upper, seed):
+    # rtol alone admits a move of 1e-12 of the draw itself; a move of 1e-12
+    # of the support top, at the lowest draw, is far above the rounding the
+    # tolerance allows
+    dist = TruncatedGaussianCosts(mean=mean, std=std, lower=0.0, upper=upper)
+    want = dist.sample(np.random.default_rng(seed), 200)
+    _assert_draws_match(dist, want, want)
+    got = want.copy()
+    got[want.argmin()] += 1e-12 * upper
+    with pytest.raises(AssertionError):
+        _assert_draws_match(dist, got, want)
 
 
 def test_gaussian_far_tail_prior_is_rejected_as_before():
