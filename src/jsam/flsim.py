@@ -245,7 +245,7 @@ def build_schedule(p, rounds, per_round, rng: np.random.Generator) -> np.ndarray
     """Pre-draw all per-round client multisets i.i.d. from p, with replacement:
     the (rounds, per_round) 0-based client indices."""
     p = np.asarray(p, dtype=float)
-    if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
+    if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):  # NaN and inf fail too
         raise ValueError("p must lie on the simplex")
     return rng.choice(p.size, size=(rounds, per_round), replace=True,
                       p=p / p.sum())
@@ -307,28 +307,23 @@ def initial_local_losses(task: SyntheticTask, shards, w) -> np.ndarray:
     return -log_p.reshape(y.shape).mean(axis=1)
 
 
-def _selection(kind, subset, n, bbm_losses):
-    """The fixed-probability kinds' selection rule: (rows, N) reports -> p."""
+def _selection(kind, subset, costs, bbm_losses):
+    """The fixed-probability kinds' p of the truthful reports `costs`."""
+    n = costs.size
     if kind == "fsbm":
         if subset > n:
             raise ValueError("fsbm subset larger than the client count")
-
-        def cheapest(reports):
-            order = np.argsort(reports, axis=1, kind="stable")
-            p = np.zeros_like(reports)
-            np.put_along_axis(p, order[:, :subset], 1.0 / subset, axis=1)
-            return p
-        return cheapest
+        p = np.zeros(n)
+        p[np.argsort(costs, kind="stable")[:subset]] = 1.0 / subset
+        return p
     if kind == "usbm":
-        p_fixed = np.full(n, 1.0 / n)
-    else:
-        if bbm_losses is None:
-            raise ValueError("bbm needs probe losses for the initial model")
-        losses = np.asarray(bbm_losses, dtype=float)
-        if losses.size != n or np.any(losses <= 0):
-            raise ValueError("bbm probe losses must be positive, one per client")
-        p_fixed = losses / losses.sum()
-    return lambda reports: np.broadcast_to(p_fixed, reports.shape)
+        return np.full(n, 1.0 / n)
+    if bbm_losses is None:
+        raise ValueError("bbm needs probe losses for the initial model")
+    losses = np.asarray(bbm_losses, dtype=float)
+    if losses.size != n or not np.all((losses > 0) & np.isfinite(losses)):
+        raise ValueError("bbm probe losses must be positive and finite, one per client")
+    return losses / losses.sum()
 
 
 def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
@@ -336,48 +331,51 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
     """Build the selection plan and its payments for any mechanism kind.
 
     jsam solves the truthful profile's virtual costs with `solve_profiles`,
-    jsam_ci its reported costs. usbm, fsbm-M and bbm pick p from the reports
-    and solve with `fixed_probability_solve`. The payment curves are the
-    same rule: eps_of_reports(ks, z) is client ks[i]'s budget at report z[i],
-    rivals fixed (a scalar k broadcasts). For jsam that is `client_budgets`,
-    which sorts the rivals once and forms only that budget; the fixed kinds
-    solve each whole (rows, N) profile. `expost_payments` sweeps all clients'
-    curves upward in one pass and ends each at its first zero, because a
-    client out at one report stays out above it. Payments are envelope
-    payments against the realized rival reports (their expectation over
-    rivals is the interim rule), except jsam_ci, which pays the reported cost
-    outright: c_k * eps_k, leaving no information rent. At eta 0 every budget
-    is 0, so nothing is priced and every payment is 0.
+    jsam_ci its reported costs; usbm, fsbm-M and bbm solve the one p of the
+    truthful reports with `fixed_probability_solve`. The payment curves are
+    the same rule: eps_of_reports(ks, z) is client ks[i]'s budget at report
+    z[i], rivals fixed (a scalar k broadcasts). jsam's is `client_budgets`,
+    which sorts the rivals once and forms only that budget; a fixed kind's
+    report moves only its own virtual cost under the truthful p, up to
+    fsbm-M's cut. `expost_payments` sweeps the curves upward in one pass and
+    ends each at its first zero, because a client out at one report stays
+    out above it. Payments are envelope payments against the realized rival
+    reports (their expectation over rivals is the interim rule), except
+    jsam_ci's: c_k * eps_k, no information rent and no curve. At eta 0 every
+    budget is 0, so every payment is 0.
     """
     kind, subset = parse_mechanism(name)
     costs = np.asarray(costs, dtype=float)
     if np.any(costs <= dist.lower) and dist.virtual(dist.lower) <= 0:
         raise ValueError("cost at the support boundary has zero virtual cost")
     virtuals = dist.virtual(costs)
-    if kind in ("jsam", "jsam_ci"):
-        sol = solve_profiles((virtuals if kind == "jsam" else costs)[None, :], cfg)
+    if kind == "jsam_ci":
+        sol = solve_profiles(costs[None, :], cfg)
+    elif kind == "jsam":
+        sol = solve_profiles(virtuals[None, :], cfg)
 
         def eps_of_reports(ks, z):
             return client_budgets(virtuals, ks, dist.virtual(z), cfg)
     else:
-        selection = _selection(kind, subset, costs.size, bbm_losses)
-        sol = fixed_probability_solve(selection(costs[None, :]), virtuals[None, :], cfg)
+        p = _selection(kind, subset, costs, bbm_losses)
+        sol = fixed_probability_solve(p, virtuals[None, :], cfg)
+        # fsbm-M's cut: k leaves the M cheapest, for a 0 budget, once (z, k) passes
+        # (c_last, last), `last` the (M + 1)-th client in stable order (M < N)
+        last = (np.argsort(costs, kind="stable")[subset]
+                if kind == "fsbm" and subset < costs.size else None)
 
         def eps_of_reports(ks, z):
             rows = np.arange(z.size)
-            reports = np.tile(costs, (z.size, 1))
-            reports[rows, ks] = z
             profiles = np.tile(virtuals, (z.size, 1))
             profiles[rows, ks] = dist.virtual(z)
-            return fixed_probability_solve(selection(reports), profiles,
-                                           cfg).privacy_budgets[rows, ks]
+            eps = fixed_probability_solve(p, profiles, cfg).privacy_budgets[rows, ks]
+            if last is not None:
+                eps[(z > costs[last]) | ((z == costs[last]) & (ks >= last))] = 0.0
+            return eps
 
     eps = sol.privacy_budgets[0]
-    if kind == "jsam_ci":
-        payments = costs * eps
-    else:
-        payments = expost_payments(costs, eps, dist.upper, eps_of_reports,
-                                   grid_size=payment_grid)[0]
+    payments = costs * eps if kind == "jsam_ci" else expost_payments(
+        costs, eps, dist.upper, eps_of_reports, grid_size=payment_grid)[0]
     return SelectionPlan(kind=name, eta=cfg.eta, probabilities=sol.probabilities[0],
                          epsilons=eps, total_budget=float(sol.total_budget[0]),
                          payments=payments, objective=float(sol.objective_value[0]),

@@ -435,16 +435,17 @@ def fixed_probability_solve(p, v, cfg: ServerConfig) -> BatchSolution:
 
     Used by fixed-probability baselines. The deviation term is the L1
     distance to uniform summed over all clients, since arbitrary p need not
-    follow the threshold structure. p and v are (B, N); returns the plans
-    with p as given and threshold None. At eta = 0 every budget is 0.
+    follow the threshold structure. v is (B, N), p is (B, N) or one shared
+    row; plans keep p (broadcast), threshold None, and zero budgets at eta 0.
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    batch, n = p.shape
-    if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9) or np.any(p < 0):
-        raise ValueError("p must lie on the simplex")
-    if np.any(v[p > 0] <= 0):
+    if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-9)):
+        raise ValueError("p must lie on the simplex")  # NaN and inf fail too
+    if np.any((p > 0) & (v <= 0)):
         raise ValueError("selected client with non-positive virtual cost")
+    p = np.broadcast_to(p, np.broadcast_shapes(p.shape, v.shape))
+    batch, n = p.shape
     if cfg.eta == 0:
         return BatchSolution(p, np.zeros((batch, n)), np.zeros(batch), None, np.zeros(batch))
     dev = np.abs(p - 1.0 / n).sum(axis=1)

@@ -119,8 +119,8 @@ def expost_payments(costs, budgets, support_upper, eps_of_reports,
       Raising an unselected client's report leaves every candidate that
       excludes it bit-for-bit unchanged and can only raise the others, so
       argmin keeps its first minimiser and the client stays out.
-    - fsbm-M: the client is not among the M cheapest reports, and raising
-      its report keeps it out.
+    - fsbm-M: `make_plan`'s cut gives the client 0 once its report passes
+      the (M + 1)-th cheapest in stable order, and at every report above.
     - usbm and bbm give every client a positive budget.
 
     So a client with a zero truthful budget is paid 0 with error 0. The other

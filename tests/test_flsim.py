@@ -501,6 +501,9 @@ def test_schedule_is_seed_deterministic():
 def test_schedule_rejects_non_simplex_p(rng):
     with pytest.raises(ValueError):
         build_schedule(np.array([0.7, 0.7]), 10, 2, rng)
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [1.0, np.nan, 0.0]):
+        with pytest.raises(ValueError, match="^p must lie on the simplex$"):
+            build_schedule(np.array(bad), 10, 2, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +551,14 @@ def test_bbm_needs_probe_losses(uniform01, rng):
     plan = make_plan("bbm", costs, uniform01, FAST, bbm_losses=losses,
                          payment_grid=60)
     assert plan.probabilities == pytest.approx(losses / losses.sum())
+    # non-finite losses are named before any arithmetic warns
+    for bad in ([np.nan, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0],
+                [1.0, 1.0, 1.0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^bbm probe losses must be positive "
+                                                 "and finite, one per client$"):
+                make_plan("bbm", costs, uniform01, FAST, bbm_losses=bad)
 
 
 def test_jsam_ci_pays_reported_cost_exactly(uniform01, rng):

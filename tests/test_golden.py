@@ -23,8 +23,8 @@ import pytest
 from jsam import flsim
 from jsam.cli import main
 from jsam.costs import TruncatedGaussianCosts, UniformCosts
-from jsam.flsim import make_plan
-from jsam.mechanism import ServerConfig, _budget_root_sq
+from jsam.flsim import make_plan, parse_mechanism
+from jsam.mechanism import ServerConfig, _budget_root_sq, fixed_probability_solve
 from jsam.payments import (_COARSE_STRIDE, _envelope, _trapezoid_error,
                            expost_payments)
 
@@ -249,7 +249,7 @@ def test_one_pass_payments_equal_every_node_evaluation(mechanism, dist, monkeypa
 
     monkeypatch.setattr(flsim, "solve_profiles", counted(flsim.solve_profiles))
     monkeypatch.setattr(flsim, "fixed_probability_solve",
-                        counted(flsim.fixed_probability_solve))
+                        counted(flsim.fixed_probability_solve, 1))
     monkeypatch.setattr(flsim, "client_budgets", counted(flsim.client_budgets, 2))
     costs, _, plan, eps_fn = priced_plan(monkeypatch, mechanism, 0, grid, dist)
     curve_rows = rows[1:]  # the first call is the truthful profile
@@ -301,6 +301,75 @@ def test_payment_curve_at_the_true_cost_is_the_plans_budget(mechanism, monkeypat
     at_truth = np.array([eps_fn(k, costs[k:k + 1])[0] for k in range(costs.size)])
     assert at_truth.tobytes() == plan.epsilons.tobytes()
     assert np.count_nonzero(at_truth) > 0
+
+
+
+def tiled_curve(name, costs, dist, cfg, losses):
+    """The reference for a fixed kind's payment curve, as `make_plan` priced
+    it before it ran the selection rule once: tile the reports, put z in
+    column k, run the rule on every row and solve each whole profile."""
+    kind, subset = parse_mechanism(name)
+    virtuals = dist.virtual(costs)
+    if kind == "fsbm":
+        def selection(reports):
+            order = np.argsort(reports, axis=1, kind="stable")
+            p = np.zeros_like(reports)
+            np.put_along_axis(p, order[:, :subset], 1.0 / subset, axis=1)
+            return p
+    else:
+        p_fixed = np.full(costs.size, 1.0 / costs.size) if kind == "usbm" else \
+            losses / losses.sum()
+
+        def selection(reports):
+            return np.broadcast_to(p_fixed, reports.shape)
+
+    def eps_of_reports(ks, z):
+        rows = np.arange(z.size)
+        reports = np.tile(costs, (z.size, 1))
+        reports[rows, ks] = z
+        profiles = np.tile(virtuals, (z.size, 1))
+        profiles[rows, ks] = dist.virtual(z)
+        return fixed_probability_solve(selection(reports), profiles,
+                                       cfg).privacy_budgets[rows, ks]
+    return eps_of_reports
+
+
+def test_fixed_kinds_curves_equal_the_tiled_selection(monkeypatch):
+    # costs on a 1/8 grid tie often, at the fsbm cut too; each client's
+    # reports run from its cost to the support top through every rival cost
+    curves = []
+
+    def capture(costs, budgets, support_upper, eps_of_reports, grid_size):
+        curves.append(eps_of_reports)
+        return np.zeros(costs.size), np.zeros(costs.size)
+
+    monkeypatch.setattr(flsim, "expost_payments", capture)
+    rng = np.random.default_rng(2028)
+    ties = {"kept": 0, "cut": 0}  # reports at c_last: k before or after last
+    for n in range(1, 13):
+        names = {"usbm", "bbm", "fsbm-1", f"fsbm-{n}"} | ({f"fsbm-{n - 1}"} if n > 1 else set())
+        for name in sorted(names):
+            for dist in (UNIFORM, GAUSSIAN, UNIFORM, GAUSSIAN):
+                costs = rng.integers(1, 9, size=n) / 8.0
+                losses = rng.uniform(0.5, 2.0, size=n)
+                cfg = ServerConfig(eta=10.0 ** rng.uniform(-2, 4),
+                                   q_coefficient=10.0 ** rng.uniform(0, 5))
+                make_plan(name, costs, dist, cfg, bbm_losses=losses)
+                ks = np.concatenate([np.full(n + 10, k) for k in range(n)])
+                z = np.concatenate([np.concatenate([
+                    np.linspace(costs[k], dist.upper, 9), [dist.upper],
+                    np.maximum(costs, costs[k])]) for k in range(n)])
+                got = curves.pop()(ks, z)
+                assert got.tobytes() == tiled_curve(name, costs, dist, cfg,
+                                                    losses)(ks, z).tobytes(), name
+                kind, m = parse_mechanism(name)
+                if kind == "fsbm" and m < n:
+                    last = np.argsort(costs, kind="stable")[m]
+                    at_cut = (z == costs[last]) & (ks != last)
+                    ties["kept"] += np.count_nonzero(at_cut & (ks < last) & (got > 0))
+                    ties["cut"] += np.count_nonzero(at_cut & (ks > last)
+                                                    & (costs[ks] < costs[last]))
+    assert min(ties.values()) > 0
 
 
 if __name__ == "__main__":

@@ -270,6 +270,18 @@ def test_reduced_objective_rejects_infeasible_pairs():
         fixed_probability_solve([[1.2, -0.2, 0.0]], v, cfg)
     with pytest.raises(ValueError, match="virtual cost"):
         fixed_probability_solve([[0.5, 0.5, 0.0]], [[0.5, 0.0, 2.0]], cfg)
+    for bad in ([np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0], [np.inf, -np.inf, 1.0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^p must lie on the simplex$"):
+                fixed_probability_solve(bad, v, cfg)
+    # one p row shared by every profile of the batch
+    shared = fixed_probability_solve([0.5, 0.5, 0.0], np.tile(v, (3, 1)), cfg)
+    row = fixed_probability_solve([[0.5, 0.5, 0.0]], v, cfg)
+    assert shared.probabilities.shape == shared.privacy_budgets.shape == (3, 3)
+    for got, want in zip(shared, row):
+        if got is not None:
+            assert all(r.tobytes() == want[0].tobytes() for r in got)
 
 
 # eta well below 1e-6 drives B* towards 1e-154, where the direct p^2/eps^2
