@@ -309,19 +309,18 @@ def initial_local_losses(task: SyntheticTask, shards, w) -> np.ndarray:
 
 def _selection(kind, subset, costs, bbm_losses):
     """The fixed-probability kinds' p of the truthful reports `costs`."""
-    n = costs.size
     if kind == "fsbm":
-        if subset > n:
+        if subset > costs.size:
             raise ValueError("fsbm subset larger than the client count")
-        p = np.zeros(n)
+        p = np.zeros_like(costs)
         p[np.argsort(costs, kind="stable")[:subset]] = 1.0 / subset
         return p
     if kind == "usbm":
-        return np.full(n, 1.0 / n)
+        return np.full_like(costs, 1.0 / costs.size)
     if bbm_losses is None:
         raise ValueError("bbm needs probe losses for the initial model")
     losses = np.asarray(bbm_losses, dtype=float)
-    if losses.size != n or not np.all((losses > 0) & np.isfinite(losses)):
+    if losses.size != costs.size or not np.all((losses > 0) & np.isfinite(losses)):
         raise ValueError("bbm probe losses must be positive and finite, one per client")
     return losses / losses.sum()
 

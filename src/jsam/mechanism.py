@@ -444,11 +444,12 @@ def fixed_probability_solve(p, v, cfg: ServerConfig) -> BatchSolution:
         raise ValueError("p must lie on the simplex")  # NaN and inf fail too
     if np.any((p > 0) & (v <= 0)):
         raise ValueError("selected client with non-positive virtual cost")
-    p = np.broadcast_to(p, np.broadcast_shapes(p.shape, v.shape))
-    batch, n = p.shape
+    batch, n = np.broadcast_shapes(p.shape, v.shape)
+    p_rows = np.broadcast_to(p, (batch, n))
     if cfg.eta == 0:
-        return BatchSolution(p, np.zeros((batch, n)), np.zeros(batch), None, np.zeros(batch))
+        return BatchSolution(p_rows, np.zeros((batch, n)), np.zeros(batch), None,
+                             np.zeros(batch))
     dev = np.abs(p - 1.0 / n).sum(axis=1)
     scale = _scale(p, v)
     b, f = _budget_and_objective(dev, cfg.q_coefficient * scale[:, 0] ** 3, cfg.eta)
-    return BatchSolution(p, _split(p, b[:, None], v, scale), b, None, f)
+    return BatchSolution(p_rows, _split(p, b[:, None], v, scale), b, None, f)
