@@ -305,9 +305,9 @@ def test_payment_curve_at_the_true_cost_is_the_plans_budget(mechanism, monkeypat
 
 
 def tiled_curve(name, costs, dist, cfg, losses):
-    """The reference for a fixed kind's payment curve, as `make_plan` priced
-    it before it ran the selection rule once: tile the reports, put z in
-    column k, run the rule on every row and solve each whole profile."""
+    """The reference for a fixed kind's payment curve: tile the reports, put
+    z in column k, run the selection rule on every row and solve each whole
+    profile."""
     kind, subset = parse_mechanism(name)
     virtuals = dist.virtual(costs)
     if kind == "fsbm":
@@ -317,8 +317,8 @@ def tiled_curve(name, costs, dist, cfg, losses):
             np.put_along_axis(p, order[:, :subset], 1.0 / subset, axis=1)
             return p
     else:
-        p_fixed = np.full(costs.size, 1.0 / costs.size) if kind == "usbm" else \
-            losses / losses.sum()
+        p_fixed = (np.full(costs.size, 1.0 / costs.size) if kind == "usbm"
+                   else losses / losses.sum())
 
         def selection(reports):
             return np.broadcast_to(p_fixed, reports.shape)
@@ -347,9 +347,9 @@ def test_fixed_kinds_curves_equal_the_tiled_selection(monkeypatch):
     rng = np.random.default_rng(2028)
     ties = {"kept": 0, "cut": 0}  # reports at c_last: k before or after last
     for n in range(1, 13):
-        names = {"usbm", "bbm", "fsbm-1", f"fsbm-{n}"} | ({f"fsbm-{n - 1}"} if n > 1 else set())
+        names = {"usbm", "bbm", "fsbm-1", f"fsbm-{max(n - 1, 1)}", f"fsbm-{n}"}
         for name in sorted(names):
-            for dist in (UNIFORM, GAUSSIAN, UNIFORM, GAUSSIAN):
+            for dist in (UNIFORM, GAUSSIAN) * 2:  # two draws per prior
                 costs = rng.integers(1, 9, size=n) / 8.0
                 losses = rng.uniform(0.5, 2.0, size=n)
                 cfg = ServerConfig(eta=10.0 ** rng.uniform(-2, 4),
