@@ -21,10 +21,11 @@ import numpy as np
 import pytest
 
 from jsam import flsim
+from jsam import mechanism
 from jsam.cli import main
 from jsam.costs import TruncatedGaussianCosts, UniformCosts
-from jsam.flsim import make_plan, parse_mechanism
-from jsam.mechanism import ServerConfig, _budget_root_sq, fixed_probability_solve
+from jsam.flsim import make_plan
+from jsam.mechanism import ServerConfig, _budget_root_sq
 from jsam.payments import (_COARSE_STRIDE, _envelope, _trapezoid_error,
                            expost_payments)
 
@@ -93,8 +94,9 @@ def test_solve_matches_the_golden_plan(case, tmp_path):
 # profiles, and one golden case of each other mechanism kind. The jsam ones
 # were recorded before payment curves were priced against presorted rivals
 # (`mechanism.client_budgets`), the other kinds' before `make_plan` called
-# each kernel directly, and the n6 fsbm ones before the fixed kinds' curves
-# were priced against the truthful p.
+# each kernel directly.
+# The n6 fsbm ones were recorded before the fixed kinds' curves were priced
+# against the truthful p.
 _PLAN_N100 = {"clients": 100, "costs": {"kind": "uniform", "lower": 0.0, "upper": 1.0},
               "payment_grid": 200, "mechanisms": ["jsam"]}
 DIGEST_CASES = {
@@ -308,7 +310,7 @@ def tiled_curve(name, costs, dist, cfg, losses):
     """The reference for a fixed kind's payment curve: tile the reports, put
     z in column k, run the selection rule on every row and solve each whole
     profile."""
-    kind, subset = parse_mechanism(name)
+    kind, subset = flsim.parse_mechanism(name)
     virtuals = dist.virtual(costs)
     if kind == "fsbm":
         def selection(reports):
@@ -329,8 +331,8 @@ def tiled_curve(name, costs, dist, cfg, losses):
         reports[rows, ks] = z
         profiles = np.tile(virtuals, (z.size, 1))
         profiles[rows, ks] = dist.virtual(z)
-        return fixed_probability_solve(selection(reports), profiles,
-                                       cfg).privacy_budgets[rows, ks]
+        return mechanism.fixed_probability_solve(selection(reports), profiles,
+                                                 cfg).privacy_budgets[rows, ks]
     return eps_of_reports
 
 
@@ -362,7 +364,7 @@ def test_fixed_kinds_curves_equal_the_tiled_selection(monkeypatch):
                 got = curves.pop()(ks, z)
                 assert got.tobytes() == tiled_curve(name, costs, dist, cfg,
                                                     losses)(ks, z).tobytes(), name
-                kind, m = parse_mechanism(name)
+                kind, m = flsim.parse_mechanism(name)
                 if kind == "fsbm" and m < n:
                     last = np.argsort(costs, kind="stable")[m]
                     at_cut = (z == costs[last]) & (ks != last)
