@@ -11,13 +11,18 @@ import argparse
 import sys
 
 from jsam.cli import matched_spend_runs, run_command, write_output
-from jsam.config import DESK
+from jsam.config import DESK, server_config
 
 HEADER = ("eta,mechanism,seed,matched_eta,total_payment,selected_count,"
           "final_test_accuracy,final_test_loss,diverged")
 
 
 def run(cfg, etas):
+    for eta in etas:  # every eta is checked before the first plan
+        server_config(cfg, eta=eta)
+        if eta == 0:
+            raise ValueError("eta must be > 0: a jsam plan at eta 0 pays nothing, "
+                             "so there is no spend to match")
     lines = [HEADER]
     for eta in etas:
         for seed in cfg.seeds:

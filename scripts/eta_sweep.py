@@ -12,13 +12,15 @@ import sys
 import numpy as np
 
 from jsam.cli import plan_for, run_command, write_output
-from jsam.config import DESK
+from jsam.config import DESK, server_config
 
 HEADER = ("eta,seed,selected_count,threshold,total_budget,total_payment,"
           "objective,min_selected_eps,max_selected_eps,degenerate")
 
 
 def run(cfg, etas):
+    for eta in etas:  # every eta is checked before the first plan
+        server_config(cfg, eta=eta)
     lines = [HEADER]
     for eta in etas:
         for seed in cfg.seeds:

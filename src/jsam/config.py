@@ -245,7 +245,7 @@ def server_config(cfg: ExperimentConfig, eta: float | None = None) -> ServerConf
                  * math.sqrt(tr.rounds))
         except OverflowError:  # c2^2 or the integer D beyond float range
             q = math.inf
-        if not math.isfinite(q):  # a product of finite factors overflows
+        if not 0.0 < q < math.inf:  # a product of finite factors over- or underflows
             raise ValueError(f"q_coefficient derived as 2*c2^2*ln(1/delta)*D*sqrt(T) "
                              f"is {q!r}; set server.q_coefficient")
     return ServerConfig(eta=cfg.server.eta if eta is None else eta,

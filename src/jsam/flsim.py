@@ -322,7 +322,11 @@ def _selection(kind, subset, costs, bbm_losses):
     losses = np.asarray(bbm_losses, dtype=float)
     if losses.size != costs.size or not np.all((losses > 0) & np.isfinite(losses)):
         raise ValueError("bbm probe losses must be positive and finite, one per client")
-    return losses / losses.sum()
+    with np.errstate(over="ignore"):
+        total = losses.sum()
+    if total == math.inf:
+        raise ValueError("bbm probe losses overflow when summed; scale them down")
+    return losses / total
 
 
 def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,

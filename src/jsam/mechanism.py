@@ -16,13 +16,13 @@ c = (sum_k (v_k p_k)^{2/3})^3, and the remaining (p_1, p_h, B) search is a
 scan over the threshold h at p_h = 1/N (see `solve_profiles`) plus the
 closed-form minimizing B of the convex 1-D objective.
 
-The scan runs on ascending profiles. `solve_profiles` sorts each profile
-for it; `client_budgets`, which prices payment curves (one client's report
-per row, rivals fixed), sorts the truthful profile once and inserts each
-report at its rank, and gives the same budgets bit for bit. Both run their
-rows in chunks, and the scan, the budget root and the objective compute in
-place (`out=`) in one set of work arrays (`_Work`) that the call allocates
-once, sized to its longest chunk, and every chunk reuses.
+The scan runs on ascending profiles, ranked by the key (virtual cost,
+index). `solve_profiles` stably sorts each profile; `client_budgets`, which
+prices payment curves (one report per row, rivals fixed), sorts the truthful
+profile once and inserts each report at its rank by that key, with the same
+budgets bit for bit. Both loop over row chunks, and the scan, the budget root
+and the objective compute in place (`out=`) in one set of work arrays
+(`_Work`) that the call allocates once, for its longest chunk.
 
 `dev` is the L1 distance between p and the uniform distribution, which under
 the threshold structure equals 2*(p_1 - 1/N).
@@ -161,7 +161,7 @@ class _Work(NamedTuple):
         return _Work(self.floats[:, :rows], self.mask[:rows])
 
 
-def _budget_root_sq(dev2, a, eta, work=None):
+def _budget_root_sq(dev2, a, eta, work: _Work):
     """Vectorized B*^2: the positive root of dev2*x^3 + a*x^2 - eta^2*a^2.
 
     Substituting x = eta*sqrt(a)/u turns the cubic into u^3 - u - k = 0 with
@@ -171,11 +171,8 @@ def _budget_root_sq(dev2, a, eta, work=None):
     Newton step on u, whose derivative 3u^2 - 1 is at least 2, removes the
     rounding of the trigonometric form. Requires a > 0 and eta > 0.
 
-    Computed in `work` (fresh work arrays when None); the root is returned in
-    its float slot 1.
+    Computed in the caller's `work`; the root is returned in its float slot 1.
     """
-    if work is None:
-        work = _Work.of(np.broadcast_shapes(np.shape(dev2), np.shape(a)))
     _, root_a, k, u, u2, step = work.floats
     np.sqrt(a, out=root_a)
     np.divide(dev2 * eta, root_a, out=k)
@@ -205,11 +202,9 @@ def _budget_root_sq(dev2, a, eta, work=None):
     return root_a
 
 
-def _budget_and_objective(dev, a, eta, work=None):
+def _budget_and_objective(dev, a, eta, work: _Work):
     """B* and the objective eta*sqrt(dev^2 + a/B*^2) + eta*dev + B* at it,
-    in `work`'s float slots 2 and 4 (of fresh work arrays when None)."""
-    if work is None:
-        work = _Work.of(np.broadcast_shapes(np.shape(dev), np.shape(a)))
+    computed in the caller's `work` and returned in its float slots 2 and 4."""
     if not np.greater(a, 0.0, out=work.mask).all():
         raise ValueError("noise coefficient Q*c is not positive: the virtual "
                          "costs are too small (or not numbers) to plan with")
@@ -250,14 +245,14 @@ class BatchSolution(NamedTuple):
 def solve_profiles(virtual_costs, cfg: ServerConfig) -> BatchSolution:
     """Run the threshold solver on a (B, N) batch of positive virtual costs.
 
-    Clients are ranked by a stable argsort, so of two equal virtual costs
-    the lower index ranks first. Each plan is the first minimiser, in h
-    order, of the objective over the N thresholds h = 1..N with p_h = 1/N:
-    p_1 = 1 at h = 1 and (N + 1 - h)/N after, and B* in closed form at each.
-    Rows are solved in chunks of at most `_MAX_ELEMENTS` (row, threshold)
-    pairs, every chunk in the call's one set of work arrays. At eta = 0
-    every plan is the degenerate one: the cheapest client alone, with B = 0
-    and no privacy budgets.
+    Clients are ranked by the key (virtual cost, index), a stable argsort.
+    Each plan is the first minimiser, in h order, of the objective over the
+    N thresholds h = 1..N with p_h = 1/N: p_1 = 1 at h = 1 and (N + 1 - h)/N
+    after, and B* in closed form at each. The loop solves the rows in chunks
+    of at most `_MAX_ELEMENTS` (row, threshold) pairs, every chunk in the
+    call's one set of work arrays, and scatters each back to client order.
+    At eta = 0 every plan is the degenerate one: the cheapest client alone,
+    with B = 0 and no privacy budgets.
 
     Why p_h = 1/N, a checked conjecture. For h >= 2 the threshold structure
     leaves the segment p_1 = (N+1-h)/N + x, p_h = 1/N - x, x in [0, 1/N),
@@ -281,10 +276,21 @@ def solve_profiles(virtual_costs, cfg: ServerConfig) -> BatchSolution:
         raise ValueError("virtual costs must be positive")
     sol = BatchSolution(np.empty((batch, n)), np.empty((batch, n)), np.empty(batch),
                         np.empty(batch, dtype=int), np.empty(batch))
+    idx = np.arange(n)
     work, chunks = _row_chunks(batch, n)
     for rows in chunks:
-        _solve_chunk(v[rows], cfg, work.head(rows.stop - rows.start),
-                     [field[rows] for field in sol])
+        w = work.head(rows.stop - rows.start)
+        order = np.argsort(v[rows], axis=1, kind="stable")
+        vs = np.take_along_axis(v[rows], order, axis=1)
+        np.power(vs, _TWO_THIRDS, out=w.floats[1])
+        best, b_star, f_star = _scan(cfg, w)
+        sol.total_budget[rows], sol.objective_value[rows] = b_star, f_star
+        sol.threshold[rows] = best + 1
+        p_sorted = np.where(idx == 0, _first_shares(n)[best][:, None],
+                            np.where(idx <= best[:, None], 1.0 / n, 0.0))
+        eps_sorted = _split(p_sorted, b_star[:, None], vs, _scale(p_sorted, vs))
+        np.put_along_axis(sol.probabilities[rows], order, p_sorted, axis=1)
+        np.put_along_axis(sol.privacy_budgets[rows], order, eps_sorted, axis=1)
     return sol
 
 
@@ -295,13 +301,13 @@ def client_budgets(virtuals, ks, z_virtuals, cfg: ServerConfig) -> np.ndarray:
     bit for bit, without sorting each profile or forming the other budgets.
 
     The truthful profile is sorted once. Each row's ascending profile is the
-    rivals' with the report inserted at its rank among them: the rivals below
-    it, then the rivals equal to it with a lower index, which is the stable
-    sort's tie order. The rows run `solve_profiles`' scan in the same chunks
-    and work arrays, on 2/3 powers taken once per call from the sorted
-    profile and the reports through each row's map of places; the budget
-    split's scale is taken over the full row and only the budget at the
-    report's rank is formed.
+    rivals' with the report inserted at its rank among them: the count of
+    rivals whose key (virtual cost, index) is below the report's
+    (z_virtuals[i], ks[i]), which is `solve_profiles`' order. The rows run
+    its scan in the same chunks and work arrays, on 2/3 powers taken once
+    per call from the sorted profile and the reports through each row's map
+    of places; the budget split's scale is taken over the full row and only
+    the budget at the report's rank is formed.
 
     `virtuals` must be 1-D and each ks[i] an integer in [0, N).
     """
@@ -322,12 +328,9 @@ def client_budgets(virtuals, ks, z_virtuals, cfg: ServerConfig) -> np.ndarray:
     vs = v[order]
     position = np.empty(n, dtype=int)
     position[order] = np.arange(n)
-    below = np.searchsorted(vs, z, side="left")
-    rank = below - (v[ks] < z)
-    tied = np.nonzero(np.searchsorted(vs, z, side="right") > below)[0]
-    if tied.size:  # a client (the report's own, perhaps) equals the report
-        rank[tied] += np.count_nonzero(
-            (v == z[tied, None]) & (np.arange(n) < ks[tied, None]), axis=1)
+    # rivals below the report by the (cost, index) key, which is numpy's
+    # complex order and the stable sort's; the client's own key is no rival
+    rank = np.searchsorted(vs + 1j * order, z + 1j * ks) - (v[ks] < z)
     # the 2/3 powers the scan and the budget split read, at p = 1 and at
     # p = 1/N: the rivals' from the sorted profile, the reports' per row
     share = 1.0 / n
@@ -375,24 +378,6 @@ def _first_shares(n):
     """p_1 at each threshold h = 1..N with p_h = 1/N: 1 at h = 1, then
     (N + 1 - h)/N."""
     return np.concatenate([[1.0], (n - np.arange(1, n)) * (1.0 / n)])
-
-
-def _solve_chunk(v, cfg: ServerConfig, work: _Work, out):
-    """`solve_profiles` on one chunk of rows, written into `out`, the
-    chunk's slices of the five result fields."""
-    p, eps, total_budget, threshold, objective = out
-    n = v.shape[1]
-    order = np.argsort(v, axis=1, kind="stable")
-    vs = np.take_along_axis(v, order, axis=1)
-    np.power(vs, _TWO_THIRDS, out=work.floats[1])
-    best, b_star, f_star = _scan(cfg, work)
-    total_budget[:], objective[:], threshold[:] = b_star, f_star, best + 1
-    idx = np.arange(n)[None, :]
-    p_sorted = np.where(idx == 0, _first_shares(n)[best][:, None],
-                        np.where(idx <= best[:, None], 1.0 / n, 0.0))
-    eps_sorted = _split(p_sorted, total_budget[:, None], vs, _scale(p_sorted, vs))
-    np.put_along_axis(p, order, p_sorted, axis=1)
-    np.put_along_axis(eps, order, eps_sorted, axis=1)
 
 
 def _scan(cfg: ServerConfig, work: _Work):
@@ -451,5 +436,6 @@ def fixed_probability_solve(p, v, cfg: ServerConfig) -> BatchSolution:
                              np.zeros(batch))
     dev = np.abs(p - 1.0 / n).sum(axis=1)
     scale = _scale(p, v)
-    b, f = _budget_and_objective(dev, cfg.q_coefficient * scale[:, 0] ** 3, cfg.eta)
+    b, f = _budget_and_objective(dev, cfg.q_coefficient * scale[:, 0] ** 3, cfg.eta,
+                                 _Work.of((batch,)))
     return BatchSolution(p_rows, _split(p, b[:, None], v, scale), b, None, f)

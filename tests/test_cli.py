@@ -341,8 +341,12 @@ def test_irregular_cost_prior_prints_one_stderr_line_in_a_real_process(tmp_path)
      "train.delta is too small: 1/delta overflows"),
     ({"train": {"delta": 1e-320}, "server": {"q_coefficient": 1.0}},
      "train.delta is too small: 1/delta overflows"),
+    # c2^2 underflows, so the derived Q is 0 though no field was set to 0
+    ({"clients": 3, "train": {"c2": 1e-170}},
+     "server: q_coefficient derived as 2*c2^2*ln(1/delta)*D*sqrt(T) is 0.0; "
+     "set server.q_coefficient"),
 ], ids=["uniform-virtual-cost", "gaussian-std", "derived-q", "c2-power",
-        "feature-dim", "delta-derived-q", "delta-explicit-q"])
+        "feature-dim", "delta-derived-q", "delta-explicit-q", "c2-underflow"])
 def test_overflowing_config_is_one_stderr_line_in_a_real_process(tmp_path, patch,
                                                                   message):
     # the overflow is the verdict, so no numpy warning may reach stderr first

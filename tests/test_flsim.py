@@ -559,6 +559,11 @@ def test_bbm_needs_probe_losses(uniform01, rng):
             with pytest.raises(ValueError, match="^bbm probe losses must be positive "
                                                  "and finite, one per client$"):
                 make_plan("bbm", costs, uniform01, FAST, bbm_losses=bad)
+    # finite losses whose sum overflows are named too, before any numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^bbm probe losses overflow when summed"):
+            make_plan("bbm", costs, uniform01, FAST, bbm_losses=[1e308] * 4)
 
 
 def test_jsam_ci_pays_reported_cost_exactly(uniform01, rng):

@@ -173,7 +173,8 @@ def test_closed_form_root_matches_newton_across_branches():
     for eta in (1e-3, 1.0, 1e3):
         for a in (1e-6, 1.0, 1e6):
             dev2 = ks * np.sqrt(a) / eta
-            got = _budget_root_sq(dev2, np.full(ks.size, a), eta)
+            got = _budget_root_sq(dev2, np.full(ks.size, a), eta,
+                                  mechanism._Work.of(ks.shape))
             want = newton_root_sq(dev2, np.full(ks.size, a), eta)
             np.testing.assert_allclose(got, want, rtol=ROOT_RTOL, atol=0.0)
 

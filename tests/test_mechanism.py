@@ -130,7 +130,8 @@ def _dense_objectives(vs, cfg, grid):
                      * ph[None, :] ** _TWO_THIRDS)
     mid = (prefix[:, np.maximum(h - 1, 1)] - prefix[:, 1:2]) / n ** _TWO_THIRDS
     coef = (first + hterm + mid) ** 3
-    return _budget_and_objective(dev, cfg.q_coefficient * coef, cfg.eta)
+    return _budget_and_objective(dev, cfg.q_coefficient * coef, cfg.eta,
+                                 mechanism._Work.of(coef.shape))
 
 
 def _dense_solve(v, cfg, delta):
@@ -670,7 +671,7 @@ def _root(seed, t):
     a = 10.0 ** np.random.default_rng(seed).uniform(-6.0, 6.0, t.shape)
     eta = 1e3
     return mechanism._budget_root_sq(t * np.sqrt(a) / (mechanism._HALF_THREE_ROOT3 * eta),
-                                     a, eta)
+                                     a, eta, mechanism._Work.of(a.shape))
 
 
 def _t_grid(lo, hi, seed):

@@ -123,6 +123,7 @@ def test_script_writes_the_configs_out_unless_out_overrides_it(
     ("eta_sweep", "config"), ("eta_sweep", "out"),
     ("accuracy_vs_cost", "config"), ("accuracy_vs_cost", "out"),
     ("accuracy_vs_cost", "mechanism"),
+    ("eta_sweep", "eta"), ("accuracy_vs_cost", "eta"),
 ])
 def test_bad_script_input_is_one_error_line(tiny_config, tmp_path, capsys,
                                             no_work, name, bad):
@@ -131,14 +132,23 @@ def test_bad_script_input_is_one_error_line(tiny_config, tmp_path, capsys,
     missing, out = str(tmp_path / "missing.json"), str(tmp_path / "no" / "out.csv")
     argv = {"config": ["--config", missing],
             "out": ["--config", str(tiny_config), "--out", out],
-            "mechanism": ["--config", str(tiny_config), "--mechanism", "jsam,foo"]}[bad]
+            "mechanism": ["--config", str(tiny_config), "--mechanism", "jsam,foo"],
+            "eta": ["--config", str(tiny_config)]}[bad]
     if name == "accuracy_vs_cost" and bad != "mechanism":
         argv += ["--mechanism", "jsam"]
-    assert _load(name).main([*argv, "--eta", "30", "--seeds", "0"]) == 2
+    # a bad eta after a good one; eta_sweep keeps eta 0 (its degenerate row),
+    # but a jsam plan at eta 0 has no spend for accuracy_vs_cost to match
+    bad_etas = {"eta_sweep": ["1", "-1"], "accuracy_vs_cost": ["30", "0"]}[name]
+    etas = bad_etas if bad == "eta" else ["30"]
+    assert _load(name).main([*argv, "--eta", *etas, "--seeds", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == {
         "config": f"config error: cannot read config {missing!r}: "
                   "No such file or directory\n",
         "out": f"error: cannot write {out!r}: No such file or directory\n",
-        "mechanism": "config error: mechanisms: unknown mechanism 'foo'\n"}[bad]
+        "mechanism": "config error: mechanisms: unknown mechanism 'foo'\n",
+        "eta": {"eta_sweep": "error: eta must be >= 0\n",
+                "accuracy_vs_cost": "error: eta must be > 0: a jsam plan at eta 0 "
+                                    "pays nothing, so there is no spend to match\n"}[name],
+    }[bad]
