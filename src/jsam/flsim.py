@@ -14,14 +14,18 @@ one-hot labels and one evaluation matrix (the pool, then the test set) are
 stacked once. One score product serves every pass: classes-first (C, n)
 scores, so each sum over the C classes is a short run of elementwise
 passes. The scheduled clients' softmax errors and clip norms are taken on
-their (k, C, m) scores; their clipped gradients are one batched contraction
-and their noise one draw. The metrics never feed back into training, so the
-train loss, test loss and test accuracy are taken beside it: every few
-rounds the newest weights go as one chunk to a worker thread, which scores
-the chunk over the evaluation matrix in one stacked product and reduces it
-in one pass, while the next rounds' gradients run. The noiseless diagnostic
-is the same round with an infinite clip norm and zero noise. bbm's probe
-losses are one score pass over the stacked shards.
+their (k, C, m) scores, and their clipped gradients are one batched
+contraction. The rounds run in chunks of a few: a chunk gathers its rounds'
+inputs in one pass and draws all their noise in one call, so a round is one
+gradient call, its noise rows and the step. The metrics never feed back
+into training, so the train loss, test loss and test accuracy are taken
+beside it: each chunk's weights go to a worker thread, which scores the
+chunk over the evaluation matrix in one stacked product and reduces it in
+one pass, while the next chunk's gradients run. The two threads share the
+interpreter lock, and a numpy call on a large array hands it over, so each
+side makes as few calls per round, and per chunk, as it can. The noiseless
+diagnostic is the same round with an infinite clip norm and zero noise.
+bbm's probe losses are one score pass over the stacked shards.
 """
 
 from __future__ import annotations
@@ -32,14 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostDistribution
-from .mechanism import (ServerConfig, client_budgets, fixed_probability_solve,
-                        solve_profiles)
+from .mechanism import (ServerConfig, client_budgets, fixed_client_budgets,
+                        fixed_probability_solve, solve_profiles)
 from .payments import expost_payments
 
 MECHANISM_KINDS = ("jsam", "usbm", "fsbm", "bbm", "jsam_ci")
 _ETA_LO, _ETA_HI, _ETA_BISECTIONS = 1e-8, 1.0, 60  # match_eta_to_cost's search
-# score elements (rounds x classes x evaluation examples) in one chunk of the
-# metric pass: 2 MB of scores, few enough hand-offs that the worker keeps up
+# elements in one chunk of `train`'s rounds: its scores in the metric pass
+# (rounds x classes x evaluation examples), 2 MB, few enough hand-offs that
+# the worker keeps up; and each of its gathered inputs and its noise
 _EVAL_ELEMENTS = 2 ** 18
 
 
@@ -108,23 +113,28 @@ def _log_sum_exp(shifted, axis, out=None):
     return np.log(np.exp(terms, out=terms).sum(axis=axis))
 
 
-def _log_likelihoods(scores, y):
-    """Each column's log-probability of its label y, from contiguous
-    classes-first (..., C, n) scores: (..., n). The scores are the work
-    space, overwritten."""
+def _label_picks(y):
+    """Each column's label y as an index into classes-first (..., C, n)
+    scores flattened to (..., C * n): one gather on the flat rows takes about
+    half the time of scores[y, arange]."""
+    return y * y.size + np.arange(y.size)
+
+
+def _log_likelihoods(scores, picks):
+    """Each column's log-probability of its label, from contiguous
+    classes-first (..., C, n) scores and the labels' `_label_picks`: (..., n).
+    The scores are the work space, overwritten."""
     scores -= scores.max(axis=-2, keepdims=True)
-    n = y.size
-    # one gather on the flat (C * n) rows: about half the time of scores[y, arange]
-    picked = np.take(scores.reshape(scores.shape[:-2] + (-1,)), y * n + np.arange(n),
-                     axis=-1)
+    picked = np.take(scores.reshape(scores.shape[:-2] + (-1,)), picks, axis=-1)
     return picked - _log_sum_exp(scores, -2, out=scores)
 
 
-def _pool_and_test_metrics(weights, x, y, n_pool, classes, scores):
+def _pool_and_test_metrics(weights, x, picks, test_y, classes, scores):
     """Rows (train loss, test loss, test accuracy) of an (r, W) chunk of
-    weights over `x`, the pool's n_pool examples and then the test set's:
-    mean cross-entropy on the pool, and mean cross-entropy and accuracy on
-    the test set, one column per round.
+    weights over `x`, the pool's examples and then the test set's, whose
+    labels are `picks` (`_label_picks`) and, for the last `test_y.size`,
+    `test_y`: mean cross-entropy on the pool, and mean cross-entropy and
+    accuracy on the test set, one column per round.
 
     The chunk's scores are one stacked product into the first r rows of the
     (>= r, C, n) work buffer `scores`; each round's block is its own product,
@@ -133,10 +143,11 @@ def _pool_and_test_metrics(weights, x, y, n_pool, classes, scores):
     which does not inherit the caller's error state, so the state is set
     here.
     """
+    n_pool = picks.size - test_y.size
     with np.errstate(over="ignore", invalid="ignore"):
         scores = _class_scores(weights, x, classes, out=scores[:weights.shape[0]])
-        accuracy = (scores[:, :, n_pool:].argmax(axis=-2) == y[n_pool:]).mean(axis=-1)
-        log_p = _log_likelihoods(scores, y)
+        accuracy = (scores[:, :, n_pool:].argmax(axis=-2) == test_y).mean(axis=-1)
+        log_p = _log_likelihoods(scores, picks)
         return np.stack([-log_p[:, :n_pool].mean(axis=-1),
                          -log_p[:, n_pool:].mean(axis=-1), accuracy])
 
@@ -193,8 +204,8 @@ def local_noisy_gradient(w, augmented, clip_c, sigma, rng) -> np.ndarray:
     errors = np.exp(shifted)
     errors -= onehot
     norms = np.sqrt((errors * errors).sum(axis=1)) * x_norms
-    with np.errstate(divide="ignore"):
-        scale = np.minimum(1.0, clip_c / np.where(norms > 0, norms, 1.0))
+    # no zero divisor: a norm that is 0 (or NaN) divides as 1
+    scale = np.minimum(1.0, clip_c / np.where(norms > 0, norms, 1.0))
     errors *= scale[:, None]
     # back to (k, m, C) in memory: the contraction's operands, and so its
     # rounding, stay those of the example-major round
@@ -303,7 +314,7 @@ def initial_local_losses(task: SyntheticTask, shards, w) -> np.ndarray:
     score pass over the stacked shards, meaned per client."""
     x, y = _stack_shards(task, shards)
     log_p = _log_likelihoods(_class_scores(w, x.reshape(y.size, -1), task.classes),
-                             y.ravel())
+                             _label_picks(y.ravel()))
     return -log_p.reshape(y.shape).mean(axis=1)
 
 
@@ -338,9 +349,10 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
     truthful reports with `fixed_probability_solve`. The payment curves are
     the same rule: eps_of_reports(ks, z) is client ks[i]'s budget at report
     z[i], rivals fixed (a scalar k broadcasts). jsam's is `client_budgets`,
-    which sorts the rivals once and forms only that budget; a fixed kind's
+    which sorts the rivals once and forms only that budget. A fixed kind's
     report moves only its own virtual cost under the truthful p, up to
-    fsbm-M's cut. `expost_payments` sweeps the curves upward in one pass and
+    fsbm-M's cut, so its curve is `fixed_client_budgets`, which forms only
+    that column. `expost_payments` sweeps the curves upward in one pass and
     ends each at its first zero, because a client out at one report stays
     out above it. Payments are envelope payments against the realized rival
     reports (their expectation over rivals is the interim rule), except
@@ -368,10 +380,7 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
                 if kind == "fsbm" and subset < costs.size else None)
 
         def eps_of_reports(ks, z):
-            rows = np.arange(z.size)
-            profiles = np.tile(virtuals, (z.size, 1))
-            profiles[rows, ks] = dist.virtual(z)
-            eps = fixed_probability_solve(p, profiles, cfg).privacy_budgets[rows, ks]
+            eps = fixed_client_budgets(p, virtuals, ks, dist.virtual(z), cfg)
             if last is not None:
                 eps[(z > costs[last]) | ((z == costs[last]) & (ks >= last))] = 0.0
             return eps
@@ -477,19 +486,25 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
 
     `schedule` holds one row of client indices per round, as `build_schedule`
     draws it. The shards must be non-empty and of equal size; they are stacked
-    once, and each round is one `local_noisy_gradient` call over the scheduled
-    clients (a client drawn twice in a round counts twice) with one noise
-    draw. Noise scales come from the participation counts of the schedule
+    once. Noise scales come from the participation counts of the schedule
     itself; a scheduled client with a zero budget is a configuration error.
     `settings.noiseless` trains with an infinite clip norm and no noise, which
     leaves `rng` untouched. Divergence (non-finite loss) is recorded in the
     output, not raised.
 
+    The rounds run in chunks: as many as fit `_EVAL_ELEMENTS` score elements,
+    and each of whose gathered inputs and noise fit as many elements. A
+    chunk gathers its rounds' scheduled inputs (a client drawn twice in a
+    round counts twice) and draws the noise of its clients with sigma > 0 in
+    one call, rounds and clients in order: the stream of one draw per round,
+    bit for bit. Each round is then one `local_noisy_gradient` call, which
+    draws nothing, its noise rows added, and the step.
+
     Every round's metrics are scored on a worker thread that lives for this
-    call: the rounds' weights go into one (T, W) array, and each chunk of
-    rounds that fits `_EVAL_ELEMENTS` score elements is one task, scored over
-    the pool and the test set stacked together while the next rounds train.
-    A worker's exception is raised here once training is done.
+    call: the rounds' weights go into one (T, W) array, and each chunk is one
+    task, scored over the pool and the test set stacked together while the
+    next chunk trains. A worker's exception is raised here once training is
+    done.
     """
     # loaded here, so commands that never train do not import it
     from concurrent.futures import ThreadPoolExecutor
@@ -513,23 +528,41 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
                         out=np.empty((x.shape[-1], n_pool + task.test_y.size))).T
     ey = np.concatenate([y.ravel(), task.test_y])
 
-    t_rounds = schedule.shape[0]
-    chunk = max(1, _EVAL_ELEMENTS // (task.classes * ey.size))
+    picks, test_y = _label_picks(ey), ey[n_pool:]
+
+    t_rounds, per_round = schedule.shape
+    # the most rounds whose scores, and whose gathered inputs and noise, each
+    # fit _EVAL_ELEMENTS: a client's inputs are (m, D + 1), its noise (W,)
+    chunk = max(1, _EVAL_ELEMENTS // max(task.classes * ey.size,
+                                         per_round * max(augmented[0][0].size, w.size)))
     weights = np.empty((t_rounds, w.size))
     # the worker runs one chunk at a time, so one work buffer serves them all
     scores = np.empty((min(chunk, t_rounds), task.classes, ey.size))
+    no_noise = np.zeros(per_round)
     futures = []
-    with ThreadPoolExecutor(1) as worker:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t, ks in enumerate(schedule):
-                grads = local_noisy_gradient(w, [a[ks] for a in augmented], clip,
-                                             sigma[ks], rng)
+    with ThreadPoolExecutor(1) as worker, np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(0, t_rounds, chunk):
+            rounds = schedule[t0:t0 + chunk]
+            inputs = [a[rounds] for a in augmented]
+            # the chunk's noise is one draw, rounds in order: the stream of one
+            # draw per round. Its rows go to (round, client) places; the
+            # places of clients with sigma = 0 are neither drawn nor added
+            # (adding 0.0 would turn a -0.0 gradient entry into +0.0).
+            sig = sigma[rounds]
+            noisy = sig > 0
+            noise = np.zeros(noisy.shape + w.shape)
+            # Generator.normal(0.0, scale)'s own arithmetic, loc + scale * z
+            noise[noisy] = 0.0 + (sig[noisy] * clip)[:, None] * rng.standard_normal(
+                (np.count_nonzero(noisy), w.size))
+            for i in range(rounds.shape[0]):
+                grads = local_noisy_gradient(w, [a[i] for a in inputs], clip, no_noise,
+                                             rng)
+                np.add(grads, noise[i], out=grads, where=noisy[i, :, None])
                 w = np.subtract(w, settings.learning_rate * grads.mean(axis=0),
-                                out=weights[t])
-                if (t + 1) % chunk == 0 or t + 1 == t_rounds:
-                    futures.append(worker.submit(
-                        _pool_and_test_metrics, weights[t - t % chunk:t + 1], ex,
-                        ey, n_pool, task.classes, scores))
+                                out=weights[t0 + i])
+            futures.append(worker.submit(
+                _pool_and_test_metrics, weights[t0:t0 + rounds.shape[0]], ex, picks,
+                test_y, task.classes, scores))
         train_loss, test_loss, test_acc = np.concatenate(
             [future.result() for future in futures], axis=1)
     return RunRecord(

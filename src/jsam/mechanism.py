@@ -23,6 +23,9 @@ profile once and inserts each report at its rank by that key, with the same
 budgets bit for bit. Both loop over row chunks, and the scan, the budget root
 and the objective compute in place (`out=`) in one set of work arrays
 (`_Work`) that the call allocates once, for its longest chunk.
+`fixed_client_budgets` prices a fixed-p baseline's curves the same way: a
+report moves only its own column of the truthful profile, so only that
+column's budget is formed, bit for bit `fixed_probability_solve`'s.
 
 `dev` is the L1 distance between p and the uniform distribution, which under
 the threshold structure equals 2*(p_1 - 1/N).
@@ -311,17 +314,8 @@ def client_budgets(virtuals, ks, z_virtuals, cfg: ServerConfig) -> np.ndarray:
 
     `virtuals` must be 1-D and each ks[i] an integer in [0, N).
     """
-    v = np.asarray(virtuals, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"virtuals must be one (N,) profile, got shape {v.shape}")
-    z = np.atleast_1d(np.asarray(z_virtuals, dtype=float))
+    v, ks, z = _report_rows(virtuals, ks, z_virtuals)
     n = v.size
-    if n == 0:
-        raise ValueError("empty client profile")
-    ks = np.asarray(ks)
-    if not (np.issubdtype(ks.dtype, np.integer) and np.all((ks >= 0) & (ks < n))):
-        raise ValueError(f"client indices ks must be integers in [0, {n})")
-    ks = np.broadcast_to(ks, z.shape)
     if not (np.all(v > 0) and np.all(z > 0)):
         raise ValueError("virtual costs must be positive")
     order = np.argsort(v, kind="stable")
@@ -363,6 +357,23 @@ def client_budgets(virtuals, ks, z_virtuals, cfg: ServerConfig) -> np.ndarray:
         p_rank = np.where(r == 0, p1[best], np.where(r <= best, share, 0.0))
         budgets[rows] = _split(p_rank, b_star, z[rows], terms.sum(axis=1))
     return budgets
+
+
+def _report_rows(virtuals, ks, z_virtuals):
+    """The column kernels' checked arguments: the (N,) profile, the clients
+    ks (an integer in [0, N) each) broadcast to the reports, and the
+    reports."""
+    v = np.asarray(virtuals, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"virtuals must be one (N,) profile, got shape {v.shape}")
+    z = np.atleast_1d(np.asarray(z_virtuals, dtype=float))
+    n = v.size
+    if n == 0:
+        raise ValueError("empty client profile")
+    ks = np.asarray(ks)
+    if not (np.issubdtype(ks.dtype, np.integer) and np.all((ks >= 0) & (ks < n))):
+        raise ValueError(f"client indices ks must be integers in [0, {n})")
+    return v, np.broadcast_to(ks, z.shape), z
 
 
 def _row_chunks(batch, n):
@@ -439,3 +450,35 @@ def fixed_probability_solve(p, v, cfg: ServerConfig) -> BatchSolution:
     b, f = _budget_and_objective(dev, cfg.q_coefficient * scale[:, 0] ** 3, cfg.eta,
                                  _Work.of((batch,)))
     return BatchSolution(p_rows, _split(p, b[:, None], v, scale), b, None, f)
+
+
+def fixed_client_budgets(p, virtuals, ks, z_virtuals, cfg: ServerConfig) -> np.ndarray:
+    """Client ks[i]'s privacy budget under the one fixed (N,) distribution p
+    when its virtual cost is z_virtuals[i] and every rival keeps its entry of
+    the (N,) `virtuals` (a scalar k broadcasts): `fixed_probability_solve`
+    on those profiles, read at column ks[i], bit for bit.
+
+    A report moves only its own column, so each row's scale is the truthful
+    (v p)^(2/3) row with column ks[i]'s term replaced, summed as `_scale`
+    sums; dev is one scalar, B* one (rows,) budget root, and only column
+    ks[i]'s budget is split.
+
+    `virtuals` must be 1-D, each ks[i] an integer in [0, N) and p a point of
+    the simplex.
+    """
+    v, ks, z = _report_rows(virtuals, ks, z_virtuals)
+    p = np.asarray(p, dtype=float)
+    if not (p.shape == v.shape and np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
+        raise ValueError("p must lie on the simplex")  # NaN and inf fail too
+    pk = p[ks]
+    if np.any((p > 0) & (v <= 0)) or np.any((pk > 0) & (z <= 0)):
+        raise ValueError("selected client with non-positive virtual cost")
+    if cfg.eta == 0:
+        return np.zeros(z.size)
+    terms = np.tile(np.where(p > 0, (v * p) ** _TWO_THIRDS, 0.0), (z.size, 1))
+    terms[np.arange(z.size), ks] = np.where(pk > 0, (z * pk) ** _TWO_THIRDS, 0.0)
+    scale = terms.sum(axis=1)
+    dev = np.abs(p - 1.0 / v.size).sum()
+    b, _ = _budget_and_objective(dev, cfg.q_coefficient * scale ** 3, cfg.eta,
+                                 _Work.of(z.shape))
+    return _split(pk, b, z, scale)

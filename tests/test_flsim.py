@@ -4,6 +4,7 @@ import copy
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -44,8 +45,8 @@ def _reference_losses(w, x, y, classes):
 def _metrics_of(w, x, y, n_pool, classes):
     """(train loss, test loss, test accuracy) of one round's weights w, as a
     chunk of one round."""
-    return _pool_and_test_metrics(w[None], x, y, n_pool, classes,
-                                  np.empty((1, classes, y.size)))[:, 0]
+    return _pool_and_test_metrics(w[None], x, flsim._label_picks(y), y[n_pool:],
+                                  classes, np.empty((1, classes, y.size)))[:, 0]
 
 
 def _gradient(w, x, y, classes, clip_c, sigma, rng):
@@ -309,6 +310,19 @@ def test_losses_match_the_unclamped_log_sum_exp_bit_for_bit(rng, spread):
         got_pool, got_test, _ = _metrics_of(w, x[pair], y[pair], 1, classes)
         want = _reference_losses(w, x[pair], y[pair], classes)[0]
         assert (got_pool, got_test) == (want[0], want[1])
+
+
+def test_a_saturated_set_keeps_the_sign_of_its_zero_loss():
+    # each example's label outscores the other class by 2,000, so every
+    # log-likelihood is exactly 0 and each loss, its negated mean, is -0.0:
+    # the bits `jsam simulate` writes once a run saturates its test set
+    x = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+    y = np.array([1, 0, 1, 0])
+    w = np.array([-1000.0, 0.0, 1000.0, 0.0])  # class c scores (2c - 1) * 1000 * x
+    train_loss, test_loss, accuracy = _metrics_of(w, x, y, 2, 2)
+    assert train_loss == test_loss == 0.0
+    assert np.signbit(train_loss) and np.signbit(test_loss)
+    assert accuracy == 1.0
 
 
 @pytest.mark.parametrize("spread", [0.01, 300.0])
@@ -777,6 +791,30 @@ def test_records_hold_under_rapid_thread_switching(rng, monkeypatch):
     want = _serial_reference(task, shards, plan, schedule, settings, 8)
     got = np.stack([record.train_loss, record.test_loss, record.test_accuracy])
     assert got.tobytes() == want.tobytes()
+
+
+def test_a_large_round_gathers_and_draws_one_round_at_a_time(rng):
+    # at 20,000 clients a round, one round's inputs and noise are more than
+    # _EVAL_ELEMENTS elements, so each chunk is one round and one train call
+    # stays within a few rounds' worth; gathering or drawing all 8 rounds at
+    # once would take about 90 MB
+    task = _small_task(rng, m=2)
+    shards = partition_noniid(task, 4, 100, rng)
+    plan = _uniform_plan(4, eps=5.0)
+    per_round, rounds = 20_000, 8
+    schedule = build_schedule(plan.probabilities, rounds, per_round, rng)
+    assert per_round * task.weight_dim > flsim._EVAL_ELEMENTS  # a round's noise alone
+    one_round = per_round * (2 * (task.feature_dim + 1) + task.weight_dim) * 8  # bytes
+    tracemalloc.start()
+    try:
+        record = train(task, shards, plan, schedule,
+                       TrainSettings(rounds=rounds, per_round=per_round, similarity=100),
+                       np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.train_loss.size == rounds
+    assert peak <= 6 * one_round
 
 
 def test_divergence_in_the_last_chunk_only_is_recorded(rng, monkeypatch):

@@ -254,6 +254,8 @@ def test_one_pass_payments_equal_every_node_evaluation(mechanism, dist, monkeypa
     monkeypatch.setattr(flsim, "fixed_probability_solve",
                         counted(flsim.fixed_probability_solve, 1))
     monkeypatch.setattr(flsim, "client_budgets", counted(flsim.client_budgets, 2))
+    monkeypatch.setattr(flsim, "fixed_client_budgets",
+                        counted(flsim.fixed_client_budgets, 3))
     costs, _, plan, eps_fn = priced_plan(monkeypatch, mechanism, 0, grid, dist)
     curve_rows = rows[1:]  # the first call is the truthful profile
     assert max(curve_rows) <= grid

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jsam import config, mechanism
+from jsam.costs import TruncatedGaussianCosts, UniformCosts
 from jsam.mechanism import (_TWO_THIRDS, BatchSolution, ServerConfig,
                             _budget_and_objective, client_budgets,
                             fixed_probability_solve, optimal_epsilon,
@@ -601,6 +602,68 @@ def test_client_budgets_reject_what_solve_profiles_rejects():
     for ks in (-1, 5, np.array([1, 5]), 1.0, True):
         with pytest.raises(ValueError, match=r"ks must be integers in \[0, 5\)"):
             client_budgets(np.full(5, 0.5), ks, np.array([0.5, 0.6]), cfg)
+
+
+def _tiled_fixed_budgets(p, v, ks, z, cfg):
+    """The reference for `fixed_client_budgets`: each report's whole profile
+    through `fixed_probability_solve` with the one p, read at the reporting
+    client's column."""
+    rows = np.arange(z.size)
+    profiles = np.tile(v, (z.size, 1))
+    profiles[rows, ks] = z
+    return fixed_probability_solve(p, profiles, cfg).privacy_budgets[rows, ks]
+
+
+def test_fixed_client_budgets_equal_the_tiled_solve_bit_for_bit():
+    # the fixed kinds' p (usbm, bbm, and fsbm-M at M = 1, N - 1 and N) at N
+    # 1-12 on both priors; costs on a 1/8 grid tie, at fsbm's cut too, and
+    # each client's reports run from its cost through every rival cost to
+    # the support top
+    rng = np.random.default_rng(2030)
+    priors = (UniformCosts(0.0, 1.0), TruncatedGaussianCosts(0.5, 0.2, 0.05, 1.0))
+    cases = 0
+    for n in range(1, 13):
+        for dist in priors * 2:  # two draws per prior
+            costs = rng.integers(1, 9, size=n) / 8.0
+            losses = rng.uniform(0.5, 2.0, size=n)
+            order = np.argsort(costs, kind="stable")
+            ps = [np.full(n, 1.0 / n), losses / losses.sum()]
+            for m in sorted({1, max(n - 1, 1), n}):
+                ps.append(np.zeros(n))
+                ps[-1][order[:m]] = 1.0 / m
+            eta = 0.0 if cases % 7 == 0 else 10.0 ** rng.uniform(-2, 4)
+            cfg = ServerConfig(eta=eta, q_coefficient=10.0 ** rng.uniform(0, 5))
+            ks = np.repeat(np.arange(n), n + 10)
+            z = dist.virtual(np.concatenate([np.concatenate([
+                np.linspace(costs[k], dist.upper, 9), [dist.upper],
+                np.maximum(costs, costs[k])]) for k in range(n)]))
+            v = dist.virtual(costs)
+            for p in ps:
+                got = mechanism.fixed_client_budgets(p, v, ks, z, cfg)
+                assert got.tobytes() == _tiled_fixed_budgets(p, v, ks, z, cfg).tobytes()
+            # a scalar client broadcasts
+            got = mechanism.fixed_client_budgets(ps[0], v, n - 1, z, cfg)
+            assert got.tobytes() == _tiled_fixed_budgets(
+                ps[0], v, np.full(z.size, n - 1), z, cfg).tobytes()
+            cases += 1
+
+
+@pytest.mark.parametrize("p, virtuals, ks, match", [
+    (np.full(3, 1 / 3), np.full((1, 3), 0.5), 0, r"^virtuals must be one \(N,\) profile"),
+    (np.full(3, 1 / 3), np.full(3, 0.5), 3, r"^client indices ks must be integers in \[0, 3\)$"),
+    (np.full(3, 1 / 3), np.full(3, 0.5), [0.0, 1.0], r"^client indices ks must be integers"),
+    ([0.5, 0.6, 0.0], np.full(3, 0.5), 0, r"^p must lie on the simplex$"),
+    ([np.inf, 0.0, 0.0], np.full(3, 0.5), 0, r"^p must lie on the simplex$"),
+    ([0.5, 0.5], np.full(3, 0.5), 0, r"^p must lie on the simplex$"),
+    ([0.5, 0.5, 0.0], [0.5, 0.0, 0.5], 2, r"^selected client with non-positive virtual cost$"),
+], ids=["profile-2d", "ks-out-of-range", "ks-not-integers", "p-off-simplex",
+        "p-infinite", "p-wrong-length", "selected-zero-cost"])
+def test_fixed_client_budgets_name_their_errors(p, virtuals, ks, match):
+    cfg = ServerConfig(eta=1.0, q_coefficient=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            mechanism.fixed_client_budgets(p, virtuals, ks, np.array([0.5, 0.6]), cfg)
 
 
 def test_client_budgets_run_in_a_few_work_arrays():
