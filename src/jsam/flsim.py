@@ -17,7 +17,7 @@ passes. The scheduled clients' softmax errors and clip norms are taken on
 their (k, C, m) scores, and their clipped gradients are one batched
 contraction. The rounds run in chunks of a few: a chunk gathers its rounds'
 inputs in one pass and draws all their noise in one call, so a round is one
-gradient call, its noise rows and the step. The metrics never feed back
+gradient call with its noise rows, and the step. The metrics never feed back
 into training, so the train loss, test loss and test accuracy are taken
 beside it: each chunk's weights go to a worker thread, which scores the
 chunk over the evaluation matrix in one stacked product and reduces it in
@@ -172,13 +172,13 @@ def _augment(x, y, classes):
     return xt, np.linalg.norm(xt, axis=-1), onehot
 
 
-def local_noisy_gradient(w, augmented, clip_c, sigma, rng) -> np.ndarray:
-    """Per-example-clipped mean local gradients of k clients, plus noise.
+def local_noisy_gradient(w, augmented, clip_c, noise) -> np.ndarray:
+    """Per-example-clipped mean local gradients of k clients, plus their noise.
 
     `augmented` is `_augment(x, y, C)` for the (k, m, D) inputs x and (k, m)
-    labels y of k clients of m examples each, and `sigma` holds one noise
-    multiplier per client; the result is (k, W). C and m are read from the
-    (k, C, m) one-hot labels.
+    labels y of k clients of m examples each, and `noise` holds the clients'
+    (k, W) noise rows, added as given; the result is (k, W). C and m are read
+    from the (k, C, m) one-hot labels.
 
     Each example's gradient is the outer product of (softmax - onehot) with
     the augmented input, whose norm factorizes, so clipping never materializes
@@ -189,14 +189,16 @@ def local_noisy_gradient(w, augmented, clip_c, sigma, rng) -> np.ndarray:
     class after another. Below 8 classes that is the order of numpy's
     last-axis sum, so the bits are those of per-example softmax rows; from 8
     on numpy sums a last axis pairwise, a few ulps apart. The errors go back
-    to example-major for the contraction. An infinite `clip_c` scales every error by exactly 1. The
-    N(0, sigma_k^2 C^2 I) noise of the clients with sigma_k > 0 is one draw,
-    the same stream as one draw per client in order; the others draw nothing.
+    to example-major for the contraction. An infinite `clip_c` scales every
+    error by exactly 1. A row of -0.0 adds nothing, signed zeros included.
     """
     xt, x_norms, onehot = augmented
     k, classes, m = onehot.shape
     if m == 0:
         raise ValueError("empty shard")
+    if np.shape(noise) != (k, w.size):
+        raise ValueError(f"noise must hold one row per client, shape {(k, w.size)}, "
+                         f"got {np.shape(noise)}")
     shifted = _class_scores(w, xt[..., :-1], classes)
     shifted -= shifted.max(axis=1, keepdims=True)
     shifted -= _log_sum_exp(shifted, 1)[:, None]
@@ -211,11 +213,7 @@ def local_noisy_gradient(w, augmented, clip_c, sigma, rng) -> np.ndarray:
     # rounding, stay those of the example-major round
     example_major = np.swapaxes(errors, 1, 2).copy()
     grads = (np.swapaxes(example_major, 1, 2) @ xt / m).reshape(k, -1)
-    noisy = sigma > 0
-    if noisy.any():
-        # Generator.normal(0.0, scale)'s own arithmetic, loc + scale * z
-        z = rng.standard_normal((np.count_nonzero(noisy), grads.shape[1]))
-        grads[noisy] += 0.0 + (sigma[noisy] * clip_c)[:, None] * z
+    grads += noise
     return grads
 
 
@@ -485,20 +483,21 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
     """Run the full pre-scheduled DP-FL protocol and record per-round metrics.
 
     `schedule` holds one row of client indices per round, as `build_schedule`
-    draws it. The shards must be non-empty and of equal size; they are stacked
-    once. Noise scales come from the participation counts of the schedule
-    itself; a scheduled client with a zero budget is a configuration error.
-    `settings.noiseless` trains with an infinite clip norm and no noise, which
-    leaves `rng` untouched. Divergence (non-finite loss) is recorded in the
-    output, not raised.
+    draws it, and `plan.epsilons` one budget per shard; either malformed is
+    rejected before any draw. The shards must be non-empty and of equal size;
+    they are stacked once. Noise scales come from the participation counts of
+    the schedule itself; a scheduled client with a zero budget is a
+    configuration error. `settings.noiseless` trains with an infinite clip
+    norm and no noise, which leaves `rng` untouched. Divergence (non-finite
+    loss) is recorded in the output, not raised.
 
     The rounds run in chunks: as many as fit `_EVAL_ELEMENTS` score elements,
     and each of whose gathered inputs and noise fit as many elements. A
     chunk gathers its rounds' scheduled inputs (a client drawn twice in a
     round counts twice) and draws the noise of its clients with sigma > 0 in
     one call, rounds and clients in order: the stream of one draw per round,
-    bit for bit. Each round is then one `local_noisy_gradient` call, which
-    draws nothing, its noise rows added, and the step.
+    bit for bit. Each round is then one `local_noisy_gradient` call, given
+    its noise rows, and the step.
 
     Every round's metrics are scored on a worker thread that lives for this
     call: the rounds' weights go into one (T, W) array, and each chunk is one
@@ -509,9 +508,17 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
     # loaded here, so commands that never train do not import it
     from concurrent.futures import ThreadPoolExecutor
 
+    n = len(shards)
+    schedule = np.asarray(schedule)
+    if (schedule.ndim != 2 or schedule.size == 0 or schedule.dtype.kind not in "iu"
+            or schedule.min() < 0 or schedule.max() >= n):
+        raise ValueError("schedule must be a 2-D integer array of at least one round "
+                         f"of at least one client, every entry in [0, {n})")
+    if np.shape(plan.epsilons) != (n,):
+        raise ValueError(f"plan.epsilons must hold one budget per client, shape "
+                         f"({n},), got {np.shape(plan.epsilons)}")
     x, y = _stack_shards(task, shards)
     augmented = _augment(x, y, task.classes)
-    n = len(shards)
     counts = np.bincount(schedule.ravel(), minlength=n)
     sigma = np.zeros(n)
     for k in range(n):
@@ -538,26 +545,23 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
     weights = np.empty((t_rounds, w.size))
     # the worker runs one chunk at a time, so one work buffer serves them all
     scores = np.empty((min(chunk, t_rounds), task.classes, ey.size))
-    no_noise = np.zeros(per_round)
     futures = []
     with ThreadPoolExecutor(1) as worker, np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(0, t_rounds, chunk):
             rounds = schedule[t0:t0 + chunk]
             inputs = [a[rounds] for a in augmented]
             # the chunk's noise is one draw, rounds in order: the stream of one
-            # draw per round. Its rows go to (round, client) places; the
-            # places of clients with sigma = 0 are neither drawn nor added
-            # (adding 0.0 would turn a -0.0 gradient entry into +0.0).
+            # draw per round. Its rows go to (round, client) places; clients
+            # with sigma = 0 draw nothing and get -0.0 rows, which add nothing
+            # (+0.0 would turn a -0.0 gradient entry into +0.0)
             sig = sigma[rounds]
             noisy = sig > 0
-            noise = np.zeros(noisy.shape + w.shape)
+            noise = np.full(noisy.shape + w.shape, -0.0)
             # Generator.normal(0.0, scale)'s own arithmetic, loc + scale * z
             noise[noisy] = 0.0 + (sig[noisy] * clip)[:, None] * rng.standard_normal(
                 (np.count_nonzero(noisy), w.size))
             for i in range(rounds.shape[0]):
-                grads = local_noisy_gradient(w, [a[i] for a in inputs], clip, no_noise,
-                                             rng)
-                np.add(grads, noise[i], out=grads, where=noisy[i, :, None])
+                grads = local_noisy_gradient(w, [a[i] for a in inputs], clip, noise[i])
                 w = np.subtract(w, settings.learning_rate * grads.mean(axis=0),
                                 out=weights[t0 + i])
             futures.append(worker.submit(

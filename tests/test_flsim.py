@@ -49,10 +49,22 @@ def _metrics_of(w, x, y, n_pool, classes):
                                   classes, np.empty((1, classes, y.size)))[:, 0]
 
 
+def _noise_rows(sigma, clip_c, width, rng):
+    """The (k, width) noise rows of k clients with multipliers `sigma`: one
+    `Generator.normal` draw, clients in order, for those with sigma > 0, and
+    -0.0 rows, which add nothing, for the others."""
+    sigma = np.asarray(sigma, dtype=float)
+    noisy = sigma > 0
+    noise = np.full((sigma.size, width), -0.0)
+    noise[noisy] = rng.normal(0.0, (sigma[noisy] * clip_c)[:, None],
+                              size=(np.count_nonzero(noisy), width))
+    return noise
+
+
 def _gradient(w, x, y, classes, clip_c, sigma, rng):
     """The kernel on a (k, m, D) batch with (k, m) labels, augmented here."""
     return local_noisy_gradient(w, _augment(x, y, classes), clip_c,
-                                np.asarray(sigma, dtype=float), rng)
+                                _noise_rows(sigma, clip_c, w.size, rng))
 
 
 def _client_gradient(w, x, y, classes, clip_c, sigma, rng):
@@ -145,19 +157,43 @@ def test_a_batch_equals_single_client_calls(rng):
     x, y = _stack_shards(task, partition_noniid(task, 4, 50, rng))
     w = rng.normal(0, 1.0, task.weight_dim)
     ks = np.array([2, 0, 2, 3])  # the schedule draws with replacement
-    # clipped and noisy, then train's noiseless round: clip inf, no noise
-    for clip_c, sigma in ((0.8, np.array([0.7, 1.3, 0.7, 2.0])),
-                          (math.inf, np.zeros(4))):
-        batch = _gradient(w, x[ks], y[ks], task.classes, clip_c, sigma,
-                          np.random.default_rng(5))
-        one_by_one = np.random.default_rng(5)
-        singles = [_client_gradient(w, x[k], y[k], task.classes, clip_c, s,
-                                    one_by_one)
-                   for k, s in zip(ks, sigma)]
+    # clipped, then train's noiseless round: clip inf
+    for clip_c in (0.8, math.inf):
+        batch = _gradient(w, x[ks], y[ks], task.classes, clip_c, np.zeros(4), rng)
+        singles = [_client_gradient(w, x[k], y[k], task.classes, clip_c, 0.0, rng)
+                   for k in ks]
         assert batch.shape == (ks.size, task.weight_dim)
         assert batch.tobytes() == np.stack(singles).tobytes()
-        if not sigma.any():
-            assert batch[0].tobytes() == batch[2].tobytes()
+        assert batch[0].tobytes() == batch[2].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(6,), (5, 6)])
+def test_noise_must_be_one_row_per_client(rng, shape):
+    # a (W,) row would broadcast one draw to every client: correlated noise
+    x, y = rng.normal(size=(4, 3, 1)), rng.integers(0, 3, (4, 3))
+    with pytest.raises(ValueError, match=r"one row per client, shape \(4, 6\)"):
+        local_noisy_gradient(np.zeros(6), _augment(x, y, 3), 1.0, np.zeros(shape))
+
+
+def test_a_quiet_row_keeps_the_gradients_negative_zeros(rng):
+    # each client's examples share one label, so its label-class errors are
+    # negative; feature 0 is 0 but for one smallest subnormal, whose mean over
+    # the 4 examples underflows to -0.0 there (a column of exact zeros gives
+    # +0.0: the contraction's sum starts at +0.0)
+    x = rng.normal(size=(2, 4, 3))
+    x[..., 0] = 0.0
+    x[:, 0, 0] = 5e-324
+    y = np.array([[0] * 4, [1] * 4])
+    w = rng.normal(size=3 * 4)
+    label_entries = (np.arange(2), y[:, 0], 0)
+    for clip_c in (1.0, math.inf):
+        # a row of +0.0 would turn them into +0.0
+        for fill, negative in ((-0.0, True), (0.0, False)):
+            grads = local_noisy_gradient(w, _augment(x, y, 3), clip_c,
+                                         np.full((2, w.size), fill))
+            entries = grads.reshape(2, 3, 4)[label_entries]
+            assert np.all(entries == 0.0)
+            assert np.all(np.signbit(entries) == negative)
 
 
 def test_one_noise_draw_equals_sequential_draws():
@@ -166,22 +202,6 @@ def test_one_noise_draw_equals_sequential_draws():
     gen = np.random.default_rng(8)
     rows = [gen.normal(0.0, s, size=17) for s in scales]
     assert batch.tobytes() == np.stack(rows).tobytes()
-
-
-def test_rows_with_zero_sigma_draw_no_noise(rng):
-    task = _small_task(rng)
-    x, y = _stack_shards(task, partition_noniid(task, 4, 100, rng))
-    w = rng.normal(0, 1.0, task.weight_dim)
-    ks = np.array([1, 3, 0])
-    quiet = _gradient(w, x[ks], y[ks], task.classes, 2.0, np.zeros(3), rng)
-    drawn = np.random.default_rng(4)
-    got = _gradient(w, x[ks], y[ks], task.classes, 2.0,
-                    np.array([0.0, 1.5, 0.0]), drawn)
-    expect = np.random.default_rng(4)
-    noise = expect.normal(0.0, 1.5 * 2.0, size=task.weight_dim)
-    assert got[[0, 2]].tobytes() == quiet[[0, 2]].tobytes()
-    assert got[1].tobytes() == (quiet[1] + noise).tobytes()
-    assert drawn.bit_generator.state == expect.bit_generator.state
 
 
 def test_zero_c2_trains_without_drawing_noise(rng):
@@ -246,8 +266,9 @@ def test_classes_first_gradient_matches_the_example_major_one(classes, spread):
     stacked = _augment(x, y, classes)  # augmented once and indexed, as in train
     # clipped and noisy, then train's noiseless round: clip inf, no noise
     for clip_c, sig in ((2.0, sigma), (math.inf, np.zeros(ks.size))):
-        got = local_noisy_gradient(w, tuple(a[ks] for a in stacked), clip_c, sig,
-                                   np.random.default_rng(7))
+        got = local_noisy_gradient(w, tuple(a[ks] for a in stacked), clip_c,
+                                   _noise_rows(sig, clip_c, w.size,
+                                               np.random.default_rng(7)))
         want, shifted = _example_major_gradient(w, x[ks], y[ks], classes, clip_c,
                                                 sig, np.random.default_rng(7))
         if spread > 100:  # exp's slow path, and probabilities below 1e-304
@@ -745,7 +766,7 @@ def _serial_reference(task, shards, plan, schedule, settings, seed):
     rows = []
     for ks in schedule:
         grads = local_noisy_gradient(w, [a[ks] for a in augmented], settings.clip,
-                                     sigma[ks], rng)
+                                     _noise_rows(sigma[ks], settings.clip, w.size, rng))
         w = w - settings.learning_rate * grads.mean(axis=0)
         pool_losses = _reference_losses(w, task.pool_x[pool], task.pool_y[pool],
                                         task.classes)[0]
@@ -791,6 +812,66 @@ def test_records_hold_under_rapid_thread_switching(rng, monkeypatch):
     want = _serial_reference(task, shards, plan, schedule, settings, 8)
     got = np.stack([record.train_loss, record.test_loss, record.test_accuracy])
     assert got.tobytes() == want.tobytes()
+
+
+def test_quiet_and_noisy_rows_share_one_round_and_one_draw(rng, monkeypatch):
+    # client 3 has an infinite budget, so noise_sigma gives it sigma 0: its
+    # rows draw nothing and are -0.0, which adds nothing, signed zeros too
+    task = _small_task(rng)
+    shards = partition_noniid(task, 4, 50, rng)
+    plan = _uniform_plan(4, eps=5.0)
+    plan.epsilons[3] = math.inf
+    schedule = np.array([[3, 0, 3], [1, 3, 2], [3, 3, 3], [2, 0, 1]])
+    settings = TrainSettings(rounds=4, per_round=3, similarity=50)
+    _set_chunk(monkeypatch, task, 2)
+    noise_rows = []
+
+    def spy(w, augmented, clip_c, noise):
+        noise_rows.append(noise.copy())
+        return local_noisy_gradient(w, augmented, clip_c, noise)
+
+    monkeypatch.setattr(flsim, "local_noisy_gradient", spy)
+    noise_rng = np.random.default_rng(8)
+    record = train(task, shards, plan, schedule, settings, noise_rng)
+    want = _serial_reference(task, shards, plan, schedule, settings, 8)
+    got = np.stack([record.train_loss, record.test_loss, record.test_accuracy])
+    assert got.tobytes() == want.tobytes()
+    quiet = np.stack(noise_rows)[schedule == 3]
+    assert np.all(quiet == 0.0) and np.all(np.signbit(quiet))
+    expect = np.random.default_rng(8)
+    expect.standard_normal((np.count_nonzero(schedule != 3), task.weight_dim))
+    assert noise_rng.bit_generator.state == expect.bit_generator.state
+
+
+@pytest.mark.parametrize("schedule", [
+    np.array([[0, 4]]),                   # past the last of 4 clients
+    np.array([[0, -1]]),
+    np.array([[0.0, 1.0]]),
+    np.array([0, 1]),                     # 1-D
+    np.zeros((0, 2), dtype=int),          # no round
+    np.zeros((3, 0), dtype=int),          # no client in a round
+])
+def test_train_rejects_a_malformed_schedule_before_any_draw(rng, schedule):
+    task = _small_task(rng)
+    shards = partition_noniid(task, 4, 100, rng)
+    noise_rng = np.random.default_rng(3)
+    before = noise_rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"schedule must be a 2-D integer array "
+                                         r".* every entry in \[0, 4\)"):
+        train(task, shards, _uniform_plan(4), schedule,
+              TrainSettings(rounds=1, per_round=2), noise_rng)
+    assert noise_rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("epsilons", [np.ones(3), np.ones(5), np.ones((4, 1))])
+def test_train_rejects_a_budget_count_unlike_the_client_count(rng, epsilons):
+    task = _small_task(rng)
+    shards = partition_noniid(task, 4, 100, rng)
+    plan = _uniform_plan(4)
+    plan.epsilons = epsilons
+    with pytest.raises(ValueError, match=r"one budget per client, shape \(4,\)"):
+        train(task, shards, plan, np.array([[0, 1]]),
+              TrainSettings(rounds=1, per_round=2), rng)
 
 
 def test_a_large_round_gathers_and_draws_one_round_at_a_time(rng):
