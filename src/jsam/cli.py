@@ -29,11 +29,8 @@ def sample_costs(cfg: ExperimentConfig, seed):
 
 def probe_inputs(cfg: ExperimentConfig, seed):
     """The seed's (task, client shards, initial weights): bbm's probe and training."""
-    task = make_task(cfg.task.feature_dim, cfg.task.classes,
-                     cfg.clients * cfg.task.samples_per_client,
-                     cfg.task.test_size, cfg.task.samples_per_client,
-                     seeding.derive(seed, seeding.TASK))
-    shards = partition_noniid(task, cfg.clients, cfg.train.similarity,
+    task = make_task(cfg.task, cfg.clients, seeding.derive(seed, seeding.TASK))
+    shards = partition_noniid(task, cfg.train.similarity,
                               seeding.derive(seed, seeding.PARTITION))
     w0 = seeding.derive(seed, seeding.INIT).normal(0.0, 0.01,
                                                    size=cfg.task.weight_dim)
@@ -89,7 +86,7 @@ def matched_spend_runs(cfg: ExperimentConfig, eta, seed):
     target, rel_tol = anchor.total_payment, 1e-3
     plans = [anchor if name == "jsam" else match_eta_to_cost(
         target, functools.partial(plan_for, cfg, name, seed, probe=probe),
-        rel_tol)[1] for name in cfg.mechanisms]
+        rel_tol) for name in cfg.mechanisms]
     for name, plan in zip(cfg.mechanisms, plans):
         if abs(plan.total_payment - target) > rel_tol * target:
             print(f"warning: {name} seed {seed}: matched spend {plan.total_payment!r}"

@@ -11,7 +11,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .costs import CostDistribution, TruncatedGaussianCosts, UniformCosts
-from .flsim import TrainSettings, parse_mechanism
+from .flsim import TaskSpec, TrainSettings, parse_mechanism
 from .mechanism import ServerConfig
 
 
@@ -34,18 +34,6 @@ class CostSpec:
             return TruncatedGaussianCosts(mean=self.mean, std=self.std,
                                           lower=self.lower, upper=self.upper)
         raise ConfigError(f"costs.kind must be uniform or gaussian, got {self.kind!r}")
-
-
-@dataclass
-class TaskSpec:
-    feature_dim: int = 16
-    classes: int = 5
-    samples_per_client: int = 60
-    test_size: int = 400
-
-    @property
-    def weight_dim(self) -> int:
-        return self.classes * (self.feature_dim + 1)
 
 
 @dataclass

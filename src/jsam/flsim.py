@@ -9,27 +9,31 @@ N(0, sigma_k^2 C^2 I) noise, and the server averages the noisy gradients and
 takes a step. sigma_k is calibrated from the client's realized participation
 count, which is known in advance precisely because the schedule is pre-drawn.
 
-A round is a few array operations. The equal-size augmented shards, their
-one-hot labels and one evaluation matrix (the pool, then the test set) are
-stacked once. One score product serves every pass: classes-first (C, n)
-scores, so each sum over the C classes is a short run of elementwise
-passes. The scheduled clients' softmax errors and clip norms are taken on
-their (k, C, m) scores, and their clipped gradients are one batched
-contraction. The rounds run in chunks of a few: a chunk gathers its rounds'
-inputs in one pass and draws all their noise in one call, so a round is one
-gradient call with its noise rows, and the step. The metrics never feed back
-into training, so the train loss, test loss and test accuracy are taken
-beside it: each chunk's weights go to a worker thread, which scores the
-chunk over the evaluation matrix in one stacked product and reduces it in
-one pass, while the next chunk's gradients run. The two threads share the
-interpreter lock, and a numpy call on a large array hands it over, so each
-side makes as few calls per round, and per chunk, as it can. The noiseless
-diagnostic is the same round with an infinite clip norm and zero noise.
-bbm's probe losses are one score pass over the stacked shards.
+A `TaskSpec` declares the task once: `make_task` draws the pool of N
+clients' m examples it describes, and `partition_noniid` deals it into one
+(N, m) array of pool indices, a row per client. A round is a few array
+operations. The augmented shards, their one-hot labels and one evaluation
+matrix (the pool, then the test set) are gathered once. One score product
+serves every pass: classes-first (C, n) scores, so each sum over the C
+classes is a short run of elementwise passes. The scheduled clients' softmax
+errors and clip norms are taken on their (k, C, m) scores, and their clipped
+gradients are one batched contraction. The rounds run in chunks of a few: a
+chunk gathers its rounds' inputs in one pass and draws all their noise in
+one call, so a round is one gradient call with its noise rows, and the step.
+The metrics never feed back into training, so the train loss, test loss and
+test accuracy are taken beside it: each chunk's weights go to a worker
+thread, which scores the chunk over the evaluation matrix in one stacked
+product and reduces it in one pass, while the next chunk's gradients run.
+The two threads share the interpreter lock, and a numpy call on a large
+array hands it over, so each side makes as few calls per round, and per
+chunk, as it can. The noiseless diagnostic is the same round with an
+infinite clip norm and zero noise. bbm's probe losses are one score pass
+over the shards' examples.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,38 +57,43 @@ _EVAL_ELEMENTS = 2 ** 18
 
 
 @dataclass
-class SyntheticTask:
-    feature_dim: int
-    classes: int
-    samples_per_client: int
-    pool_x: np.ndarray
-    pool_y: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
+class TaskSpec:
+    feature_dim: int = 16
+    classes: int = 5
+    samples_per_client: int = 60
+    test_size: int = 400
 
     @property
     def weight_dim(self) -> int:
         return self.classes * (self.feature_dim + 1)
 
 
-def make_task(feature_dim, classes, pool_size, test_size, samples_per_client,
-              rng: np.random.Generator) -> SyntheticTask:
-    """Gaussian blobs with balanced labels in both pool and test set."""
-    if classes < 2:
+@dataclass
+class SyntheticTask:
+    spec: TaskSpec
+    pool_x: np.ndarray
+    pool_y: np.ndarray
+    test_x: np.ndarray
+    test_y: np.ndarray
+
+
+def make_task(spec: TaskSpec, clients, rng: np.random.Generator) -> SyntheticTask:
+    """Gaussian blobs with balanced labels: a pool of `clients` x
+    `spec.samples_per_client` examples, then a test set of `spec.test_size`."""
+    if spec.classes < 2:
         raise ValueError("need at least two classes")
-    if pool_size < classes:
+    if clients * spec.samples_per_client < spec.classes:
         raise ValueError("pool must contain every class")
-    centers = rng.normal(0.0, 2.5, size=(classes, feature_dim))
+    centers = rng.normal(0.0, 2.5, size=(spec.classes, spec.feature_dim))
 
     def blob(size):
-        y = rng.permutation(np.arange(size) % classes)
-        x = centers[y] + rng.normal(0.0, 1.0, size=(size, feature_dim))
+        y = rng.permutation(np.arange(size) % spec.classes)
+        x = centers[y] + rng.normal(0.0, 1.0, size=(size, spec.feature_dim))
         return x, y
 
-    pool_x, pool_y = blob(pool_size)
-    test_x, test_y = blob(test_size)
-    return SyntheticTask(feature_dim, classes, samples_per_client, pool_x,
-                         pool_y, test_x, test_y)
+    pool_x, pool_y = blob(clients * spec.samples_per_client)
+    test_x, test_y = blob(spec.test_size)
+    return SyntheticTask(spec, pool_x, pool_y, test_x, test_y)
 
 
 def _class_scores(w, x, classes, out=None):
@@ -221,33 +230,31 @@ def local_noisy_gradient(w, augmented, clip_c, noise) -> np.ndarray:
 # partition and schedule
 
 
-def partition_noniid(task: SyntheticTask, n_clients, similarity,
-                     rng: np.random.Generator) -> list[np.ndarray]:
-    """Each client's pool indices from a two-stage split: ceil(s% of m)
-    uniform draws per client, the rest label-sorted blocks.
+def partition_noniid(task: SyntheticTask, similarity,
+                     rng: np.random.Generator) -> np.ndarray:
+    """The clients' pool indices from a two-stage split, one (N, m) row per
+    client, m = `task.spec.samples_per_client` and N = pool size / m: row j
+    is client j's ceil(s% of m) uniform draws, then its block of the
+    label-sorted rest.
 
     Stage 2 deals contiguous blocks of the label-sorted remainder, so each
-    client's skewed share spans at most two classes; that cap is validated and
-    violations (pool too small or too imbalanced) are hard errors.
+    block spans at most two classes: its labels change at most once. That
+    cap is validated; a pool too imbalanced for it is a hard error.
     """
     if not 0 <= similarity <= 100:
         raise ValueError("similarity must lie in [0, 100]")
-    m = task.samples_per_client
-    if task.pool_x.shape[0] < n_clients * m:
-        raise ValueError("pool too small for the requested shards")
-    n1 = math.ceil(similarity * m / 100.0)
-    perm = rng.permutation(task.pool_x.shape[0])
-    shards = [perm[j * n1:(j + 1) * n1] for j in range(n_clients)]
-    rest = perm[n_clients * n1:]
-    rest = rest[np.argsort(task.pool_y[rest], kind="stable")]
-    n2 = m - n1
-    for j in range(n_clients):
-        block = rest[j * n2:(j + 1) * n2]
-        if np.unique(task.pool_y[block]).size > 2:
-            raise ValueError("label-sorted block spans more than two classes; "
-                             "grow the pool or rebalance labels")
-        shards[j] = np.concatenate([shards[j], block])
-    return shards
+    m, pool = task.spec.samples_per_client, task.pool_y.size
+    if pool % m:
+        raise ValueError(f"pool of {pool} examples is not a whole number of "
+                         f"shards of {m}")
+    n, n1 = pool // m, math.ceil(similarity * m / 100.0)
+    perm = rng.permutation(pool)
+    rest = perm[n * n1:]
+    rest = rest[np.argsort(task.pool_y[rest], kind="stable")].reshape(n, m - n1)
+    if np.any(np.count_nonzero(np.diff(task.pool_y[rest], axis=1), axis=1) > 1):
+        raise ValueError("label-sorted block spans more than two classes; "
+                         "grow the pool or rebalance labels")
+    return np.concatenate([perm[:n * n1].reshape(n, n1), rest], axis=1)
 
 
 def build_schedule(p, rounds, per_round, rng: np.random.Generator) -> np.ndarray:
@@ -308,24 +315,29 @@ def parse_mechanism(name: str):
 
 
 def initial_local_losses(task: SyntheticTask, shards, w) -> np.ndarray:
-    """Each client's mean cross-entropy at w, bbm's probe: one classes-first
-    score pass over the stacked shards, meaned per client."""
-    x, y = _stack_shards(task, shards)
-    log_p = _log_likelihoods(_class_scores(w, x.reshape(y.size, -1), task.classes),
-                             _label_picks(y.ravel()))
+    """Each client's mean cross-entropy at the (W,) weights w, bbm's probe:
+    one classes-first score pass over the (N, m) `shards`, meaned per
+    client. Malformed shards or weights are rejected first."""
+    x, y = _shard_examples(task, shards, w, "w")
+    log_p = _log_likelihoods(
+        _class_scores(w, x.reshape(y.size, -1), task.spec.classes),
+        _label_picks(y.ravel()))
     return -log_p.reshape(y.shape).mean(axis=1)
 
 
 def _selection(kind, subset, costs, bbm_losses):
-    """The fixed-probability kinds' p of the truthful reports `costs`."""
+    """(p, cut) of a fixed-probability kind at the truthful reports `costs`:
+    its p, and `cut`, fsbm-M's (M + 1)-th client in stable cost order, or
+    None (every other kind, and fsbm-N)."""
     if kind == "fsbm":
         if subset > costs.size:
             raise ValueError("fsbm subset larger than the client count")
+        order = np.argsort(costs, kind="stable")
         p = np.zeros_like(costs)
-        p[np.argsort(costs, kind="stable")[:subset]] = 1.0 / subset
-        return p
+        p[order[:subset]] = 1.0 / subset
+        return p, order[subset] if subset < costs.size else None
     if kind == "usbm":
-        return np.full_like(costs, 1.0 / costs.size)
+        return np.full_like(costs, 1.0 / costs.size), None
     if bbm_losses is None:
         raise ValueError("bbm needs probe losses for the initial model")
     losses = np.asarray(bbm_losses, dtype=float)
@@ -335,7 +347,7 @@ def _selection(kind, subset, costs, bbm_losses):
         total = losses.sum()
     if total == math.inf:
         raise ValueError("bbm probe losses overflow when summed; scale them down")
-    return losses / total
+    return losses / total, None
 
 
 def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
@@ -345,11 +357,11 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
     jsam solves the truthful profile's virtual costs with `solve_profiles`,
     jsam_ci its reported costs; usbm, fsbm-M and bbm solve the one p of the
     truthful reports with `fixed_probability_solve`. The payment curves are
-    the same rule: eps_of_reports(ks, z) is client ks[i]'s budget at report
-    z[i], rivals fixed (a scalar k broadcasts). jsam's is `client_budgets`,
-    which sorts the rivals once and forms only that budget. A fixed kind's
-    report moves only its own virtual cost under the truthful p, up to
-    fsbm-M's cut, so its curve is `fixed_client_budgets`, which forms only
+    one rule: eps_of_reports(ks, z) is client ks[i]'s budget at report z[i],
+    rivals fixed (a scalar k broadcasts), then fsbm-M's cut. jsam's budgets
+    are `client_budgets`, which sorts the rivals once and forms only that
+    budget. A fixed kind's report moves only its own virtual cost under the
+    truthful p, so its budgets are `fixed_client_budgets`, which forms only
     that column. `expost_payments` sweeps the curves upward in one pass and
     ends each at its first zero, because a client out at one report stays
     out above it. Payments are envelope payments against the realized rival
@@ -365,23 +377,19 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
     if kind == "jsam_ci":
         sol = solve_profiles(costs[None, :], cfg)
     elif kind == "jsam":
-        sol = solve_profiles(virtuals[None, :], cfg)
-
-        def eps_of_reports(ks, z):
-            return client_budgets(virtuals, ks, dist.virtual(z), cfg)
+        sol, budgets, cut = solve_profiles(virtuals[None, :], cfg), client_budgets, None
     else:
-        p = _selection(kind, subset, costs, bbm_losses)
+        p, cut = _selection(kind, subset, costs, bbm_losses)
         sol = fixed_probability_solve(p, virtuals[None, :], cfg)
-        # fsbm-M's cut: k leaves the M cheapest, for a 0 budget, once (z, k) passes
-        # (c_last, last), `last` the (M + 1)-th client in stable order (M < N)
-        last = (np.argsort(costs, kind="stable")[subset]
-                if kind == "fsbm" and subset < costs.size else None)
+        budgets = functools.partial(fixed_client_budgets, p)
 
-        def eps_of_reports(ks, z):
-            eps = fixed_client_budgets(p, virtuals, ks, dist.virtual(z), cfg)
-            if last is not None:
-                eps[(z > costs[last]) | ((z == costs[last]) & (ks >= last))] = 0.0
-            return eps
+    def eps_of_reports(ks, z):
+        eps = budgets(virtuals, ks, dist.virtual(z), cfg)
+        if cut is not None:
+            # fsbm-M's cut: k leaves the M cheapest, for a 0 budget, once
+            # (z, k) passes (c_cut, cut)
+            eps[(z > costs[cut]) | ((z == costs[cut]) & (ks >= cut))] = 0.0
+        return eps
 
     eps = sol.privacy_budgets[0]
     payments = costs * eps if kind == "jsam_ci" else expost_payments(
@@ -395,8 +403,9 @@ def make_plan(name, costs, dist: CostDistribution, cfg: ServerConfig,
 def match_eta_to_cost(target_cost, plan_fn, rel_tol=1e-3):
     """Find eta so plan_fn(eta).total_payment hits target_cost (monotone).
 
-    Returns (eta, plan). Bisection on log eta; the bracket top grows 4x until
-    the cost exceeds the target.
+    Returns the plan, whose `eta` (as `make_plan` stores it) is the matched
+    one. Bisection on log eta; the bracket top grows 4x until the cost
+    exceeds the target.
     """
     if target_cost <= 0:
         raise ValueError("target cost must be > 0")
@@ -410,17 +419,17 @@ def match_eta_to_cost(target_cost, plan_fn, rel_tol=1e-3):
     else:
         raise ArithmeticError("could not bracket the target cost")
     llo, lhi = math.log(_ETA_LO), math.log(hi)
-    best = (hi, plan_hi)
+    best = plan_hi
     for _ in range(_ETA_BISECTIONS):
         mid = 0.5 * (llo + lhi)
         plan = plan_fn(math.exp(mid))
         if abs(plan.total_payment - target_cost) <= rel_tol * target_cost:
-            return math.exp(mid), plan
+            return plan
         if plan.total_payment < target_cost:
             llo = mid
         else:
             lhi = mid
-            best = (math.exp(mid), plan)
+            best = plan
     return best
 
 
@@ -465,16 +474,20 @@ class RunRecord:
                    f"{float(self.test_accuracy[t])!r},{float(self.total_cost)!r}")
 
 
-def _stack_shards(task: SyntheticTask, shards):
-    """(N, m, D) inputs and (N, m) labels of equal-size, non-empty shards."""
-    sizes = [len(s) for s in shards]
-    if min(sizes) == 0:
-        raise ValueError(f"shard of client {sizes.index(0)} is empty")
-    if min(sizes) != max(sizes):
-        raise ValueError(f"shards must have equal sizes, got sizes from "
-                         f"{min(sizes)} to {max(sizes)}")
-    idx = np.stack(shards)
-    return task.pool_x[idx], task.pool_y[idx]
+def _shard_examples(task: SyntheticTask, shards, w, name):
+    """(N, m, D) inputs and (N, m) labels of the (N, m) pool indices `shards`,
+    once they and the weights `w`, called `name` in a message, are checked."""
+    pool, width = task.pool_y.size, task.spec.weight_dim
+    if not (isinstance(shards, np.ndarray) and shards.ndim == 2 and shards.size and
+            shards.dtype.kind in "iu" and shards.min() >= 0 and shards.max() < pool):
+        got = (f"{shards.dtype} array of shape {shards.shape}"
+               if isinstance(shards, np.ndarray) else type(shards).__name__)
+        raise ValueError(f"shards must be an (N, m) integer array of pool indices "
+                         f"in [0, {pool}), N and m >= 1, got {got}")
+    if np.shape(w) != (width,):
+        raise ValueError(f"{name} must hold the task's {width} weights, "
+                         f"shape ({width},), got {np.shape(w)}")
+    return task.pool_x[shards], task.pool_y[shards]
 
 
 def train(task: SyntheticTask, shards, plan: SelectionPlan,
@@ -482,10 +495,11 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
           rng: np.random.Generator, w0=None, run_id="run", seed=0) -> RunRecord:
     """Run the full pre-scheduled DP-FL protocol and record per-round metrics.
 
-    `schedule` holds one row of client indices per round, as `build_schedule`
-    draws it, and `plan.epsilons` one budget per shard; either malformed is
-    rejected before any draw. The shards must be non-empty and of equal size;
-    they are stacked once. Noise scales come from the participation counts of
+    `shards` holds one row of pool indices per client, as `partition_noniid`
+    deals them, `schedule` one row of client indices per round, as
+    `build_schedule` draws it, `plan.epsilons` one budget per client and `w0`,
+    if given, the task's W initial weights; any of them malformed is rejected
+    before any draw. Noise scales come from the participation counts of
     the schedule itself; a scheduled client with a zero budget is a
     configuration error. `settings.noiseless` trains with an infinite clip
     norm and no noise, which leaves `rng` untouched. Divergence (non-finite
@@ -508,7 +522,9 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
     # loaded here, so commands that never train do not import it
     from concurrent.futures import ThreadPoolExecutor
 
-    n = len(shards)
+    w = np.zeros(task.spec.weight_dim) if w0 is None else np.array(w0, dtype=float)
+    x, y = _shard_examples(task, shards, w, "w0")
+    n = y.shape[0]
     schedule = np.asarray(schedule)
     if (schedule.ndim != 2 or schedule.size == 0 or schedule.dtype.kind not in "iu"
             or schedule.min() < 0 or schedule.max() >= n):
@@ -517,8 +533,8 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
     if np.shape(plan.epsilons) != (n,):
         raise ValueError(f"plan.epsilons must hold one budget per client, shape "
                          f"({n},), got {np.shape(plan.epsilons)}")
-    x, y = _stack_shards(task, shards)
-    augmented = _augment(x, y, task.classes)
+    classes = task.spec.classes
+    augmented = _augment(x, y, classes)
     counts = np.bincount(schedule.ravel(), minlength=n)
     sigma = np.zeros(n)
     for k in range(n):
@@ -526,7 +542,6 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
             sigma[k] = noise_sigma(counts[k], plan.epsilons[k],
                                    settings.delta, settings.c2)
     clip = math.inf if settings.noiseless else settings.clip
-    w = np.zeros(task.weight_dim) if w0 is None else np.asarray(w0, dtype=float).copy()
     # the pool in shard order, then the test set: one evaluation matrix,
     # stored transposed so the classes-first scores multiply by a contiguous
     # (D, n) matrix every round (concatenate alone would keep x's layout)
@@ -540,11 +555,11 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
     t_rounds, per_round = schedule.shape
     # the most rounds whose scores, and whose gathered inputs and noise, each
     # fit _EVAL_ELEMENTS: a client's inputs are (m, D + 1), its noise (W,)
-    chunk = max(1, _EVAL_ELEMENTS // max(task.classes * ey.size,
+    chunk = max(1, _EVAL_ELEMENTS // max(classes * ey.size,
                                          per_round * max(augmented[0][0].size, w.size)))
     weights = np.empty((t_rounds, w.size))
     # the worker runs one chunk at a time, so one work buffer serves them all
-    scores = np.empty((min(chunk, t_rounds), task.classes, ey.size))
+    scores = np.empty((min(chunk, t_rounds), classes, ey.size))
     futures = []
     with ThreadPoolExecutor(1) as worker, np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(0, t_rounds, chunk):
@@ -566,7 +581,7 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
                                 out=weights[t0 + i])
             futures.append(worker.submit(
                 _pool_and_test_metrics, weights[t0:t0 + rounds.shape[0]], ex, picks,
-                test_y, task.classes, scores))
+                test_y, classes, scores))
         train_loss, test_loss, test_acc = np.concatenate(
             [future.result() for future in futures], axis=1)
     return RunRecord(

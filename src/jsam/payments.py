@@ -30,16 +30,16 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 _COARSE_STRIDE = 8  # payment-curve nodes per live curve in one sweep call
 
 
-def _envelope(z, e) -> float:
-    """pi(z[0]) = integral of e over z + z[0] * e[0], by the trapezoid rule."""
-    return float(_trapezoid(e, z)) + float(z[0]) * float(e[0])
+def _envelope(z, e):
+    """pi(z[0]) = integral of e over z + z[0] * e[0], by the trapezoid rule,
+    for each curve along the last axis of z and e."""
+    return _trapezoid(e, z, axis=-1) + z[..., 0] * e[..., 0]
 
 
-def _trapezoid_error(e, step) -> float:
-    """Composite-trapezoid error estimate step * sum|second differences| / 12."""
-    if e.size < 3:
-        return 0.0
-    return float(step * np.abs(np.diff(e, 2)).sum() / 12.0)
+def _trapezoid_error(e, step):
+    """Composite-trapezoid error estimate step * sum|second differences| / 12,
+    for each curve along the last axis of e."""
+    return step * np.abs(np.diff(e, 2, axis=-1)).sum(axis=-1) / 12.0
 
 
 @dataclass
@@ -56,8 +56,8 @@ class InterimAllocation:
 
     def quadrature_error(self) -> float:
         """Composite-trapezoid error estimate from second differences."""
-        return _trapezoid_error(self.budgets,
-                                (self.grid[-1] - self.grid[0]) / (self.grid.size - 1))
+        return float(_trapezoid_error(
+            self.budgets, (self.grid[-1] - self.grid[0]) / (self.grid.size - 1)))
 
 
 def interim_allocation(k, dist: CostDistribution, n_clients, cfg: ServerConfig,
@@ -97,8 +97,8 @@ def payment(c, interim: InterimAllocation) -> float:
     if not grid[0] <= c <= grid[-1]:
         raise ValueError("report outside the interim grid range")
     j = int(np.searchsorted(grid, c, side="right"))
-    return _envelope(np.concatenate(([c], grid[j:])),
-                     np.concatenate(([np.interp(c, grid, e)], e[j:])))
+    return float(_envelope(np.concatenate(([c], grid[j:])),
+                           np.concatenate(([np.interp(c, grid, e)], e[j:]))))
 
 
 def expost_payments(costs, budgets, support_upper, eps_of_reports,
@@ -150,7 +150,6 @@ def expost_payments(costs, budgets, support_upper, eps_of_reports,
             live[out] = False
             keep = live[curve]
             curve, node = curve[keep], node[keep]
-    for k, zk, ek in zip(paid, z, e):
-        pis[k] = _envelope(zk, ek)
-        errs[k] = _trapezoid_error(ek, (support_upper - costs[k]) / (grid_size - 1))
+    pis[paid] = _envelope(z, e)
+    errs[paid] = _trapezoid_error(e, (support_upper - costs[paid]) / (grid_size - 1))
     return pis, errs

@@ -13,8 +13,8 @@ from hypothesis import given, strategies as st
 
 from jsam import flsim
 from jsam.costs import UniformCosts
-from jsam.flsim import (RunRecord, SelectionPlan, TrainSettings,
-                        _augment, _pool_and_test_metrics, _stack_shards,
+from jsam.flsim import (RunRecord, SelectionPlan, SyntheticTask, TaskSpec,
+                        TrainSettings, _augment, _pool_and_test_metrics,
                         build_schedule, initial_local_losses,
                         local_noisy_gradient, make_plan, make_task,
                         match_eta_to_cost, noise_sigma, parse_mechanism,
@@ -27,7 +27,7 @@ FAST = ServerConfig(eta=1.0, q_coefficient=1.0, grid_delta=1e-2)
 
 
 def _small_task(rng, n_clients=4, m=24, classes=3, dim=5, test=60):
-    return make_task(dim, classes, n_clients * m, test, m, rng)
+    return make_task(TaskSpec(dim, classes, m, test), n_clients, rng)
 
 
 def _reference_losses(w, x, y, classes):
@@ -154,15 +154,16 @@ def _uniform_plan(n, eps=1.0):
 
 def test_a_batch_equals_single_client_calls(rng):
     task = _small_task(rng)
-    x, y = _stack_shards(task, partition_noniid(task, 4, 50, rng))
-    w = rng.normal(0, 1.0, task.weight_dim)
+    shards = partition_noniid(task, 50, rng)
+    x, y = task.pool_x[shards], task.pool_y[shards]
+    w = rng.normal(0, 1.0, task.spec.weight_dim)
     ks = np.array([2, 0, 2, 3])  # the schedule draws with replacement
     # clipped, then train's noiseless round: clip inf
     for clip_c in (0.8, math.inf):
-        batch = _gradient(w, x[ks], y[ks], task.classes, clip_c, np.zeros(4), rng)
-        singles = [_client_gradient(w, x[k], y[k], task.classes, clip_c, 0.0, rng)
+        batch = _gradient(w, x[ks], y[ks], task.spec.classes, clip_c, np.zeros(4), rng)
+        singles = [_client_gradient(w, x[k], y[k], task.spec.classes, clip_c, 0.0, rng)
                    for k in ks]
-        assert batch.shape == (ks.size, task.weight_dim)
+        assert batch.shape == (ks.size, task.spec.weight_dim)
         assert batch.tobytes() == np.stack(singles).tobytes()
         assert batch[0].tobytes() == batch[2].tobytes()
 
@@ -206,7 +207,7 @@ def test_one_noise_draw_equals_sequential_draws():
 
 def test_zero_c2_trains_without_drawing_noise(rng):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng)
+    shards = partition_noniid(task, 100, rng)
     plan = _uniform_plan(4)
     schedule = build_schedule(plan.probabilities, 5, 3, rng)
     noise_rng = np.random.default_rng(6)
@@ -284,15 +285,15 @@ def test_classes_first_gradient_matches_the_example_major_one(classes, spread):
 def _set_chunk(monkeypatch, task, rounds):
     """Make `train` hand its metric pass to the worker `rounds` rounds at a time."""
     n_eval = task.pool_x.shape[0] + task.test_y.size
-    monkeypatch.setattr(flsim, "_EVAL_ELEMENTS", rounds * task.classes * n_eval)
+    monkeypatch.setattr(flsim, "_EVAL_ELEMENTS", rounds * task.spec.classes * n_eval)
 
 
 def test_each_round_records_model_loss_and_test_metrics(rng, monkeypatch):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 50, rng)
+    shards = partition_noniid(task, 50, rng)
     plan = _uniform_plan(4)
     schedule = build_schedule(plan.probabilities, 5, 2, rng)
-    w0 = rng.normal(0.0, 30.0, task.weight_dim)
+    w0 = rng.normal(0.0, 30.0, task.spec.weight_dim)
     _set_chunk(monkeypatch, task, 2)  # chunks of 2, 2 and 1 rounds
     record = train(task, shards, plan, schedule,
                    TrainSettings(rounds=5, per_round=2, learning_rate=0.0,
@@ -300,9 +301,9 @@ def test_each_round_records_model_loss_and_test_metrics(rng, monkeypatch):
                    np.random.default_rng(3), w0=w0)
     pool = np.concatenate(shards)  # in shard order, as train stacks them
     loss = _reference_losses(w0, task.pool_x[pool], task.pool_y[pool],
-                             task.classes)[0].mean()
+                             task.spec.classes)[0].mean()
     test_losses, accuracy, _ = _reference_losses(w0, task.test_x, task.test_y,
-                                                 task.classes)
+                                                 task.spec.classes)
     test_loss = test_losses.mean()
     assert record.train_loss.tobytes() == np.full(5, loss).tobytes()
     assert record.test_loss.tobytes() == np.full(5, test_loss).tobytes()
@@ -350,9 +351,9 @@ def test_a_saturated_set_keeps_the_sign_of_its_zero_loss():
 def test_probe_losses_equal_a_per_shard_loss_loop_bit_for_bit(rng, spread):
     # 0.01 is the spread of the CLI's initial weights; at 300 the -700 clamp acts
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 50, rng)
-    w = rng.normal(0, spread, task.weight_dim)
-    want = [_reference_losses(w, task.pool_x[s], task.pool_y[s], task.classes)
+    shards = partition_noniid(task, 50, rng)
+    w = rng.normal(0, spread, task.spec.weight_dim)
+    want = [_reference_losses(w, task.pool_x[s], task.pool_y[s], task.spec.classes)
             for s in shards]
     if spread > 100:
         assert any(np.any(shifted < -700) for _, _, shifted in want)
@@ -362,8 +363,8 @@ def test_probe_losses_equal_a_per_shard_loss_loop_bit_for_bit(rng, spread):
 
 def test_tiny_clip_shrinks_the_gradient_to_zero(rng):
     task = _small_task(rng)
-    g = _client_gradient(np.zeros(task.weight_dim), task.pool_x[:10],
-                         task.pool_y[:10], task.classes, 1e-9, 0.0, rng)
+    g = _client_gradient(np.zeros(task.spec.weight_dim), task.pool_x[:10],
+                         task.pool_y[:10], task.spec.classes, 1e-9, 0.0, rng)
     assert np.linalg.norm(g) <= 1e-9
 
 
@@ -371,10 +372,10 @@ def test_noiseless_flag_disables_clipping(rng):
     # a tiny budget would draw large noise and a tiny clip would shrink every
     # step; a noiseless run does neither and never draws from its generator
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng)
+    shards = partition_noniid(task, 100, rng)
     plan = _uniform_plan(4, eps=1e-3)
     schedule = build_schedule(plan.probabilities, 5, 3, rng)
-    w0 = rng.normal(0, 2.0, task.weight_dim)
+    w0 = rng.normal(0, 2.0, task.spec.weight_dim)
     losses = []
     for clip in (1e-6, 123.0):
         noise_rng = np.random.default_rng(6)
@@ -440,13 +441,13 @@ def test_clipped_mean_matches_finite_differences_of_the_surrogate(rng):
 
 
 def test_task_pool_is_label_balanced(rng):
-    task = make_task(4, 3, 90, 30, 30, rng)
+    task = make_task(TaskSpec(4, 3, 30, 30), 3, rng)
     counts = np.bincount(task.pool_y, minlength=3)
     assert np.all(counts == 30)
     with pytest.raises(ValueError):
-        make_task(4, 1, 90, 30, 30, rng)
+        make_task(TaskSpec(4, 1, 30, 30), 3, rng)
     with pytest.raises(ValueError):
-        make_task(4, 5, 3, 30, 30, rng)
+        make_task(TaskSpec(4, 5, 1, 30), 3, rng)
 
 
 def _stage1_draws(rng, pool_size, n_clients, count):
@@ -457,9 +458,9 @@ def _stage1_draws(rng, pool_size, n_clients, count):
 
 
 def test_uniform_partition_matches_pool_proportions(rng):
-    task = make_task(4, 4, 400, 40, 40, rng)
+    task = make_task(TaskSpec(4, 4, 40, 40), 10, rng)
     draws = _stage1_draws(rng, 400, 10, 40)
-    shards = partition_noniid(task, 10, 100, rng)
+    shards = partition_noniid(task, 100, rng)
     for shard, drawn in zip(shards, draws, strict=True):
         assert shard.tobytes() == drawn.tobytes()  # all 40 are stage 1
     for shard in shards:
@@ -471,9 +472,9 @@ def test_uniform_partition_matches_pool_proportions(rng):
 
 
 def test_skewed_partition_caps_labels_at_two(rng):
-    task = make_task(4, 5, 400, 40, 40, rng)
+    task = make_task(TaskSpec(4, 5, 40, 40), 10, rng)
     perm = copy.deepcopy(rng).permutation(400)
-    shards = partition_noniid(task, 10, 0, rng)
+    shards = partition_noniid(task, 0, rng)
     # no stage 1: the shards deal the label-sorted permutation in order
     dealt = perm[np.argsort(task.pool_y[perm], kind="stable")]
     assert np.concatenate(shards).tobytes() == dealt.tobytes()
@@ -482,9 +483,10 @@ def test_skewed_partition_caps_labels_at_two(rng):
 
 
 def test_mixed_partition_counts_and_disjointness(rng):
-    task = make_task(4, 5, 600, 40, 60, rng)
+    task = make_task(TaskSpec(4, 5, 60, 40), 10, rng)
     draws = _stage1_draws(rng, 600, 10, 18)  # ceil(30% of 60)
-    shards = partition_noniid(task, 10, 30, rng)
+    shards = partition_noniid(task, 30, rng)
+    assert shards.shape == (10, 60) and shards.dtype.kind == "i"
     for shard, drawn in zip(shards, draws, strict=True):
         assert shard.size == 60
         assert shard[:18].tobytes() == drawn.tobytes()
@@ -495,15 +497,40 @@ def test_mixed_partition_counts_and_disjointness(rng):
     assert np.unique(all_idx).size == 600
 
 
+def _labelled_task(labels, m):
+    """A hand-built one-feature task whose pool holds `labels`, m per client."""
+    y = np.asarray(labels)
+    return SyntheticTask(TaskSpec(1, int(y.max()) + 1, m, 1), np.zeros((y.size, 1)),
+                         y, np.zeros((1, 1)), np.zeros(1, dtype=int))
+
+
 def test_partition_guards(rng):
-    task = make_task(4, 3, 90, 30, 30, rng)
-    with pytest.raises(ValueError, match="pool"):
-        partition_noniid(task, 4, 50, rng)
+    task = make_task(TaskSpec(4, 3, 30, 30), 3, rng)
     with pytest.raises(ValueError, match="similarity"):
-        partition_noniid(task, 2, 150, rng)
-    lopsided = make_task(4, 5, 200, 30, 100, rng)
+        partition_noniid(task, 150, rng)
+    lopsided = make_task(TaskSpec(4, 5, 100, 30), 2, rng)
     with pytest.raises(ValueError, match="two classes"):
-        partition_noniid(lopsided, 2, 0, rng)
+        partition_noniid(lopsided, 0, rng)
+    with pytest.raises(ValueError, match="^pool of 7 examples is not a whole "
+                                         "number of shards of 4$"):
+        partition_noniid(_labelled_task([0, 0, 0, 1, 1, 1, 1], 4), 0, rng)
+
+
+@pytest.mark.parametrize("labels, passes", [
+    ([0, 0, 1, 1, 1, 1, 2, 2], True),    # each block's labels change once
+    ([0, 1, 2, 2, 2, 2, 2, 2], False),   # client 0's change twice
+    ([0, 0, 0, 0, 0, 1, 2, 2], False),   # client 1's change twice
+])
+def test_two_class_cap_allows_one_label_change_per_block(rng, labels, passes):
+    # similarity 0: two clients deal the label-sorted pool in blocks of 4,
+    # whatever order the permutation draws
+    task = _labelled_task(labels, 4)
+    if passes:
+        shards = partition_noniid(task, 0, rng)
+        assert task.pool_y[shards].tolist() == [labels[:4], labels[4:]]
+    else:
+        with pytest.raises(ValueError, match="spans more than two classes"):
+            partition_noniid(task, 0, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +654,11 @@ def test_true_cost_variant_pays_less_in_expectation(uniform01, rng):
 def test_match_eta_to_cost_brackets_a_monotone_curve():
     class P:
         def __init__(self, eta):
-            self.total_payment = 2.0 * eta
+            self.eta, self.total_payment = eta, 2.0 * eta
 
-    eta, plan = match_eta_to_cost(3.0, P, rel_tol=1e-6)
+    plan = match_eta_to_cost(3.0, P, rel_tol=1e-6)
     assert plan.total_payment == pytest.approx(3.0, rel=1e-5)
-    assert eta == pytest.approx(1.5, rel=1e-5)
+    assert plan.eta == pytest.approx(1.5, rel=1e-5)
     with pytest.raises(ValueError):
         match_eta_to_cost(0.0, P)
 
@@ -642,7 +669,7 @@ def test_match_eta_to_cost_brackets_a_monotone_curve():
 
 def _toy_run(rng, plan_eps, rounds=6, lr=0.3):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng)
+    shards = partition_noniid(task, 100, rng)
     n = 4
     plan = SelectionPlan(kind="usbm", eta=1.0,
                          probabilities=np.full(n, 0.25),
@@ -665,24 +692,24 @@ def test_zero_learning_rate_freezes_the_model(rng):
 
 def test_one_noiseless_round_is_a_plain_gradient_step(rng):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng)
+    shards = partition_noniid(task, 100, rng)
     plan = _uniform_plan(4)
     schedule = np.array([[0, 2]])
     settings = TrainSettings(rounds=1, per_round=2, learning_rate=0.5,
                              similarity=100, noiseless=True)
-    w0 = rng.normal(0, 0.2, task.weight_dim)
+    w0 = rng.normal(0, 0.2, task.spec.weight_dim)
     record = train(task, shards, plan, schedule, settings,
                    np.random.default_rng(0), w0=w0)
 
     def mean_loss(wv):
         return 0.5 * sum(_reference_losses(wv, task.pool_x[shards[k]],
                                            task.pool_y[shards[k]],
-                                           task.classes)[0].mean()
+                                           task.spec.classes)[0].mean()
                          for k in (0, 2))
 
-    grad = np.zeros(task.weight_dim)
+    grad = np.zeros(task.spec.weight_dim)
     h = 1e-6
-    for i in range(task.weight_dim):
+    for i in range(task.spec.weight_dim):
         wp, wm = w0.copy(), w0.copy()
         wp[i] += h
         wm[i] -= h
@@ -690,7 +717,7 @@ def test_one_noiseless_round_is_a_plain_gradient_step(rng):
     w1 = w0 - 0.5 * grad
     pool = np.concatenate(shards)
     want = _reference_losses(w1, task.pool_x[pool], task.pool_y[pool],
-                             task.classes)[0].mean()
+                             task.spec.classes)[0].mean()
     assert record.train_loss[0] == pytest.approx(want, abs=1e-8)
 
 
@@ -698,27 +725,27 @@ def test_noise_is_calibrated_from_the_schedule_that_is_trained(rng):
     # one round of clients 0 and 1: each took part once, so each adds
     # noise_sigma(1, eps) -- the schedule is the only source of the counts
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng)
+    shards = partition_noniid(task, 100, rng)
     plan = _uniform_plan(4, eps=1e-3)
     settings = TrainSettings(rounds=1, per_round=2, similarity=100)
-    w0 = rng.normal(0, 0.2, task.weight_dim)
+    w0 = rng.normal(0, 0.2, task.spec.weight_dim)
     record = train(task, shards, plan, np.array([[0, 1]]), settings,
                    np.random.default_rng(5), w0=w0)
 
-    x, y = _stack_shards(task, shards)
+    x, y = task.pool_x[shards], task.pool_y[shards]
     sigma = noise_sigma(1, 1e-3, settings.delta, settings.c2)
-    grads = _gradient(w0, x[:2], y[:2], task.classes, settings.clip,
+    grads = _gradient(w0, x[:2], y[:2], task.spec.classes, settings.clip,
                       np.full(2, sigma), np.random.default_rng(5))
     w1 = w0 - settings.learning_rate * grads.mean(axis=0)
     pool = np.concatenate(shards)
     want = _reference_losses(w1, task.pool_x[pool], task.pool_y[pool],
-                             task.classes)[0].mean()
+                             task.spec.classes)[0].mean()
     assert record.train_loss[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_full_participation_noiseless_matches_centralized(rng):
     task = _small_task(rng, n_clients=4, m=30)
-    shards = partition_noniid(task, 4, 100, rng)
+    shards = partition_noniid(task, 100, rng)
     plan = _uniform_plan(4)
     t = 50
     schedule = np.tile(np.arange(4), (t, 1))
@@ -727,13 +754,13 @@ def test_full_participation_noiseless_matches_centralized(rng):
     record = train(task, shards, plan, schedule, settings,
                    np.random.default_rng(0))
     # centralized: equal shard sizes make the mean of shard means the pool mean
-    w = np.zeros(task.weight_dim)
+    w = np.zeros(task.spec.weight_dim)
     pool = np.concatenate(shards)
     for _ in range(t):
         w = w - 0.4 * _client_gradient(w, task.pool_x[pool], task.pool_y[pool],
-                                       task.classes, math.inf, 0.0, rng)
+                                       task.spec.classes, math.inf, 0.0, rng)
     _, central_acc, _ = _reference_losses(w, task.test_x, task.test_y,
-                                          task.classes)
+                                          task.spec.classes)
     assert abs(record.test_accuracy[-1] - central_acc) <= 0.02
 
 
@@ -755,23 +782,23 @@ def _serial_reference(task, shards, plan, schedule, settings, seed):
     """Per-round (train loss, test loss, test accuracy) rows of `train`'s
     protocol, stepped one round at a time and scored by `_reference_losses`
     as each round ends."""
-    x, y = _stack_shards(task, shards)
-    augmented = _augment(x, y, task.classes)
+    x, y = task.pool_x[shards], task.pool_y[shards]
+    augmented = _augment(x, y, task.spec.classes)
     counts = np.bincount(schedule.ravel(), minlength=len(shards))
     sigma = np.array([noise_sigma(c, eps, settings.delta, settings.c2) if c else 0.0
                       for c, eps in zip(counts, plan.epsilons)])
     pool = np.concatenate(shards)
     rng = np.random.default_rng(seed)
-    w = np.zeros(task.weight_dim)
+    w = np.zeros(task.spec.weight_dim)
     rows = []
     for ks in schedule:
         grads = local_noisy_gradient(w, [a[ks] for a in augmented], settings.clip,
                                      _noise_rows(sigma[ks], settings.clip, w.size, rng))
         w = w - settings.learning_rate * grads.mean(axis=0)
         pool_losses = _reference_losses(w, task.pool_x[pool], task.pool_y[pool],
-                                        task.classes)[0]
+                                        task.spec.classes)[0]
         test_losses, accuracy, _ = _reference_losses(w, task.test_x, task.test_y,
-                                                     task.classes)
+                                                     task.spec.classes)
         rows.append((pool_losses.mean(), test_losses.mean(), accuracy))
     return np.array(rows).T
 
@@ -781,7 +808,7 @@ def _serial_reference(task, shards, plan, schedule, settings, seed):
 def test_records_are_bit_identical_across_chunk_boundaries(rng, monkeypatch,
                                                            chunk, rounds):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 50, rng)
+    shards = partition_noniid(task, 50, rng)
     plan = _uniform_plan(4, eps=5.0)
     schedule = build_schedule(plan.probabilities, rounds, 2, rng)
     settings = TrainSettings(rounds=rounds, per_round=2, similarity=50)
@@ -797,7 +824,7 @@ def test_records_hold_under_rapid_thread_switching(rng, monkeypatch):
     # one hand-off per round and a thread switch every microsecond: a round's
     # weights read before they are written would change its bits
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 50, rng)
+    shards = partition_noniid(task, 50, rng)
     plan = _uniform_plan(4, eps=5.0)
     schedule = build_schedule(plan.probabilities, 60, 2, rng)
     settings = TrainSettings(rounds=60, per_round=2, similarity=50)
@@ -818,7 +845,7 @@ def test_quiet_and_noisy_rows_share_one_round_and_one_draw(rng, monkeypatch):
     # client 3 has an infinite budget, so noise_sigma gives it sigma 0: its
     # rows draw nothing and are -0.0, which adds nothing, signed zeros too
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 50, rng)
+    shards = partition_noniid(task, 50, rng)
     plan = _uniform_plan(4, eps=5.0)
     plan.epsilons[3] = math.inf
     schedule = np.array([[3, 0, 3], [1, 3, 2], [3, 3, 3], [2, 0, 1]])
@@ -839,7 +866,7 @@ def test_quiet_and_noisy_rows_share_one_round_and_one_draw(rng, monkeypatch):
     quiet = np.stack(noise_rows)[schedule == 3]
     assert np.all(quiet == 0.0) and np.all(np.signbit(quiet))
     expect = np.random.default_rng(8)
-    expect.standard_normal((np.count_nonzero(schedule != 3), task.weight_dim))
+    expect.standard_normal((np.count_nonzero(schedule != 3), task.spec.weight_dim))
     assert noise_rng.bit_generator.state == expect.bit_generator.state
 
 
@@ -853,7 +880,7 @@ def test_quiet_and_noisy_rows_share_one_round_and_one_draw(rng, monkeypatch):
 ])
 def test_train_rejects_a_malformed_schedule_before_any_draw(rng, schedule):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng)
+    shards = partition_noniid(task, 100, rng)
     noise_rng = np.random.default_rng(3)
     before = noise_rng.bit_generator.state
     with pytest.raises(ValueError, match=r"schedule must be a 2-D integer array "
@@ -866,7 +893,7 @@ def test_train_rejects_a_malformed_schedule_before_any_draw(rng, schedule):
 @pytest.mark.parametrize("epsilons", [np.ones(3), np.ones(5), np.ones((4, 1))])
 def test_train_rejects_a_budget_count_unlike_the_client_count(rng, epsilons):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng)
+    shards = partition_noniid(task, 100, rng)
     plan = _uniform_plan(4)
     plan.epsilons = epsilons
     with pytest.raises(ValueError, match=r"one budget per client, shape \(4,\)"):
@@ -880,12 +907,13 @@ def test_a_large_round_gathers_and_draws_one_round_at_a_time(rng):
     # stays within a few rounds' worth; gathering or drawing all 8 rounds at
     # once would take about 90 MB
     task = _small_task(rng, m=2)
-    shards = partition_noniid(task, 4, 100, rng)
+    shards = partition_noniid(task, 100, rng)
     plan = _uniform_plan(4, eps=5.0)
     per_round, rounds = 20_000, 8
     schedule = build_schedule(plan.probabilities, rounds, per_round, rng)
-    assert per_round * task.weight_dim > flsim._EVAL_ELEMENTS  # a round's noise alone
-    one_round = per_round * (2 * (task.feature_dim + 1) + task.weight_dim) * 8  # bytes
+    assert per_round * task.spec.weight_dim > flsim._EVAL_ELEMENTS  # a round's noise alone
+    spec = task.spec
+    one_round = per_round * (2 * (spec.feature_dim + 1) + spec.weight_dim) * 8  # bytes
     tracemalloc.start()
     try:
         record = train(task, shards, plan, schedule,
@@ -902,7 +930,7 @@ def test_divergence_in_the_last_chunk_only_is_recorded(rng, monkeypatch):
     # client 3's sigma overflows to inf; it is scheduled from round 8 on, so
     # of the chunks of 3 rounds only the last goes non-finite
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng)
+    shards = partition_noniid(task, 100, rng)
     plan = _uniform_plan(4, eps=5.0)
     plan.epsilons[3] = 5e-324
     schedule = np.array([[0, 1]] * 7 + [[3, 0]] * 2)
@@ -940,27 +968,41 @@ def test_scheduled_client_with_zero_budget_is_a_config_error(rng):
         _toy_run(rng, plan_eps=0.0)
 
 
-def test_train_rejects_an_empty_shard(rng):
+@pytest.mark.parametrize("malform", [
+    np.ravel,
+    lambda s: s.astype(float),
+    lambda s: s[:, :0],
+    lambda s: [s[0], s[1][:-1], s[2], s[3]],
+    lambda s: s - 1,
+], ids=["1-D", "float", "empty", "ragged-list", "negative-index"])
+def test_train_rejects_malformed_shards_before_any_draw(rng, malform):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng)
-    shards[2] = shards[2][:0]
-    plan = _uniform_plan(4)
-    # client 2 is never scheduled, so only an up-front check can see it
-    schedule = np.array([[0, 1]])
-    with pytest.raises(ValueError, match="client 2 is empty"):
-        train(task, shards, plan, schedule, TrainSettings(rounds=1, per_round=2),
-              rng)
+    shards = malform(partition_noniid(task, 100, rng))
+    noise_rng = np.random.default_rng(3)
+    before = noise_rng.bit_generator.state
+    message = r"^shards must be an \(N, m\) integer array of pool indices in \[0, 96\)"
+    with pytest.raises(ValueError, match=message):
+        train(task, shards, _uniform_plan(4), np.array([[0, 1]]),
+              TrainSettings(rounds=1, per_round=2), noise_rng)
+    assert noise_rng.bit_generator.state == before
+    with pytest.raises(ValueError, match=message):
+        initial_local_losses(task, shards, np.zeros(task.spec.weight_dim))
 
 
-def test_train_rejects_unequal_shards(rng):
-    task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng)
-    shards[1] = shards[1][:-1]
-    plan = _uniform_plan(4)
-    schedule = build_schedule(plan.probabilities, 2, 2, rng)
-    with pytest.raises(ValueError, match="equal sizes"):
-        train(task, shards, plan, schedule, TrainSettings(rounds=2, per_round=2),
-              rng)
+@pytest.mark.parametrize("weights", [np.zeros(5), np.zeros(19), np.zeros((3, 6)),
+                                     np.zeros((1, 18))])
+def test_misshapen_weights_are_rejected_before_any_draw(rng, weights):
+    task = _small_task(rng)  # W = 3 classes x (5 features + 1) = 18
+    shards = partition_noniid(task, 100, rng)
+    noise_rng = np.random.default_rng(3)
+    before = noise_rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^w0 must hold the task's 18 weights, "
+                                         r"shape \(18,\), got "):
+        train(task, shards, _uniform_plan(4), np.array([[0, 1]]),
+              TrainSettings(rounds=1, per_round=2), noise_rng, w0=weights)
+    assert noise_rng.bit_generator.state == before
+    with pytest.raises(ValueError, match=r"^w must hold the task's 18 weights"):
+        initial_local_losses(task, shards, weights)
 
 
 def test_run_record_rows_and_header(rng):
@@ -980,8 +1022,8 @@ def test_run_record_rows_and_header(rng):
 
 def test_initial_local_losses_probe(rng):
     task = _small_task(rng)
-    shards = partition_noniid(task, 4, 100, rng)
-    w = rng.normal(0, 0.1, task.weight_dim)
+    shards = partition_noniid(task, 100, rng)
+    w = rng.normal(0, 0.1, task.spec.weight_dim)
     losses = initial_local_losses(task, shards, w)
     assert losses.shape == (4,)
     assert np.all(losses > 0)

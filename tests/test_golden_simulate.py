@@ -13,12 +13,15 @@ deliberate, documented change of numerics) with
     PYTHONPATH=src python tests/test_golden_simulate.py
 """
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from jsam.cli import main
+from jsam.cli import main, probe_inputs
+from jsam.config import from_dict
 
 GOLDEN = Path(__file__).with_name("golden_simulate.json")
 GOLDEN_RTOL = 1e-12
@@ -82,6 +85,28 @@ def test_simulate_matches_the_golden_csv(case, tmp_path):
             assert float(g[name]) == pytest.approx(
                 float(w[name]), rel=GOLDEN_RTOL, abs=0.0), (name, w["run_id"],
                                                            w["round"])
+
+
+# sha256 of the seed's task arrays (pool x and y, test x and y) and of the
+# clients' pool indices stacked one row per client, recorded before the
+# shards became one (N, m) array
+PROBE_DIGESTS = {
+    0: "74d081d7987e3e6f3666187216014c28f830f4f223d12678cf9a835d1b58c816",
+    30: "8a62476a40aead7b4bc9251956e078d36a67b9ed6c9f2af7308d9cc7c51ad41d",
+    100: "70cc2a605ba02a015e4f797f1ed47d11eb66c0b1862e0b47c27b3f3c4bfcbc08",
+}
+
+
+@pytest.mark.parametrize("similarity", sorted(PROBE_DIGESTS))
+def test_task_and_partition_are_byte_identical(similarity):
+    cfg = from_dict({"clients": 12, "train": {"similarity": similarity},
+                     "task": {"samples_per_client": 30, "test_size": 50}})
+    task, shards, _ = probe_inputs(cfg, 7)
+    digest = hashlib.sha256()
+    for array in (task.pool_x, task.pool_y, task.test_x, task.test_y,
+                  np.asarray(shards)):
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == PROBE_DIGESTS[similarity]
 
 
 if __name__ == "__main__":
