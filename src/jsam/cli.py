@@ -10,7 +10,8 @@ import sys
 import numpy as np
 
 from . import audit, seeding
-from .config import ConfigError, ExperimentConfig, from_dict, load, server_config
+from .config import (ConfigError, ExperimentConfig, _named, from_dict, load,
+                     server_config)
 from .flsim import (RunRecord, SelectionPlan, build_schedule,
                     initial_local_losses, make_plan, make_task,
                     match_eta_to_cost, partition_noniid, train)
@@ -28,10 +29,13 @@ def sample_costs(cfg: ExperimentConfig, seed):
 
 
 def probe_inputs(cfg: ExperimentConfig, seed):
-    """The seed's (task, client shards, initial weights): bbm's probe and training."""
+    """The seed's (task, client shards, initial weights): bbm's probe and
+    training. A partition that deals some client a block of more than two
+    classes is a config error naming the fields that size it."""
     task = make_task(cfg.task, cfg.clients, seeding.derive(seed, seeding.TASK))
-    shards = partition_noniid(task, cfg.train.similarity,
-                              seeding.derive(seed, seeding.PARTITION))
+    shards = _named("clients, task.samples_per_client, task.classes, train.similarity",
+                    lambda: partition_noniid(task, cfg.train.similarity,
+                                             seeding.derive(seed, seeding.PARTITION)))
     w0 = seeding.derive(seed, seeding.INIT).normal(0.0, 0.01,
                                                    size=cfg.task.weight_dim)
     return task, shards, w0
@@ -58,18 +62,29 @@ def train_under(cfg: ExperimentConfig, plan: SelectionPlan, seed, probe) -> RunR
     schedule = build_schedule(plan.probabilities, cfg.train.rounds,
                               cfg.train.per_round,
                               seeding.derive(seed, seeding.SCHEDULE, tag))
-    run_id = f"{plan.kind}-s{cfg.train.similarity}-eta{plan.eta:g}-seed{seed}"
-    return train(task, shards, plan, schedule, cfg.train,
-                 seeding.derive(seed, seeding.NOISE, tag), w0=w0,
-                 run_id=run_id, seed=seed)
+    return train(task, shards, plan.epsilons, schedule, cfg.train,
+                 seeding.derive(seed, seeding.NOISE, tag), w0=w0)
 
 
-def simulate_one(cfg: ExperimentConfig, name, seed, eta=None):
-    """(RunRecord, SelectionPlan) of mechanism `name` for one seed at accuracy
-    weight `eta`: the loop body of `jsam simulate` and `jsam sweep`."""
-    probe = probe_inputs(cfg, seed)
-    plan = plan_for(cfg, name, seed, eta, probe)
-    return train_under(cfg, plan, seed, probe), plan
+def runs_at(cfg: ExperimentConfig, eta=None):
+    """(run id, seed, SelectionPlan, RunRecord) of every configured mechanism
+    and seed at accuracy weight `eta` (default: the config's), mechanism-major
+    like the rows of `simulate` and `sweep`. A seed's mechanisms share one
+    `probe_inputs`. A diverged run is one `warning:` line, in row order."""
+    by_seed = []
+    for seed in cfg.seeds:
+        probe = probe_inputs(cfg, seed)
+        by_seed.append([])
+        for name in cfg.mechanisms:
+            plan = plan_for(cfg, name, seed, eta, probe)
+            run_id = f"{plan.kind}-s{cfg.train.similarity}-eta{plan.eta:g}-seed{seed}"
+            record = train_under(cfg, plan, seed, probe)
+            by_seed[-1].append((run_id, seed, plan, record))
+    runs = [run for column in zip(*by_seed) for run in column]
+    for run_id, _, _, record in runs:
+        if record.diverged:
+            print(f"warning: run {run_id} diverged", file=sys.stderr)
+    return runs
 
 
 def matched_spend_runs(cfg: ExperimentConfig, eta, seed):
@@ -136,13 +151,16 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    lines = [RunRecord.CSV_HEADER]
-    for name in cfg.mechanisms:
-        for seed in cfg.seeds:
-            record, _ = simulate_one(cfg, name, seed)
-            if record.diverged:
-                print(f"warning: run {record.run_id} diverged", file=sys.stderr)
-            lines.extend(record.rows())
+    lines = ["run_id,mechanism,seed,s,eta,round,train_loss,test_loss,"
+             "test_accuracy,cumulative_monetary_cost"]
+    for run_id, seed, plan, record in runs_at(cfg):
+        head = f"{run_id},{plan.kind},{seed},{cfg.train.similarity},{float(plan.eta)!r}"
+        # the monetary cost is paid up front, so it is constant per round
+        for t in range(record.train_loss.size):
+            lines.append(f"{head},{t + 1},{float(record.train_loss[t])!r},"
+                         f"{float(record.test_loss[t])!r},"
+                         f"{float(record.test_accuracy[t])!r},"
+                         f"{float(plan.total_payment)!r}")
     write_output("\n".join(lines) + "\n", cfg.out)
     return 0
 
@@ -154,14 +172,12 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
               "final_test_accuracy,final_test_loss")
     lines = [header]
     for eta in cfg.eta_grid:
-        for name in cfg.mechanisms:
-            for seed in cfg.seeds:
-                record, plan = simulate_one(cfg, name, seed, eta=eta)
-                lines.append(
-                    f"{float(eta)!r},{name},{seed},{float(plan.total_budget)!r},"
-                    f"{float(plan.total_payment)!r},{plan.selected_count},"
-                    f"{float(record.test_accuracy[-1])!r},"
-                    f"{float(record.test_loss[-1])!r}")
+        for _, seed, plan, record in runs_at(cfg, eta):
+            lines.append(
+                f"{float(eta)!r},{plan.kind},{seed},{float(plan.total_budget)!r},"
+                f"{float(plan.total_payment)!r},{plan.selected_count},"
+                f"{float(record.test_accuracy[-1])!r},"
+                f"{float(record.test_loss[-1])!r}")
     write_output("\n".join(lines) + "\n", cfg.out)
     return 0
 

@@ -8,6 +8,9 @@ local loss, clips them individually to norm C, averages, adds
 N(0, sigma_k^2 C^2 I) noise, and the server averages the noisy gradients and
 takes a step. sigma_k is calibrated from the client's realized participation
 count, which is known in advance precisely because the schedule is pre-drawn.
+`train` takes the clients' budgets, not a plan, and returns only what it
+measures: each round's train loss, test loss and test accuracy. Labelling
+and writing the runs is the caller's.
 
 A `TaskSpec` declares the task once: `make_task` draws the pool of N
 clients' m examples it describes, and `partition_noniid` deals it into one
@@ -451,27 +454,15 @@ class TrainSettings:
 
 @dataclass
 class RunRecord:
-    run_id: str
-    mechanism: str
-    seed: int
-    similarity: int
-    eta: float
-    total_cost: float
+    """What one `train` call measures: one value per round of each curve."""
+
     train_loss: np.ndarray
     test_loss: np.ndarray
     test_accuracy: np.ndarray
-    diverged: bool = False
 
-    CSV_HEADER = ("run_id,mechanism,seed,s,eta,round,train_loss,test_loss,"
-                  "test_accuracy,cumulative_monetary_cost")
-
-    def rows(self):
-        """CSV rows; the monetary cost is paid up front, constant per round."""
-        for t in range(self.train_loss.size):
-            yield (f"{self.run_id},{self.mechanism},{self.seed},"
-                   f"{self.similarity},{float(self.eta)!r},{t + 1},"
-                   f"{float(self.train_loss[t])!r},{float(self.test_loss[t])!r},"
-                   f"{float(self.test_accuracy[t])!r},{float(self.total_cost)!r}")
+    @property
+    def diverged(self) -> bool:  # the last round's train loss is not finite
+        return bool(not np.isfinite(self.train_loss[-1]))
 
 
 def _shard_examples(task: SyntheticTask, shards, w, name):
@@ -490,20 +481,20 @@ def _shard_examples(task: SyntheticTask, shards, w, name):
     return task.pool_x[shards], task.pool_y[shards]
 
 
-def train(task: SyntheticTask, shards, plan: SelectionPlan,
-          schedule: np.ndarray, settings: TrainSettings,
-          rng: np.random.Generator, w0=None, run_id="run", seed=0) -> RunRecord:
-    """Run the full pre-scheduled DP-FL protocol and record per-round metrics.
+def train(task: SyntheticTask, shards, epsilons, schedule: np.ndarray,
+          settings: TrainSettings, rng: np.random.Generator, w0=None) -> RunRecord:
+    """Run the full pre-scheduled DP-FL protocol; return its per-round train
+    loss, test loss and test accuracy.
 
     `shards` holds one row of pool indices per client, as `partition_noniid`
-    deals them, `schedule` one row of client indices per round, as
-    `build_schedule` draws it, `plan.epsilons` one budget per client and `w0`,
-    if given, the task's W initial weights; any of them malformed is rejected
-    before any draw. Noise scales come from the participation counts of
-    the schedule itself; a scheduled client with a zero budget is a
-    configuration error. `settings.noiseless` trains with an infinite clip
-    norm and no noise, which leaves `rng` untouched. Divergence (non-finite
-    loss) is recorded in the output, not raised.
+    deals them, `epsilons` one privacy budget per client, as a plan holds
+    them, `schedule` one row of client indices per round, as `build_schedule`
+    draws it, and `w0`, if given, the task's W initial weights; any of them
+    malformed is rejected before any draw. Noise scales come from the
+    participation counts of the schedule itself; a scheduled client with a
+    zero budget is a configuration error. `settings.noiseless` trains with an
+    infinite clip norm and no noise, which leaves `rng` untouched. A run
+    whose loss goes non-finite is returned, not raised (`RunRecord.diverged`).
 
     The rounds run in chunks: as many as fit `_EVAL_ELEMENTS` score elements,
     and each of whose gathered inputs and noise fit as many elements. A
@@ -530,16 +521,16 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
             or schedule.min() < 0 or schedule.max() >= n):
         raise ValueError("schedule must be a 2-D integer array of at least one round "
                          f"of at least one client, every entry in [0, {n})")
-    if np.shape(plan.epsilons) != (n,):
-        raise ValueError(f"plan.epsilons must hold one budget per client, shape "
-                         f"({n},), got {np.shape(plan.epsilons)}")
+    if np.shape(epsilons) != (n,):
+        raise ValueError(f"epsilons must hold one budget per client, shape "
+                         f"({n},), got {np.shape(epsilons)}")
     classes = task.spec.classes
     augmented = _augment(x, y, classes)
     counts = np.bincount(schedule.ravel(), minlength=n)
     sigma = np.zeros(n)
     for k in range(n):
         if counts[k] > 0 and not settings.noiseless:
-            sigma[k] = noise_sigma(counts[k], plan.epsilons[k],
+            sigma[k] = noise_sigma(counts[k], epsilons[k],
                                    settings.delta, settings.c2)
     clip = math.inf if settings.noiseless else settings.clip
     # the pool in shard order, then the test set: one evaluation matrix,
@@ -584,15 +575,4 @@ def train(task: SyntheticTask, shards, plan: SelectionPlan,
                 test_y, classes, scores))
         train_loss, test_loss, test_acc = np.concatenate(
             [future.result() for future in futures], axis=1)
-    return RunRecord(
-        run_id=run_id,
-        mechanism=plan.kind,
-        seed=seed,
-        similarity=settings.similarity,
-        eta=plan.eta,
-        total_cost=plan.total_payment,
-        train_loss=train_loss,
-        test_loss=test_loss,
-        test_accuracy=test_acc,
-        diverged=bool(not np.isfinite(train_loss[-1])),
-    )
+    return RunRecord(train_loss, test_loss, test_acc)

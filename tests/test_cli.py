@@ -391,6 +391,51 @@ def test_each_command_builds_its_cost_prior_once(tmp_path, monkeypatch, command)
     assert len(builds) == 1
 
 
+@pytest.mark.parametrize("command, calls", [("simulate", 2), ("sweep", 4)])
+def test_each_seed_builds_its_task_once_per_eta(tmp_path, monkeypatch, command,
+                                                 calls):
+    # every mechanism of a seed trains on the seed's one task, partition and
+    # initial weights; a sweep builds them again at each eta
+    built = []
+    real = cli.make_task
+    monkeypatch.setattr(cli, "make_task",
+                        lambda *args: built.append(args) or real(*args))
+    doc = dict(SMALL_SIM, mechanisms=["jsam", "usbm", "bbm"], seeds=[0, 1],
+               eta_grid=[1.0, 2.0])
+    assert main([command, "--config", _write_cfg(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(built) == calls
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["solve", "--mechanism", "bbm"]])
+def test_a_partition_beyond_the_two_class_cap_is_one_config_error_line(
+        tmp_path, capsys, argv):
+    # two clients cannot hold five classes in label-sorted blocks of two
+    doc = {"clients": 2, "task": {"samples_per_client": 100},
+           "train": {"similarity": 0}}
+    assert main([*argv, "--config", _write_cfg(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "config error: clients, task.samples_per_client, task.classes, "
+        "train.similarity: label-sorted block spans more than two classes")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_each_diverged_run_is_one_warning_line_in_row_order(tmp_path, capsys,
+                                                            command):
+    # a learning rate of 1e308 steps the weights to inf in the first round
+    doc = dict(SMALL_SIM, train={"rounds": 3, "per_round": 2, "learning_rate": 1e308},
+               mechanisms=["jsam", "usbm"], seeds=[0, 1], eta_grid=[1.0, 2.0])
+    assert main([command, "--config", _write_cfg(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 0
+    etas = ["1", "2"] if command == "sweep" else ["1"]
+    assert capsys.readouterr().err == "".join(
+        f"warning: run {name}-s100-eta{eta}-seed{seed} diverged\n"
+        for eta in etas for name in ("jsam", "usbm") for seed in (0, 1))
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

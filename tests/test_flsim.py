@@ -13,12 +13,11 @@ from hypothesis import given, strategies as st
 
 from jsam import flsim
 from jsam.costs import UniformCosts
-from jsam.flsim import (RunRecord, SelectionPlan, SyntheticTask, TaskSpec,
-                        TrainSettings, _augment, _pool_and_test_metrics,
-                        build_schedule, initial_local_losses,
-                        local_noisy_gradient, make_plan, make_task,
-                        match_eta_to_cost, noise_sigma, parse_mechanism,
-                        partition_noniid, train)
+from jsam.flsim import (SelectionPlan, SyntheticTask, TaskSpec, TrainSettings,
+                        _augment, _pool_and_test_metrics, build_schedule,
+                        initial_local_losses, local_noisy_gradient, make_plan,
+                        make_task, match_eta_to_cost, noise_sigma,
+                        parse_mechanism, partition_noniid, train)
 from jsam.mechanism import ServerConfig
 
 SIGMA_T100_E1 = 33.93070212207556  # sqrt(100 * ln(1e5))
@@ -212,7 +211,7 @@ def test_zero_c2_trains_without_drawing_noise(rng):
     schedule = build_schedule(plan.probabilities, 5, 3, rng)
     noise_rng = np.random.default_rng(6)
     before = noise_rng.bit_generator.state
-    record = train(task, shards, plan, schedule,
+    record = train(task, shards, plan.epsilons, schedule,
                    TrainSettings(rounds=5, per_round=3, c2=0.0), noise_rng)
     assert noise_rng.bit_generator.state == before
     assert np.all(np.isfinite(record.train_loss))
@@ -295,7 +294,7 @@ def test_each_round_records_model_loss_and_test_metrics(rng, monkeypatch):
     schedule = build_schedule(plan.probabilities, 5, 2, rng)
     w0 = rng.normal(0.0, 30.0, task.spec.weight_dim)
     _set_chunk(monkeypatch, task, 2)  # chunks of 2, 2 and 1 rounds
-    record = train(task, shards, plan, schedule,
+    record = train(task, shards, plan.epsilons, schedule,
                    TrainSettings(rounds=5, per_round=2, learning_rate=0.0,
                                  similarity=50),
                    np.random.default_rng(3), w0=w0)
@@ -380,13 +379,13 @@ def test_noiseless_flag_disables_clipping(rng):
     for clip in (1e-6, 123.0):
         noise_rng = np.random.default_rng(6)
         before = noise_rng.bit_generator.state
-        record = train(task, shards, plan, schedule,
+        record = train(task, shards, plan.epsilons, schedule,
                        TrainSettings(rounds=5, per_round=3, clip=clip,
                                      noiseless=True), noise_rng, w0=w0)
         assert noise_rng.bit_generator.state == before
         losses.append(record.train_loss.tobytes())
     assert losses[0] == losses[1]
-    clipped = train(task, shards, plan, schedule,
+    clipped = train(task, shards, plan.epsilons, schedule,
                     TrainSettings(rounds=5, per_round=3, clip=1e-6, c2=0.0),
                     np.random.default_rng(6), w0=w0)
     assert clipped.train_loss.tobytes() != losses[0]
@@ -679,8 +678,7 @@ def _toy_run(rng, plan_eps, rounds=6, lr=0.3):
     settings = TrainSettings(rounds=rounds, per_round=2, clip=6.0,
                              learning_rate=lr, similarity=100)
     schedule = build_schedule(plan.probabilities, rounds, 2, rng)
-    record = train(task, shards, plan, schedule, settings, rng, run_id="t",
-                   seed=0)
+    record = train(task, shards, plan.epsilons, schedule, settings, rng)
     return record, plan
 
 
@@ -698,7 +696,7 @@ def test_one_noiseless_round_is_a_plain_gradient_step(rng):
     settings = TrainSettings(rounds=1, per_round=2, learning_rate=0.5,
                              similarity=100, noiseless=True)
     w0 = rng.normal(0, 0.2, task.spec.weight_dim)
-    record = train(task, shards, plan, schedule, settings,
+    record = train(task, shards, plan.epsilons, schedule, settings,
                    np.random.default_rng(0), w0=w0)
 
     def mean_loss(wv):
@@ -729,7 +727,7 @@ def test_noise_is_calibrated_from_the_schedule_that_is_trained(rng):
     plan = _uniform_plan(4, eps=1e-3)
     settings = TrainSettings(rounds=1, per_round=2, similarity=100)
     w0 = rng.normal(0, 0.2, task.spec.weight_dim)
-    record = train(task, shards, plan, np.array([[0, 1]]), settings,
+    record = train(task, shards, plan.epsilons, np.array([[0, 1]]), settings,
                    np.random.default_rng(5), w0=w0)
 
     x, y = task.pool_x[shards], task.pool_y[shards]
@@ -751,7 +749,7 @@ def test_full_participation_noiseless_matches_centralized(rng):
     schedule = np.tile(np.arange(4), (t, 1))
     settings = TrainSettings(rounds=t, per_round=4, learning_rate=0.4,
                              similarity=100, noiseless=True)
-    record = train(task, shards, plan, schedule, settings,
+    record = train(task, shards, plan.epsilons, schedule, settings,
                    np.random.default_rng(0))
     # centralized: equal shard sizes make the mean of shard means the pool mean
     w = np.zeros(task.spec.weight_dim)
@@ -813,7 +811,8 @@ def test_records_are_bit_identical_across_chunk_boundaries(rng, monkeypatch,
     schedule = build_schedule(plan.probabilities, rounds, 2, rng)
     settings = TrainSettings(rounds=rounds, per_round=2, similarity=50)
     _set_chunk(monkeypatch, task, chunk)
-    record = train(task, shards, plan, schedule, settings, np.random.default_rng(8))
+    record = train(task, shards, plan.epsilons, schedule, settings,
+                   np.random.default_rng(8))
     want = _serial_reference(task, shards, plan, schedule, settings, 8)
     got = np.stack([record.train_loss, record.test_loss, record.test_accuracy])
     assert got.tobytes() == want.tobytes()
@@ -832,7 +831,7 @@ def test_records_hold_under_rapid_thread_switching(rng, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        record = train(task, shards, plan, schedule, settings,
+        record = train(task, shards, plan.epsilons, schedule, settings,
                        np.random.default_rng(8))
     finally:
         sys.setswitchinterval(interval)
@@ -859,7 +858,7 @@ def test_quiet_and_noisy_rows_share_one_round_and_one_draw(rng, monkeypatch):
 
     monkeypatch.setattr(flsim, "local_noisy_gradient", spy)
     noise_rng = np.random.default_rng(8)
-    record = train(task, shards, plan, schedule, settings, noise_rng)
+    record = train(task, shards, plan.epsilons, schedule, settings, noise_rng)
     want = _serial_reference(task, shards, plan, schedule, settings, 8)
     got = np.stack([record.train_loss, record.test_loss, record.test_accuracy])
     assert got.tobytes() == want.tobytes()
@@ -885,7 +884,7 @@ def test_train_rejects_a_malformed_schedule_before_any_draw(rng, schedule):
     before = noise_rng.bit_generator.state
     with pytest.raises(ValueError, match=r"schedule must be a 2-D integer array "
                                          r".* every entry in \[0, 4\)"):
-        train(task, shards, _uniform_plan(4), schedule,
+        train(task, shards, np.ones(4), schedule,
               TrainSettings(rounds=1, per_round=2), noise_rng)
     assert noise_rng.bit_generator.state == before
 
@@ -894,10 +893,8 @@ def test_train_rejects_a_malformed_schedule_before_any_draw(rng, schedule):
 def test_train_rejects_a_budget_count_unlike_the_client_count(rng, epsilons):
     task = _small_task(rng)
     shards = partition_noniid(task, 100, rng)
-    plan = _uniform_plan(4)
-    plan.epsilons = epsilons
     with pytest.raises(ValueError, match=r"one budget per client, shape \(4,\)"):
-        train(task, shards, plan, np.array([[0, 1]]),
+        train(task, shards, epsilons, np.array([[0, 1]]),
               TrainSettings(rounds=1, per_round=2), rng)
 
 
@@ -916,7 +913,7 @@ def test_a_large_round_gathers_and_draws_one_round_at_a_time(rng):
     one_round = per_round * (2 * (spec.feature_dim + 1) + spec.weight_dim) * 8  # bytes
     tracemalloc.start()
     try:
-        record = train(task, shards, plan, schedule,
+        record = train(task, shards, plan.epsilons, schedule,
                        TrainSettings(rounds=rounds, per_round=per_round, similarity=100),
                        np.random.default_rng(1))
         peak = tracemalloc.get_traced_memory()[1]
@@ -936,7 +933,7 @@ def test_divergence_in_the_last_chunk_only_is_recorded(rng, monkeypatch):
     schedule = np.array([[0, 1]] * 7 + [[3, 0]] * 2)
     _set_chunk(monkeypatch, task, 3)
     with np.errstate(over="ignore"):
-        record = train(task, shards, plan, schedule,
+        record = train(task, shards, plan.epsilons, schedule,
                        TrainSettings(rounds=9, per_round=2, similarity=100),
                        np.random.default_rng(2))
     assert np.all(np.isfinite(record.train_loss[:7]))
@@ -982,7 +979,7 @@ def test_train_rejects_malformed_shards_before_any_draw(rng, malform):
     before = noise_rng.bit_generator.state
     message = r"^shards must be an \(N, m\) integer array of pool indices in \[0, 96\)"
     with pytest.raises(ValueError, match=message):
-        train(task, shards, _uniform_plan(4), np.array([[0, 1]]),
+        train(task, shards, np.ones(4), np.array([[0, 1]]),
               TrainSettings(rounds=1, per_round=2), noise_rng)
     assert noise_rng.bit_generator.state == before
     with pytest.raises(ValueError, match=message):
@@ -998,26 +995,11 @@ def test_misshapen_weights_are_rejected_before_any_draw(rng, weights):
     before = noise_rng.bit_generator.state
     with pytest.raises(ValueError, match=r"^w0 must hold the task's 18 weights, "
                                          r"shape \(18,\), got "):
-        train(task, shards, _uniform_plan(4), np.array([[0, 1]]),
+        train(task, shards, np.ones(4), np.array([[0, 1]]),
               TrainSettings(rounds=1, per_round=2), noise_rng, w0=weights)
     assert noise_rng.bit_generator.state == before
     with pytest.raises(ValueError, match=r"^w must hold the task's 18 weights"):
         initial_local_losses(task, shards, weights)
-
-
-def test_run_record_rows_and_header(rng):
-    record, plan = _toy_run(rng, plan_eps=5.0, rounds=4)
-    rows = list(record.rows())
-    assert len(rows) == 4
-    assert RunRecord.CSV_HEADER == ("run_id,mechanism,seed,s,eta,round,"
-                                    "train_loss,test_loss,test_accuracy,"
-                                    "cumulative_monetary_cost")
-    for t, row in enumerate(rows):
-        parts = row.split(",")
-        assert parts[0] == "t" and parts[1] == "usbm"
-        assert int(parts[5]) == t + 1
-        assert float(parts[9]) == plan.total_payment
-        assert float(parts[6]) == record.train_loss[t]  # repr round-trips
 
 
 def test_initial_local_losses_probe(rng):

@@ -87,6 +87,27 @@ def test_simulate_matches_the_golden_csv(case, tmp_path):
                                                            w["round"])
 
 
+# sha256 of `jsam simulate` and `jsam sweep` on several mechanisms and seeds,
+# recorded while every (mechanism, seed) run still built its own task,
+# partition and initial weights
+MULTI_SEED = {**_SMALL, "costs": _GAUSSIAN,
+              "mechanisms": ["usbm", "fsbm-4", "bbm", "jsam", "jsam_ci"],
+              "seeds": [1, 2], "eta_grid": [10.0, 30.0]}
+MULTI_SEED_DIGESTS = {
+    "simulate": "bde3c5d32cdb1b96b65bbea5478e26cfc33b75b0f0dffbd220ff7b02ec2ecf55",
+    "sweep": "522c00e29547284771523fdb21360417dce573c66073e6a3b79d67ab1fe43f53",
+}
+
+
+@pytest.mark.parametrize("command", sorted(MULTI_SEED_DIGESTS))
+def test_multi_seed_outputs_are_byte_identical(command, tmp_path):
+    cfg_path, out_path = tmp_path / "config.json", tmp_path / "out.csv"
+    cfg_path.write_text(json.dumps(MULTI_SEED), encoding="utf-8")
+    assert main([command, "--config", str(cfg_path), "--out", str(out_path)]) == 0
+    assert (hashlib.sha256(out_path.read_bytes()).hexdigest()
+            == MULTI_SEED_DIGESTS[command])
+
+
 # sha256 of the seed's task arrays (pool x and y, test x and y) and of the
 # clients' pool indices stacked one row per client, recorded before the
 # shards became one (N, m) array
